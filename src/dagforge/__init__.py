@@ -33,7 +33,7 @@ from .modelspec import ModelSpec, NodeDecl, SimInstructions, SpecWarning, parse_
 from .output import ENGINE_VERSION, model_hash, write_csv, write_manifest
 from .registry import FunctionRegistry, register_host_function
 from .rng import RandomStream, node_stream_key
-from .sampler import Dataset, RunConfig, SampleRow, apply_interventions, apply_missing, sample_one, simulate
+from .sampler import Dataset, RunConfig, SampleRow, apply_interventions, sample_one, simulate
 from .stdlib import build_registry
 from .values import MISSING, Tensor, Value, csv_cell, parse_cell, type_name, values_equal
 
@@ -51,7 +51,7 @@ __all__ = [
     "ENGINE_VERSION", "model_hash", "write_csv", "write_manifest",
     "FunctionRegistry", "register_host_function",
     "RandomStream", "node_stream_key",
-    "Dataset", "RunConfig", "SampleRow", "apply_interventions", "apply_missing", "sample_one", "simulate",
+    "Dataset", "RunConfig", "SampleRow", "apply_interventions", "sample_one", "simulate",
     "build_registry",
     "MISSING", "Tensor", "Value", "csv_cell", "parse_cell", "type_name", "values_equal",
     "__version__",

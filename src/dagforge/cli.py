@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     SelectionStarvation,
     SpecError,
+    StratumNameError,
     ValidationError,
     YamlSyntaxError,
 )
@@ -150,7 +151,7 @@ def cmd_run(args) -> int:
     except SelectionStarvation as err:
         _err(str(err))
         return EXIT_STARVED
-    except (EvalError, CoercionError, ValidationError) as err:
+    except (EvalError, CoercionError, StratumNameError, ValidationError) as err:
         _err(str(err))
         return EXIT_INVALID
 

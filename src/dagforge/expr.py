@@ -16,6 +16,7 @@ Grammar (also published in docs/grammar.md):
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import LexError, ParseError
@@ -23,7 +24,7 @@ from .values import Value
 
 __all__ = [
     "Token", "tokenize", "Expr", "Lit", "Ref", "Call", "Unary", "Binary",
-    "IfElse", "ListLit", "parse_expr", "parse", "free_refs", "refs_in_order",
+    "IfElse", "ListLit", "parse_expr", "parse", "preorder", "free_refs", "refs_in_order",
     "pretty_print", "KEYWORDS",
 ]
 
@@ -35,7 +36,7 @@ _PUNCT = frozenset("()[],")
 _SYMBOL_OPS = ("==", "!=", "<=", ">=", "+", "-", "*", "/", "%", "<", ">")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # ident | int-lit | float-lit | str-lit | punct | operator | eof
     text: str
@@ -135,51 +136,70 @@ def tokenize(src: str) -> list[Token]:
 
 # --- AST ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     # span excluded from equality so printed-then-reparsed trees compare equal
     span: tuple[int, int] | None = field(default=None, compare=False, kw_only=True)
 
+    def children(self) -> tuple["Expr", ...]:
+        """Direct subexpressions, left to right."""
+        return ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Lit(Expr):
     value: Value = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref(Expr):
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Expr):
     name: str = ""
     args: tuple[Expr, ...] = ()
 
+    def children(self) -> tuple[Expr, ...]:
+        return self.args
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Unary(Expr):
     op: str = "-"
     operand: Expr | None = None
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Binary(Expr):
     op: str = "+"
     lhs: Expr | None = None
     rhs: Expr | None = None
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.lhs, self.rhs)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class IfElse(Expr):
     cond: Expr | None = None
     then: Expr | None = None
     otherwise: Expr | None = None
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.cond, self.then, self.otherwise)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ListLit(Expr):
     elements: tuple[Expr, ...] = ()
+
+    def children(self) -> tuple[Expr, ...]:
+        return self.elements
 
 
 class _Parser:
@@ -305,31 +325,22 @@ def parse(src: str) -> Expr:
     return parse_expr(tokenize(src))
 
 
+def preorder(e: Expr) -> Iterator[Expr]:
+    """Every node of the tree, each before its children, children left to right.
+
+    Iterative, so nesting depth is not bounded by the interpreter's
+    recursion limit.
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 def refs_in_order(e: Expr) -> list[str]:
     """Referenced node names in first-mention order, deduplicated."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr):
-        if isinstance(node, Ref):
-            seen.setdefault(node.name)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, IfElse):
-            walk(node.cond)
-            walk(node.then)
-            walk(node.otherwise)
-        elif isinstance(node, ListLit):
-            for el in node.elements:
-                walk(el)
-
-    walk(e)
-    return list(seen)
+    return list(dict.fromkeys(node.name for node in preorder(e) if isinstance(node, Ref)))
 
 
 def free_refs(e: Expr) -> set[str]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import ParseError, LexError, SpecError, ValidationError, YamlSyntaxError
-from .expr import Binary, Call, Expr, IfElse, KEYWORDS, ListLit, Unary, parse, refs_in_order
+from .expr import Call, Expr, KEYWORDS, parse, preorder, refs_in_order
 from .graph import CompiledModel, detect_cycle, topo_sort
 from .registry import FunctionRegistry
 
@@ -100,10 +100,6 @@ def _as_expr(value, path: str) -> Expr:
         raise SpecError(path, "expression is nested too deeply") from None
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of dropping them."""
-
-
 def _strict_mapping(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
@@ -122,9 +118,30 @@ def _strict_mapping(loader, node, deep=False):
     return mapping
 
 
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping
-)
+def _strict_loader(base: type) -> type:
+    """A subclass of the safe loader ``base`` that rejects duplicate mapping keys."""
+    loader = type("_StrictLoader", (base,), {})
+    loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
+    return loader
+
+
+# PyYAML's pure-Python scanner decides which documents are accepted.  When
+# PyYAML was built with libyaml, its scanner loads documents several times
+# faster, but it also accepts tabs inside plain scalars and byte-order marks
+# that the pure-Python one rejects, and words some errors differently.  So
+# documents holding either character, and every document libyaml rejects, go
+# through the pure-Python loader.
+_PyStrictLoader = _strict_loader(yaml.SafeLoader)
+_StrictLoader = _strict_loader(yaml.CSafeLoader) if hasattr(yaml, "CSafeLoader") else _PyStrictLoader
+
+
+def _load_yaml(text: str):
+    if _StrictLoader is not _PyStrictLoader and "\t" not in text and "\ufeff" not in text:
+        try:
+            return yaml.load(text, Loader=_StrictLoader)
+        except yaml.YAMLError:
+            pass  # reject it exactly as the pure-Python loader does
+    return yaml.load(text, Loader=_PyStrictLoader)
 
 
 def _parse_node(name, raw, path: str) -> NodeDecl:
@@ -217,7 +234,7 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
     """
     del registry
     try:
-        doc = yaml.load(yaml_text, Loader=_StrictLoader)
+        doc = _load_yaml(yaml_text)
     except yaml.constructor.ConstructorError as err:
         # duplicate mapping keys come from our strict loader: a schema
         # violation in well-formed YAML, not a syntax error
@@ -285,13 +302,15 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
 
     if registry is not None:
         for n in nodes:
-            for call_name, argc in _calls_in(n.expr):
-                entry = registry.lookup(call_name)
+            for call in preorder(n.expr):
+                if not isinstance(call, Call):
+                    continue
+                entry = registry.lookup(call.name)
                 if entry is None:
-                    problems.append(f"node {n.name}: unknown function {call_name!r}")
-                elif not entry.arity.accepts(argc):
+                    problems.append(f"node {n.name}: unknown function {call.name!r}")
+                elif not entry.arity.accepts(len(call.args)):
                     problems.append(
-                        f"node {n.name}: {call_name} expects {entry.arity.describe()} argument(s), got {argc}"
+                        f"node {n.name}: {call.name} expects {entry.arity.describe()} argument(s), got {len(call.args)}"
                     )
 
     missing_map: dict[str, str] = {}
@@ -327,31 +346,6 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
         stratify=stratify,
         missing_map=missing_map,
     )
-
-
-def _calls_in(e: Expr) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-
-    def walk(node):
-        if isinstance(node, Call):
-            out.append((node.name, len(node.args)))
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, IfElse):
-            walk(node.cond)
-            walk(node.then)
-            walk(node.otherwise)
-        elif isinstance(node, ListLit):
-            for el in node.elements:
-                walk(el)
-
-    walk(e)
-    return out
 
 
 def validate(spec: ModelSpec, registry: FunctionRegistry | None = None) -> CompiledModel:

@@ -11,11 +11,10 @@ import hashlib
 import re
 from pathlib import Path
 
-from .errors import StratumNameError
 from .expr import pretty_print
 from .graph import CompiledModel
 from .modelspec import SimInstructions
-from .sampler import Dataset, RunConfig
+from .sampler import Dataset, RunConfig, check_stratum_label
 from .values import csv_cell
 
 __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
@@ -23,7 +22,6 @@ __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
 ENGINE_VERSION = "0.1.0"
 
 _NEEDS_QUOTE = re.compile(r'[",\r\n]')
-_SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")
 
 
 def _field(text: str) -> str:
@@ -45,33 +43,48 @@ def write_csv(ds: Dataset, model: CompiledModel, instructions: SimInstructions, 
     Without a stratify node a single ``<csv_name>.csv`` is produced.  With
     one, rows are partitioned into ``<csv_name>_<stratum>.csv`` files (in
     order of first appearance of each label); the label column itself stays
-    in every file for auditability.
+    in every file for auditability.  Files that ``<csv_name>.manifest`` in
+    ``out_dir`` lists from an earlier run and this call does not write are
+    removed, so a rerun into the same directory leaves no stale strata
+    behind; no other file is touched.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = ds.column_order
+    csv_name = instructions.csv_name
 
     if model.stratify is None:
-        path = out_dir / f"{instructions.csv_name}.csv"
-        path.write_text(_render(columns, ds.rows), encoding="utf-8", newline="")
-        return [path]
+        groups = {None: ds.rows}
+    else:
+        groups = {}
+        for row in ds.rows:
+            groups.setdefault(check_stratum_label(row.stratum), []).append(row)
 
-    groups: dict[str, list] = {}
-    for row in ds.rows:
-        label = row.stratum
-        if label is None or not _SAFE_STRATUM.match(label):
-            raise StratumNameError(
-                f"stratum label {label!r} is not usable in a file name "
-                "(allowed: non-empty [A-Za-z0-9_-])"
-            )
-        groups.setdefault(label, []).append(row)
-
+    stale = set(_listed_files(out_dir / f"{csv_name}.manifest"))
     paths = []
     for label, rows in groups.items():
-        path = out_dir / f"{instructions.csv_name}_{label}.csv"
+        path = out_dir / (f"{csv_name}.csv" if label is None else f"{csv_name}_{label}.csv")
         path.write_text(_render(columns, rows), encoding="utf-8", newline="")
         paths.append(path)
+        stale.discard(path.name)
+
+    for name in stale:
+        old = out_dir / name
+        # only bare names of files: a listed path never reaches outside out_dir
+        if name and Path(name).name == name and old.is_file():
+            old.unlink()
     return paths
+
+
+def _listed_files(manifest: Path) -> list[str]:
+    """The ``files`` line of a manifest, or nothing if there is no manifest."""
+    if not manifest.is_file():
+        return []
+    for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
+        key, _, value = line.partition(" = ")
+        if key == "files":
+            return value.split(",")
+    return []
 
 
 def model_hash(model: CompiledModel, instructions: SimInstructions | None = None) -> str:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import RegistryError
-from .rng import RandomStream
-from .values import Value, as_value
+from .values import as_value
 
 __all__ = ["Arity", "FunctionEntry", "FunctionRegistry", "register_host_function"]
 
@@ -57,11 +56,6 @@ class FunctionEntry:
     stochastic: bool
     impl: Callable
     builtin: bool = False
-
-    def call(self, rng: RandomStream, args: list[Value]) -> Value:
-        if self.stochastic:
-            return self.impl(rng, *args)
-        return self.impl(*args)
 
 
 class FunctionRegistry:

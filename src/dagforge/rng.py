@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-__all__ = ["RandomStream", "node_stream_key"]
+__all__ = ["RandomStream", "node_stream_key", "sample_base"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,19 +37,30 @@ def node_stream_key(name: str) -> int:
     return h
 
 
+def sample_base(seed: int, sample_index: int) -> int:
+    """The part of a stream's state fixed by ``(seed, sample_index)`` alone.
+
+    Every node stream of one sample shares it, so a sampler computes it once
+    per sample and each node stream adds only its own key.
+    """
+    s = _finalize(((seed & _MASK) ^ _SEED_TWEAK) & _MASK)
+    return _finalize((s + (sample_index & _MASK)) & _MASK)
+
+
 class RandomStream:
     """One deterministic stream of raw 64-bit words and derived variates."""
 
     __slots__ = ("seed", "sample_index", "node_key", "draw_counter", "_state")
 
-    def __init__(self, seed: int, sample_index: int = 0, node_key: int = 0):
+    def __init__(self, seed: int, sample_index: int = 0, node_key: int = 0, base: int | None = None):
+        """``base``, when given, must be ``sample_base(seed, sample_index)``."""
         self.seed = seed & _MASK
         self.sample_index = sample_index & _MASK
         self.node_key = node_key & _MASK
         self.draw_counter = 0
-        s = _finalize((self.seed ^ _SEED_TWEAK) & _MASK)
-        s = _finalize((s + self.sample_index) & _MASK)
-        self._state = _finalize((s + self.node_key) & _MASK)
+        if base is None:
+            base = sample_base(seed, sample_index)
+        self._state = _finalize((base + self.node_key) & _MASK)
 
     def next_word(self) -> int:
         """Next raw draw: a uniform 64-bit word. Advances the counter by one."""

@@ -11,21 +11,25 @@ distinct indices may be evaluated in any order or in parallel.
 from __future__ import annotations
 
 import dataclasses
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import CoercionError, EvalError, SelectionStarvation, ValidationError
-from .evaluator import EvalEnv, evaluate
+from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError, ValidationError
+from .evaluator import compile_expr
 from .expr import Expr
 from .graph import CompiledModel
 from .modelspec import compile_nodes
 from .registry import FunctionRegistry
-from .rng import RandomStream, node_stream_key
+from .rng import RandomStream, node_stream_key, sample_base
 from .values import MISSING, Value, csv_cell, type_name
 
-__all__ = ["RunConfig", "SampleRow", "Dataset", "apply_interventions", "sample_one", "apply_missing", "simulate"]
+__all__ = ["RunConfig", "SampleRow", "Dataset", "apply_interventions", "sample_one", "simulate"]
 
 _UINT64_MAX = 2**64 - 1
+
+# A stratum label becomes part of a file name, so it is limited to these.
+_SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SampleRow:
+    """One kept sample.
+
+    ``values`` holds the observed columns only, keyed in ``Dataset.column_order``;
+    unobserved nodes and the selection node are evaluated but not kept.  Use
+    :func:`sample_one` to see every node of a sample.
+    """
+
     values: dict[str, Value]
     stratum: str | None = None
 
@@ -99,6 +110,56 @@ def _as_label(v: Value, node: str) -> str:
     raise CoercionError(f"node {node}: stratum label must be a scalar, got {type_name(v)}")
 
 
+def check_stratum_label(label: str | None) -> str:
+    """Return ``label`` if it can name a stratum's CSV file, else raise StratumNameError."""
+    if label is None or not _SAFE_STRATUM.match(label):
+        raise StratumNameError(
+            f"stratum label {label!r} is not usable in a file name "
+            "(allowed: non-empty [A-Za-z0-9_-])"
+        )
+    return label
+
+
+def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> list[tuple]:
+    """One step per node in topological order: (name, stream key, kind, plate
+    size, underlying node, compiled expression)."""
+    literals: dict = {}
+    steps = []
+    for name in model.topo_order:
+        decl = model.by_name[name]
+        program = compile_expr(decl.expr, registry, literals)
+        steps.append((name, node_stream_key(name), decl.kind, decl.size, decl.underlying, program))
+    return steps
+
+
+def _run_steps(steps: list[tuple], sample_index: int, seed: int) -> tuple[dict[str, Value], bool]:
+    """Every node's value at one sample index, and whether selection kept it."""
+    base = sample_base(seed, sample_index)
+    bindings: dict[str, Value] = {}
+    selected = True
+    for name, key, kind, size, underlying, program in steps:
+        rng = RandomStream(seed, sample_index, key, base)
+        try:
+            if kind == "standard":
+                if size is None:
+                    value = program(bindings, rng)
+                else:
+                    value = [program(bindings, rng) for _ in range(size)]
+            elif kind == "selection":
+                value = selected = _as_flag(program(bindings, rng), name, "selection value")
+            elif kind == "missing":
+                flag = _as_flag(program(bindings, rng), name, "missing indicator")
+                value = MISSING if flag else bindings[underlying]
+            else:  # stratify
+                value = _as_label(program(bindings, rng), name)
+        except EvalError as err:
+            if err.node is None:
+                raise EvalError(err.span, err.message, node=name) from err
+            raise
+        bindings[name] = value
+    return bindings, selected
+
+
 def sample_one(
     model: CompiledModel,
     sample_index: int,
@@ -111,47 +172,9 @@ def sample_one(
     selection predicate accepted it.  Plate nodes (``size: k``) evaluate
     their expression k times into a list.
     """
-    env = EvalEnv(bindings={}, rng=None, registry=registry)
-    row: dict[str, Value] = {}
-    selected = True
-    for name in model.topo_order:
-        decl = model.by_name[name]
-        env.rng = RandomStream(seed, sample_index, node_stream_key(name))
-        try:
-            if decl.kind == "standard":
-                if decl.size is not None:
-                    value: Value = [evaluate(decl.expr, env) for _ in range(decl.size)]
-                else:
-                    value = evaluate(decl.expr, env)
-                env.bindings[name] = row[name] = value
-            elif decl.kind == "selection":
-                selected = _as_flag(evaluate(decl.expr, env), name, "selection value")
-                env.bindings[name] = selected
-            elif decl.kind == "missing":
-                flag = _as_flag(evaluate(decl.expr, env), name, "missing indicator")
-                value = MISSING if flag else env.bindings[decl.underlying]
-                env.bindings[name] = row[name] = value
-            else:  # stratify
-                label = _as_label(evaluate(decl.expr, env), name)
-                env.bindings[name] = row[name] = label
-        except EvalError as err:
-            if err.node is None:
-                raise EvalError(err.span, err.message, node=name) from err
-            raise
-    return row, selected
-
-
-def apply_missing(row: dict[str, Value], model: CompiledModel) -> dict[str, Value]:
-    """Resolve missing-node indicators in a row into masked values.
-
-    Expects each missing node's entry to currently hold its indicator;
-    returns a new row where it holds the underlying value or MISSING.
-    """
-    out = dict(row)
-    for underlying, missing_node in model.missing_map.items():
-        flag = _as_flag(out[missing_node], missing_node, "missing indicator")
-        out[missing_node] = MISSING if flag else out[underlying]
-    return out
+    bindings, selected = _run_steps(_compile_steps(model, registry), sample_index, seed)
+    bindings.pop(model.selection, None)
+    return bindings, selected
 
 
 def _observed_columns(model: CompiledModel) -> list[str]:
@@ -175,6 +198,8 @@ def simulate(
     index-ordered result identical to sequential execution.
     """
     model = apply_interventions(model, config.interventions, registry)
+    steps = _compile_steps(model, registry)
+    columns = _observed_columns(model)
     needed = config.num_samples
     limit = needed * config.max_rejection_factor
     kept: list[SampleRow] = []
@@ -182,17 +207,17 @@ def simulate(
     next_index = 0
 
     def eval_index(i: int) -> tuple[dict[str, Value], bool]:
-        return sample_one(model, i, config.seed, registry)
+        return _run_steps(steps, i, config.seed)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         while len(kept) < needed and next_index < limit:
             block = range(next_index, min(limit, next_index + max(64, needed)))
             results = pool.map(eval_index, block) if pool else map(eval_index, block)
-            for i, (row, selected) in zip(block, results):
+            for i, (bindings, selected) in zip(block, results):
                 if selected and len(kept) < needed:
-                    stratum = row[model.stratify] if model.stratify else None
-                    kept.append(SampleRow(values=row, stratum=stratum))
+                    stratum = check_stratum_label(bindings[model.stratify]) if model.stratify else None
+                    kept.append(SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum))
                     if len(kept) == needed:
                         attempts = i + 1
                         break
@@ -203,4 +228,4 @@ def simulate(
 
     if len(kept) < needed:
         raise SelectionStarvation(attempts=limit, kept=len(kept), limit=limit)
-    return Dataset(rows=kept, column_order=_observed_columns(model), attempts=attempts)
+    return Dataset(rows=kept, column_order=columns, attempts=attempts)

@@ -118,6 +118,16 @@ def test_run_starvation_exit_3(run_cli, tmp_path):
     assert "selection" in err
 
 
+def test_run_unusable_stratum_label_exit_2_writes_nothing(run_cli, tmp_path):
+    spec = tmp_path / "floats.yaml"
+    spec.write_text(model_yaml('    X:\n      function: "uniform(0, 1)"\n      kind: stratify\n'))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert "not usable in a file name" in err
+    assert not out.exists()
+
+
 def test_seed_precedence(run_cli, tmp_path, monkeypatch):
     spec = tmp_path / "seeded.yaml"
     spec.write_text(

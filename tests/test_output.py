@@ -7,6 +7,7 @@ from dagforge import (
     RunConfig,
     model_hash,
     parse_model,
+    register_host_function,
     simulate,
     validate,
     write_csv,
@@ -124,9 +125,65 @@ def test_stratum_label_sanitization(registry, tmp_path):
     for bad in ("a/b", "a b", "", "x."):
         text = model_yaml(f'    G:\n      function: \'"{bad}"\'\n      kind: stratify\n')
         spec, model = compile_text(text, registry)
-        ds = simulate(model, RunConfig(num_samples=2, seed=0), registry)
+        with pytest.raises(StratumNameError, match="not usable in a file name"):
+            simulate(model, RunConfig(num_samples=2, seed=0), registry)
+        # a hand-built dataset gets the same check before anything is written
+        ds = Dataset(rows=[SampleRow(values={"G": bad}, stratum=bad)], column_order=["G"], attempts=1)
         with pytest.raises(StratumNameError):
             write_csv(ds, model, spec.instructions, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unusable_stratum_label_stops_simulate_at_first_kept_row(registry):
+    calls = []
+
+    def label():
+        calls.append(1)
+        return 0.5
+
+    register_host_function(registry, "label", 0, False, label)
+    text = model_yaml('    X: "uniform(0, 1)"\n    G:\n      function: "label()"\n      kind: stratify\n')
+    _, model = compile_text(text, registry)
+    with pytest.raises(StratumNameError, match="'0.5'"):
+        simulate(model, RunConfig(num_samples=1000, seed=0), registry)
+    assert len(calls) == 1
+
+
+def test_rerun_into_same_directory_leaves_only_manifest_files(registry, tmp_path):
+    # none is a file this model's manifest lists: another model's output,
+    # user files whose names look like strata of this model, and the output
+    # of a model named "out_v2"
+    out = tmp_path / "out_dir"
+    out.mkdir()
+    foreign = {"other.csv", "out_raw.csv", "out_2023.csv", "out_a.b.csv", "out_v2.csv", "out_v2.manifest"}
+    for name in foreign:
+        (out / name).write_text("kept\n")
+    (out / "out_v2.manifest").write_text("rows = 1\nfiles = out_v2.csv\n")
+
+    def run(strata, stratified=True):
+        block = f'    X: "randint(0, {strata})"\n'
+        if stratified:
+            block += '    G:\n      function: "X"\n      kind: stratify\n'
+        spec, model = compile_text(model_yaml(block), registry)
+        config = RunConfig(num_samples=40, seed=3)
+        ds = simulate(model, config, registry)
+        paths = write_csv(ds, model, spec.instructions, out)
+        manifest = write_manifest(ds, config, paths, model, spec.instructions, out)
+        listed = manifest.read_text().split("files = ")[1].splitlines()[0].split(",")
+        on_disk = {p.name for p in out.iterdir()}
+        assert on_disk == set(listed) | {manifest.name} | foreign
+        return sorted(listed)
+
+    assert run(3) == ["out_0.csv", "out_1.csv", "out_2.csv"]
+    assert run(1) == ["out_0.csv"]
+    assert run(2, stratified=False) == ["out.csv"]
+    assert run(2) == ["out_0.csv", "out_1.csv"]
+
+    # a listed name with a directory part is never followed out of out_dir
+    (tmp_path / "escape.csv").write_text("kept\n")
+    (out / "out.manifest").write_text("files = ../escape.csv,out_0.csv\n")
+    run(2)
+    assert (tmp_path / "escape.csv").read_text() == "kept\n"
 
 
 def test_manifest_contents_and_stability(registry, tmp_path):

@@ -4,7 +4,6 @@ from dagforge import (
     MISSING,
     RunConfig,
     apply_interventions,
-    apply_missing,
     parse,
     parse_model,
     sample_one,
@@ -94,17 +93,20 @@ def test_eval_errors_carry_node_name(registry):
         sample_one(model, 0, 0, registry)
 
 
-def test_apply_missing_scalars(registry):
-    text = model_yaml(
-        '    U: "uniform(0,1)"\n'
-        '    M:\n      function: "binomial(1, 0.5)"\n      kind: missing\n      underlying: U\n'
-    )
-    model = compile_text(text, registry)
-    assert apply_missing({"U": 3.2, "M": 1}, model)["M"] is MISSING
-    assert apply_missing({"U": 3.2, "M": 0}, model)["M"] == 3.2
-    assert apply_missing({"U": 3.2, "M": True}, model)["M"] is MISSING
-    with pytest.raises(CoercionError):
-        apply_missing({"U": 3.2, "M": 0.5}, model)
+def test_missing_indicator_scalars(registry):
+    def row_with(indicator):
+        text = model_yaml(
+            '    U: "3.2"\n'
+            f'    M:\n      function: "{indicator}"\n      kind: missing\n      underlying: U\n'
+        )
+        return sample_one(compile_text(text, registry), 0, 0, registry)[0]
+
+    assert row_with("1")["M"] is MISSING
+    assert row_with("0")["M"] == 3.2
+    assert row_with("1 == 1")["M"] is MISSING  # True
+    assert row_with("1 == 1")["U"] == 3.2
+    with pytest.raises(CoercionError, match="missing indicator"):
+        row_with("0.5")
 
 
 def test_missing_rate_rough(registry):
