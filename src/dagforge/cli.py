@@ -123,6 +123,8 @@ def _parse_interventions(pairs: list[str]) -> dict:
             interventions[node] = parse_expression(text)
         except (LexError, ParseError) as err:
             raise _Exit(EXIT_INVALID, f"--intervene {node}: {err}") from err
+        except RecursionError:
+            raise _Exit(EXIT_INVALID, f"--intervene {node}: expression is nested too deeply") from None
     return interventions
 
 
@@ -188,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replace a node's expression (repeatable)")
     p_run.add_argument("--max-rejection-factor", type=int, default=1000,
                        help="give up after num_samples times this many attempts")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel sample evaluation (same output)")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="parallel sample evaluation, capped at the CPU count (same output)")
     p_run.set_defaults(func=cmd_run)
 
     p_graph = sub.add_parser("graph", help="emit the model DAG")

@@ -11,6 +11,7 @@ distinct indices may be evaluated in any order or in parallel.
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -194,9 +195,13 @@ def simulate(
 
     Rejected indices stay consumed, so the kept rows depend only on the
     seed, never on the acceptance pattern.  With ``threads > 1`` a block of
-    indices is evaluated in parallel; the keyed streams make the merged,
-    index-ordered result identical to sequential execution.
+    indices is evaluated in parallel by ``min(threads, os.cpu_count())``
+    workers; the keyed streams make the merged, index-ordered result
+    identical to sequential execution.  ``threads`` below 1 is a
+    ``ValueError``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     model = apply_interventions(model, config.interventions, registry)
     steps = _compile_steps(model, registry)
     columns = _observed_columns(model)
@@ -209,7 +214,8 @@ def simulate(
     def eval_index(i: int) -> tuple[dict[str, Value], bool]:
         return _run_steps(steps, i, config.seed)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    workers = min(threads, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while len(kept) < needed and next_index < limit:
             block = range(next_index, min(limit, next_index + max(64, needed)))

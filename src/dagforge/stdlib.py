@@ -274,7 +274,7 @@ def _tensor_zeros(shape):
     dims = [_int(d, "tensor_zeros dimension") for d in _list(shape, "tensor_zeros shape")]
     if not dims or any(d < 1 for d in dims):
         raise DomainError(f"tensor_zeros dimensions must be >= 1, got {dims}")
-    return Tensor(tuple(dims), (0.0,) * math.prod(dims))
+    return Tensor._trusted(tuple(dims), (0.0,) * math.prod(dims))
 
 
 def _tensor_fill_rect(t, r0, c0, r1, c1, v):
@@ -291,11 +291,10 @@ def _tensor_fill_rect(t, r0, c0, r1, c1, v):
             f"rectangle ({r0},{c0})..({r1},{c1}) out of range for shape {list(t.shape)}"
         )
     data = list(t.data)
-    for r in range(r0, r1):
-        row_base = r * cols
-        for c in range(c0, c1):
-            data[row_base + c] = v
-    return Tensor(t.shape, tuple(data))
+    fill = [v] * (c1 - c0)
+    for start in range(r0 * cols + c0, r1 * cols + c0, cols):
+        data[start:start + len(fill)] = fill
+    return Tensor._trusted(t.shape, tuple(data))
 
 
 _BUILTINS = [

@@ -38,21 +38,54 @@ class Tensor:
     """Row-major tensor of 64-bit reals.
 
     Invariant: ``len(data) == product(shape)`` and every dim is positive.
+    The constructor is the boundary check for tensors built outside the
+    engine (host functions, :func:`parse_cell`): every dim must be an
+    ``int`` (not a bool, not a float such as ``2.7``) and every element an
+    ``int`` or a ``float`` (not a bool or a string); anything else is a
+    :class:`DomainError`, never a lossy conversion.  Built-ins whose
+    arguments already hold the invariant use :meth:`_trusted` instead.
     """
 
     shape: tuple[int, ...]
     data: tuple[float, ...]
 
     def __post_init__(self):
-        shape = tuple(int(d) for d in self.shape)
+        shape = tuple(_dim(d) for d in self.shape)
         if not shape or any(d < 1 for d in shape):
             raise DomainError(f"tensor shape must be positive integers, got {list(self.shape)}")
         n = math.prod(shape)
-        data = tuple(float(x) for x in self.data)
+        data = tuple(_element(x) for x in self.data)
         if len(data) != n:
             raise DomainError(f"tensor data length {len(data)} != product of shape {n}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _trusted(cls, shape: tuple[int, ...], data: tuple[float, ...]) -> Tensor:
+        """Build without checks, for built-ins whose arguments already hold the invariant.
+
+        ``shape`` must be a tuple of positive ``int`` and ``data`` a tuple of
+        ``float`` of length ``product(shape)``.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "data", data)
+        return t
+
+
+def _dim(d) -> int:
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise DomainError(f"tensor dimension must be an integer, got {d!r}")
+    return int(d)
+
+
+def _element(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise DomainError(f"tensor element must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"tensor element {x!r} is too large for a 64-bit real") from None
 
 
 Value = bool | int | float | str | list | _Missing | Tensor
@@ -119,7 +152,8 @@ def _jsonable(v: Value):
     if v is MISSING:
         return None
     if isinstance(v, Tensor):
-        return {"shape": list(v.shape), "data": list(v.data)}
+        # json writes tuples as arrays, so the tuples need no list copy
+        return {"shape": v.shape, "data": v.data}
     if isinstance(v, list):
         return [_jsonable(x) for x in v]
     return v

@@ -2,6 +2,8 @@ import csv
 import subprocess
 import sys
 
+import pytest
+
 from conftest import MODELS, model_yaml
 
 
@@ -107,6 +109,22 @@ def test_run_bad_intervention_exit_2(run_cli, tmp_path):
     code, _, err = run_cli("run", MODELS / "images.yaml", "--out", tmp_path, "--intervene", "Ghost=1")
     assert code == 2
 
+
+
+def test_run_deeply_nested_intervention_exit_2(run_cli, tmp_path):
+    nested = "(" * 400 + "1" + ")" * 400
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", tmp_path, "--intervene", f"H={nested}")
+    assert code == 2
+    assert "--intervene H: expression is nested too deeply" in err
+    assert not (tmp_path / "Images_metadata.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_threads_below_one_exit_2(run_cli, tmp_path, threads):
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", tmp_path, "--threads", threads)
+    assert code == 2
+    assert "threads must be >= 1" in err
+    assert not (tmp_path / "Images_metadata.csv").exists()
 
 def test_run_starvation_exit_3(run_cli, tmp_path):
     spec = tmp_path / "starve.yaml"

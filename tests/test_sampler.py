@@ -14,6 +14,7 @@ from dagforge import (
 from dagforge.errors import CoercionError, SelectionStarvation, ValidationError
 from dagforge.expr import Lit, Ref
 
+from dagforge import sampler
 from conftest import MODELS, model_yaml
 
 
@@ -218,6 +219,42 @@ def test_threads_with_selection_match_sequential(registry):
     assert seq.attempts == par.attempts
     for ra, rb in zip(seq.rows, par.rows):
         assert values_equal(ra.values["X"], rb.values["X"])
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (10**9, 4, [4]),
+    (3, 4, [3]),
+    (8, None, []),  # an unknown CPU count means one worker: no pool
+    (1, 4, []),
+])
+def test_thread_pool_is_capped_at_cpu_count(registry, monkeypatch, threads, cpus, workers):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    model = compile_text((MODELS / "images.yaml").read_text(), registry)
+    ds = simulate(model, RunConfig(num_samples=5, seed=1), registry, threads=threads)
+    assert sizes == workers
+    assert len(ds.rows) == 5
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_is_value_error(registry, threads):
+    model = compile_text(model_yaml('    X: "1"\n'), registry)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        simulate(model, RunConfig(num_samples=1, seed=0), registry, threads=threads)
 
 
 # --- interventions -----------------------------------------------------------

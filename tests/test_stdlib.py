@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dagforge import (
     EvalEnv,
@@ -11,6 +12,7 @@ from dagforge import (
     evaluate,
     parse,
     register_host_function,
+    values_equal,
 )
 from dagforge.errors import DomainError, RegistryError
 from dagforge.stdlib import (
@@ -320,6 +322,40 @@ def test_draw_counts_are_fixed(fn, args, count):
     rng = fresh()
     fn(rng, *args)
     assert rng.draw_counter == count
+
+
+# --- trusted tensors ------------------------------------------------------------
+
+@st.composite
+def _rectangles(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r0, r1 = sorted(draw(st.lists(st.integers(0, rows), min_size=2, max_size=2)))
+    c0, c1 = sorted(draw(st.lists(st.integers(0, cols), min_size=2, max_size=2)))
+    v = draw(st.one_of(st.floats(allow_nan=False), st.integers(-5, 5)))
+    return rows, cols, r0, c0, r1, c1, v
+
+
+def _assert_checked_tensor_equal(t, expected):
+    assert type(t.shape) is tuple and all(type(d) is int for d in t.shape)
+    assert type(t.data) is tuple and all(type(x) is float for x in t.data)
+    assert values_equal(t, expected)
+    assert [math.copysign(1.0, x) for x in t.data] == [math.copysign(1.0, x) for x in expected.data]
+
+
+@settings(max_examples=200)
+@given(rect=_rectangles(), fills=st.integers(1, 3))
+def test_trusted_tensor_builds_match_checked_constructor(rect, fills):
+    rows, cols, r0, c0, r1, c1, v = rect
+    t = _tensor_zeros([rows, cols])
+    _assert_checked_tensor_equal(t, Tensor((rows, cols), [0] * (rows * cols)))
+    for _ in range(fills):
+        cells = [t.data[r * cols + c] for r in range(rows) for c in range(cols)]
+        for r in range(r0, r1):
+            for c in range(c0, c1):
+                cells[r * cols + c] = v
+        t = _tensor_fill_rect(t, r0, c0, r1, c1, v)
+        _assert_checked_tensor_equal(t, Tensor((rows, cols), cells))
+        r0, c0, r1, c1 = r0 // 2, c0 // 2, r1, c1
 
 
 # --- registry ---------------------------------------------------------------

@@ -80,6 +80,33 @@ def test_tensor_invariant_enforced():
     assert len(t.data) == math.prod(t.shape)
 
 
+
+@pytest.mark.parametrize("shape, data", [
+    ((2.7,), (1.0, 2.0)),
+    ((2.0,), (1.0, 2.0)),
+    ((True,), (1.0,)),
+    (("2",), (1.0, 2.0)),
+    ((1,), ("1",)),
+    ((1,), (True,)),
+    ((1,), (None,)),
+    ((1,), (10**400,)),
+])
+def test_tensor_constructor_rejects_malformed_parts(shape, data):
+    with pytest.raises(DomainError):
+        Tensor(shape, data)
+
+
+@pytest.mark.parametrize("text", [
+    '{"shape":[2.7],"data":[1,2]}',
+    '{"shape":[1],"data":["1"]}',
+    '{"shape":[1],"data":[true]}',
+    '{"shape":[true],"data":[1]}',
+])
+def test_parse_cell_rejects_malformed_tensor(text):
+    with pytest.raises(DomainError):
+        parse_cell(text)
+
+
 _AMBIGUOUS = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
 
 
