@@ -13,14 +13,12 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    CoercionError,
     DagforgeError,
-    EvalError,
     LexError,
+    NestingError,
     ParseError,
     SelectionStarvation,
     SpecError,
-    StratumNameError,
     ValidationError,
     YamlSyntaxError,
 )
@@ -28,7 +26,7 @@ from .examplefns import register_example_functions
 from .expr import parse as parse_expression
 from .modelspec import ModelSpec, parse_model, to_dot, validate
 from .output import write_csv, write_manifest
-from .sampler import RunConfig, apply_interventions, simulate
+from .sampler import KeptRows, RunConfig, apply_interventions
 from .stdlib import build_registry
 
 __all__ = ["main"]
@@ -121,10 +119,8 @@ def _parse_interventions(pairs: list[str]) -> dict:
             raise _Exit(EXIT_INVALID, f"--intervene expects NODE=EXPR, got {item!r}")
         try:
             interventions[node] = parse_expression(text)
-        except (LexError, ParseError) as err:
+        except (LexError, NestingError, ParseError) as err:
             raise _Exit(EXIT_INVALID, f"--intervene {node}: {err}") from err
-        except RecursionError:
-            raise _Exit(EXIT_INVALID, f"--intervene {node}: expression is nested too deeply") from None
     return interventions
 
 
@@ -148,18 +144,13 @@ def cmd_run(args) -> int:
     )
     out_dir = args.out if args.out is not None else (instructions.output_dir or ".")
 
+    rows = KeptRows(effective, config, registry, threads=args.threads)
     try:
-        ds = simulate(effective, config, registry, threads=args.threads)
+        paths = write_csv(rows, effective, instructions, out_dir)
+        manifest = write_manifest(rows, config, paths, effective, instructions, out_dir)
     except SelectionStarvation as err:
         _err(str(err))
         return EXIT_STARVED
-    except (EvalError, CoercionError, StratumNameError, ValidationError) as err:
-        _err(str(err))
-        return EXIT_INVALID
-
-    try:
-        paths = write_csv(ds, effective, instructions, out_dir)
-        manifest = write_manifest(ds, config, paths, effective, instructions, out_dir)
     except OSError as err:
         _err(f"write failed: {err}")
         return EXIT_IO
@@ -167,7 +158,7 @@ def cmd_run(args) -> int:
         _err(str(err))
         return EXIT_INVALID
 
-    _err(f"kept {len(ds.rows)} rows from {ds.attempts} attempts (seed {config.seed})")
+    _err(f"kept {rows.kept} rows from {rows.attempts} attempts (seed {config.seed})")
     for p in [*paths, manifest]:
         _err(f"wrote {p}")
     return EXIT_OK

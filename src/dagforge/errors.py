@@ -35,6 +35,10 @@ class ParseError(DslError):
         super().__init__(span, message)
 
 
+class NestingError(DslError):
+    """Expression nests deeper than ``expr.MAX_DEPTH`` levels."""
+
+
 class EvalError(DslError):
     """Runtime failure while evaluating an expression.
 

@@ -19,16 +19,22 @@ import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import LexError, ParseError
+from .errors import LexError, NestingError, ParseError
 from .values import Value
 
 __all__ = [
     "Token", "tokenize", "Expr", "Lit", "Ref", "Call", "Unary", "Binary",
     "IfElse", "ListLit", "parse_expr", "parse", "preorder", "free_refs", "refs_in_order",
-    "pretty_print", "KEYWORDS",
+    "pretty_print", "KEYWORDS", "MAX_DEPTH",
 ]
 
 KEYWORDS = frozenset({"if", "then", "else", "and", "or", "not"})
+
+# The deepest expression tree that parses.  The compiler, the evaluator and
+# the printer recurse once or twice per level, so this keeps them well inside
+# the interpreter's recursion limit.  A chain ``a + b + c`` nests one level
+# per operator.
+MAX_DEPTH = 200
 
 INT64_MAX = 2**63 - 1
 
@@ -312,12 +318,32 @@ class _Parser:
 
 
 def parse_expr(tokens: list[Token]) -> Expr:
-    """Parse a token list (ending with eof) into a single expression."""
+    """Parse a token list (ending with eof) into a single expression.
+
+    A tree deeper than MAX_DEPTH is a NestingError, as is nesting of
+    parentheses, calls or lists that exhausts the parser's own stack first.
+    """
     p = _Parser(tokens)
-    e = p.expr()
+    try:
+        e = p.expr()
+    except RecursionError:
+        raise NestingError(None, "expression is nested too deeply") from None
     if p.cur.kind != "eof":
         p.fail(("end of input",))
+    # every tree node consumes a token of its own, so a short source is shallow
+    if len(tokens) > MAX_DEPTH and _depth(e) > MAX_DEPTH:
+        raise NestingError(None, f"expression is nested too deeply (more than {MAX_DEPTH} levels)")
     return e
+
+
+def _depth(e: Expr) -> int:
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.children())
+    return deepest
 
 
 def parse(src: str) -> Expr:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ParseError, LexError, SpecError, ValidationError, YamlSyntaxError
+from .errors import LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
 from .expr import Call, Expr, KEYWORDS, parse, preorder, refs_in_order
 from .graph import CompiledModel, detect_cycle, topo_sort
 from .registry import FunctionRegistry
@@ -96,8 +96,8 @@ def _as_expr(value, path: str) -> Expr:
         return parse(value)
     except (LexError, ParseError) as err:
         raise SpecError(path, f"bad expression {value!r}: {err}") from err
-    except RecursionError:
-        raise SpecError(path, "expression is nested too deeply") from None
+    except NestingError as err:
+        raise SpecError(path, str(err)) from err
 
 
 def _strict_mapping(loader, node, deep=False):

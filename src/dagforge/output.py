@@ -6,15 +6,18 @@ shortest round-trip float formatting.  Formats are documented in FORMATS.md.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
+import os
 import re
 from pathlib import Path
+from typing import TextIO
 
 from .expr import pretty_print
 from .graph import CompiledModel
 from .modelspec import SimInstructions
-from .sampler import Dataset, RunConfig, check_stratum_label
+from .sampler import Dataset, KeptRows, RunConfig, check_stratum_label
 from .values import csv_cell
 
 __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
@@ -30,50 +33,107 @@ def _field(text: str) -> str:
     return text
 
 
-def _render(columns: list[str], rows) -> str:
-    lines = [",".join(_field(c) for c in columns)]
-    for row in rows:
-        lines.append(",".join(_field(csv_cell(row.values[c])) for c in columns))
-    return "\n".join(lines) + "\n"
+def write_csv(
+    ds: Dataset | KeptRows, model: CompiledModel, instructions: SimInstructions, out_dir: str | Path = "."
+) -> list[Path]:
+    """Write the rows of ``ds`` under ``out_dir``; returns the created file paths.
 
+    ``ds`` is a Dataset, or a KeptRows that is evaluated as it is written,
+    so no more than one block of rows is held.  Without a stratify node a
+    single ``<csv_name>.csv`` is produced.  With one, rows are partitioned
+    into ``<csv_name>_<stratum>.csv`` files (in order of first appearance of
+    each label); the label column itself stays in every file for
+    auditability.
 
-def write_csv(ds: Dataset, model: CompiledModel, instructions: SimInstructions, out_dir: str | Path = ".") -> list[Path]:
-    """Write the dataset under ``out_dir``; returns the created file paths.
-
-    Without a stratify node a single ``<csv_name>.csv`` is produced.  With
-    one, rows are partitioned into ``<csv_name>_<stratum>.csv`` files (in
-    order of first appearance of each label); the label column itself stays
-    in every file for auditability.  Files that ``<csv_name>.manifest`` in
+    Each file is written to a dot-prefixed temp file in ``out_dir`` and
+    renamed into place only after the last row, so if anything fails the
+    directory is left as it was.  Files that ``<csv_name>.manifest`` in
     ``out_dir`` lists from an earlier run and this call does not write are
-    removed, so a rerun into the same directory leaves no stale strata
+    then removed, so a rerun into the same directory leaves no stale strata
     behind; no other file is touched.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ds.column_order
     csv_name = instructions.csv_name
+    stratified = model.stratify is not None
+    rows = ds if isinstance(ds, KeptRows) else ds.rows
+    columns = ds.column_order
+    header = ",".join(_field(c) for c in columns) + "\n"
+    made = _make_dirs(out_dir)
+    files: dict[str | None, tuple[Path, Path, TextIO]] = {}  # label -> (path, temp path, open temp file)
 
-    if model.stratify is None:
-        groups = {None: ds.rows}
-    else:
-        groups = {}
-        for row in ds.rows:
-            groups.setdefault(check_stratum_label(row.stratum), []).append(row)
+    def open_stratum(label: str | None) -> TextIO:
+        path = out_dir / (f"{csv_name}.csv" if label is None else f"{csv_name}_{label}.csv")
+        tmp, fh = _open_temp(path)
+        files[label] = (path, tmp, fh)
+        fh.write(header)
+        return fh
+
+    try:
+        if not stratified:
+            open_stratum(None)  # written even when there are no rows
+        for row in rows:
+            label = check_stratum_label(row.stratum) if stratified else None
+            fh = files[label][2] if label in files else open_stratum(label)
+            fh.write(",".join(_field(csv_cell(row.values[c])) for c in columns) + "\n")
+        for _, _, fh in files.values():
+            fh.close()
+    except BaseException:
+        for _, tmp, fh in files.values():
+            with contextlib.suppress(OSError):
+                fh.close()
+            tmp.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
     stale = set(_listed_files(out_dir / f"{csv_name}.manifest"))
     paths = []
-    for label, rows in groups.items():
-        path = out_dir / (f"{csv_name}.csv" if label is None else f"{csv_name}_{label}.csv")
-        path.write_text(_render(columns, rows), encoding="utf-8", newline="")
+    for path, tmp, _ in files.values():
+        os.replace(tmp, path)
         paths.append(path)
         stale.discard(path.name)
-
     for name in stale:
         old = out_dir / name
         # only bare names of files: a listed path never reaches outside out_dir
         if name and Path(name).name == name and old.is_file():
             old.unlink()
     return paths
+
+
+def _make_dirs(out_dir: Path) -> list[Path]:
+    """Create ``out_dir`` and any missing parents; returns those created, deepest first."""
+    missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return missing
+
+
+def _open_temp(path: Path) -> tuple[Path, TextIO]:
+    """Create a new dot-prefixed temp file beside ``path``, open for UTF-8 text.
+
+    The file gets mode 0o666 less the umask, as ``Path.write_text`` would
+    give, rather than the 0o600 of ``tempfile.mkstemp``.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileExistsError:
+            continue
+        return tmp, open(fd, "w", encoding="utf-8", newline="")
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it onto ``path``."""
+    tmp, fh = _open_temp(path)
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _listed_files(manifest: Path) -> list[str]:
@@ -105,7 +165,7 @@ def model_hash(model: CompiledModel, instructions: SimInstructions | None = None
 
 
 def write_manifest(
-    ds: Dataset,
+    ds: Dataset | KeptRows,
     config: RunConfig,
     paths: list[Path],
     model: CompiledModel,
@@ -114,7 +174,9 @@ def write_manifest(
 ) -> Path:
     """Write ``<csv_name>.manifest``: everything needed to reproduce the run.
 
-    The timestamp line is informational only and excluded from any
+    ``ds`` is the Dataset or the fully iterated KeptRows that ``paths``
+    were written from.  The file is written to a temp file and renamed into
+    place.  The timestamp line is informational only and excluded from any
     comparison or hash.
     """
     out_dir = Path(out_dir)
@@ -126,10 +188,10 @@ def write_manifest(
         f"seed = {config.seed}",
         f"num_samples = {config.num_samples}",
         f"attempts = {ds.attempts}",
-        f"rows = {len(ds.rows)}",
+        f"rows = {ds.kept if isinstance(ds, KeptRows) else len(ds.rows)}",
         f"files = {','.join(p.name for p in paths)}",
         f"timestamp = {stamp}",
     ]
     path = out_dir / f"{instructions.csv_name}.manifest"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _replace_text(path, "\n".join(lines) + "\n")
     return path

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,9 +26,12 @@ from .registry import FunctionRegistry
 from .rng import RandomStream, node_stream_key, sample_base
 from .values import MISSING, Value, csv_cell, type_name
 
-__all__ = ["RunConfig", "SampleRow", "Dataset", "apply_interventions", "sample_one", "simulate"]
+__all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "apply_interventions", "sample_one", "simulate"]
 
 _UINT64_MAX = 2**64 - 1
+
+# Sample indices evaluated per block: the most results a run holds at once.
+BLOCK_SIZE = 64
 
 # A stratum label becomes part of a file name, so it is limited to these.
 _SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")
@@ -185,6 +189,65 @@ def _observed_columns(model: CompiledModel) -> list[str]:
     ]
 
 
+class KeptRows:
+    """The kept rows of one run, produced lazily in sample-index order.
+
+    Sample indices are evaluated in blocks of ``BLOCK_SIZE``, so iterating
+    holds at most one block of results, whatever ``num_samples`` is.
+    Rejected indices stay consumed, so the kept rows depend only on the
+    seed, never on the acceptance pattern.  With ``threads > 1`` each block
+    is evaluated by ``min(threads, os.cpu_count())`` workers; the keyed
+    streams make the index-ordered result identical to sequential
+    execution.  ``threads`` below 1 is a ``ValueError``.
+
+    Iterating raises SelectionStarvation if fewer than ``num_samples`` rows
+    are kept within the rejection limit, and StratumNameError at the first
+    kept row whose stratum label cannot name a file.  ``kept`` counts the
+    rows produced so far; ``attempts`` is set once the last row is.
+    """
+
+    def __init__(self, model: CompiledModel, config: RunConfig, registry: FunctionRegistry, threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        model = apply_interventions(model, config.interventions, registry)
+        self.column_order = _observed_columns(model)
+        self.kept = 0
+        self.attempts = 0
+        self._stratify = model.stratify
+        self._steps = _compile_steps(model, registry)
+        self._config = config
+        self._threads = threads
+
+    def __iter__(self) -> Iterator[SampleRow]:
+        steps, seed, stratify, columns = self._steps, self._config.seed, self._stratify, self.column_order
+        needed = self._config.num_samples
+        limit = needed * self._config.max_rejection_factor
+        self.kept = self.attempts = 0
+
+        def eval_index(i: int) -> tuple[dict[str, Value], bool]:
+            return _run_steps(steps, i, seed)
+
+        workers = min(self._threads, os.cpu_count() or 1)
+        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        try:
+            for start in range(0, limit, BLOCK_SIZE):
+                block = range(start, min(limit, start + BLOCK_SIZE))
+                results = pool.map(eval_index, block) if pool else map(eval_index, block)
+                for i, (bindings, selected) in zip(block, results):
+                    if not selected:
+                        continue
+                    stratum = check_stratum_label(bindings[stratify]) if stratify else None
+                    self.kept += 1
+                    yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
+                    if self.kept == needed:
+                        self.attempts = i + 1
+                        return
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+        raise SelectionStarvation(attempts=limit, kept=self.kept, limit=limit)
+
+
 def simulate(
     model: CompiledModel,
     config: RunConfig,
@@ -193,45 +256,8 @@ def simulate(
 ) -> Dataset:
     """Draw rows at consecutive sample indices until num_samples are kept.
 
-    Rejected indices stay consumed, so the kept rows depend only on the
-    seed, never on the acceptance pattern.  With ``threads > 1`` a block of
-    indices is evaluated in parallel by ``min(threads, os.cpu_count())``
-    workers; the keyed streams make the merged, index-ordered result
-    identical to sequential execution.  ``threads`` below 1 is a
-    ``ValueError``.
+    Collects :class:`KeptRows` into a Dataset; see there for blocks,
+    threads and errors.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    model = apply_interventions(model, config.interventions, registry)
-    steps = _compile_steps(model, registry)
-    columns = _observed_columns(model)
-    needed = config.num_samples
-    limit = needed * config.max_rejection_factor
-    kept: list[SampleRow] = []
-    attempts = 0
-    next_index = 0
-
-    def eval_index(i: int) -> tuple[dict[str, Value], bool]:
-        return _run_steps(steps, i, config.seed)
-
-    workers = min(threads, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while len(kept) < needed and next_index < limit:
-            block = range(next_index, min(limit, next_index + max(64, needed)))
-            results = pool.map(eval_index, block) if pool else map(eval_index, block)
-            for i, (bindings, selected) in zip(block, results):
-                if selected and len(kept) < needed:
-                    stratum = check_stratum_label(bindings[model.stratify]) if model.stratify else None
-                    kept.append(SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum))
-                    if len(kept) == needed:
-                        attempts = i + 1
-                        break
-            next_index = block.stop
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    if len(kept) < needed:
-        raise SelectionStarvation(attempts=limit, kept=len(kept), limit=limit)
-    return Dataset(rows=kept, column_order=columns, attempts=attempts)
+    rows = KeptRows(model, config, registry, threads)
+    return Dataset(rows=list(rows), column_order=rows.column_order, attempts=rows.attempts)

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from dagforge.expr import MAX_DEPTH
+
 from conftest import MODELS, model_yaml
 
 
@@ -117,6 +119,30 @@ def test_run_deeply_nested_intervention_exit_2(run_cli, tmp_path):
     assert code == 2
     assert "--intervene H: expression is nested too deeply" in err
     assert not (tmp_path / "Images_metadata.csv").exists()
+
+
+def test_deep_flat_chain_exit_2_in_validate_run_and_intervene(run_cli, tmp_path):
+    chain = "+".join(["1"] * 3000)
+    spec = tmp_path / "deep.yaml"
+    spec.write_text(model_yaml(f'    X: "uniform(0, 1)"\n    H: "{chain}"\n'))
+    for argv in (("validate", spec), ("run", spec, "--out", tmp_path / "yaml")):
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert "graph.nodes.H: expression is nested too deeply" in err
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", tmp_path / "flag", "--intervene", f"H={chain}")
+    assert code == 2
+    assert "--intervene H: expression is nested too deeply" in err
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+def test_chain_at_depth_limit_runs(run_cli, tmp_path):
+    chain = "+".join(["X"] * MAX_DEPTH)
+    spec = tmp_path / "limit.yaml"
+    spec.write_text(model_yaml(f'    X: "randint(0, 5)"\n    H: "{chain}"\n'))
+    code, _, err = run_cli("run", spec, "--out", tmp_path, "--threads", "2")
+    assert code == 0, err
+    rows = read_csv(tmp_path / "out.csv")[1:]
+    assert all(int(h) == MAX_DEPTH * int(x) for x, h in rows)
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dagforge import free_refs, parse, parse_expr, pretty_print, tokenize
-from dagforge.errors import LexError, ParseError
-from dagforge.expr import Binary, Call, IfElse, Lit, ListLit, Ref, Unary
+from dagforge import EvalEnv, evaluate
+from dagforge.errors import LexError, NestingError, ParseError
+from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
 
 
 def kinds_and_texts(src):
@@ -170,3 +171,21 @@ def test_printed_source_spans_cover(e):
         assert start >= last
         assert src[last:start].strip() == ""
         last = end
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: " + ".join(["1"] * n),  # left-deep: n - 1 operators over a literal
+    lambda n: "if 1 == 2 then 1 else " * (n - 2) + "0",  # the last if's condition is 2 levels below it
+])
+def test_depth_limit_is_checked_at_parse(make):
+    ok = make(MAX_DEPTH)
+    e = parse(ok)
+    assert parse(pretty_print(e)) == e
+    assert evaluate(e, EvalEnv()) in (0, MAX_DEPTH)
+    with pytest.raises(NestingError, match="nested too deeply"):
+        parse(make(MAX_DEPTH + 1))
+
+
+def test_parser_stack_exhaustion_is_a_nesting_error():
+    with pytest.raises(NestingError, match="nested too deeply"):
+        parse("(" * 400 + "1" + ")" * 400)
