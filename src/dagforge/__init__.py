@@ -25,7 +25,6 @@ from .errors import (
     ValidationError,
     YamlSyntaxError,
 )
-from .evaluator import EvalEnv, evaluate
 from .examplefns import register_example_functions
 from .expr import Expr, free_refs, parse, parse_expr, pretty_print, tokenize
 from .graph import CompiledModel, detect_cycle, topo_sort
@@ -43,7 +42,6 @@ __all__ = [
     "CoercionError", "CycleError", "DagforgeError", "DomainError", "EvalError",
     "LexError", "ParseError", "RegistryError", "SelectionStarvation", "SpecError",
     "StratumNameError", "ValidationError", "YamlSyntaxError",
-    "EvalEnv", "evaluate",
     "register_example_functions",
     "Expr", "free_refs", "parse", "parse_expr", "pretty_print", "tokenize",
     "CompiledModel", "detect_cycle", "topo_sort",

@@ -117,6 +117,8 @@ def _parse_interventions(pairs: list[str]) -> dict:
         node, eq, text = item.partition("=")
         if not eq or not node:
             raise _Exit(EXIT_INVALID, f"--intervene expects NODE=EXPR, got {item!r}")
+        if node in interventions:
+            raise _Exit(EXIT_INVALID, f"--intervene {node}: given more than once")
         try:
             interventions[node] = parse_expression(text)
         except (LexError, NestingError, ParseError) as err:
@@ -144,7 +146,7 @@ def cmd_run(args) -> int:
     )
     out_dir = args.out if args.out is not None else (instructions.output_dir or ".")
 
-    rows = KeptRows(effective, config, registry, threads=args.threads)
+    rows = KeptRows(effective, config, registry)
     try:
         paths = write_csv(rows, effective, instructions, out_dir)
         manifest = write_manifest(rows, config, paths, effective, instructions, out_dir)
@@ -181,8 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replace a node's expression (repeatable)")
     p_run.add_argument("--max-rejection-factor", type=int, default=1000,
                        help="give up after num_samples times this many attempts")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="parallel sample evaluation, capped at the CPU count (same output)")
     p_run.set_defaults(func=cmd_run)
 
     p_graph = sub.add_parser("graph", help="emit the model DAG")

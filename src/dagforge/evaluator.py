@@ -12,7 +12,6 @@ keeps a compiled model about the size of its AST.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, EvalError
@@ -21,7 +20,7 @@ from .registry import FunctionRegistry
 from .rng import RandomStream
 from .values import Value, type_name, values_equal
 
-__all__ = ["EvalEnv", "compile_expr", "evaluate"]
+__all__ = ["compile_expr"]
 
 Program = Callable[[dict, RandomStream], Value]
 
@@ -39,20 +38,8 @@ _ARITHMETIC = {
 }
 
 
-@dataclass
-class EvalEnv:
-    bindings: dict[str, Value] = field(default_factory=dict)
-    rng: RandomStream | None = None
-    registry: FunctionRegistry | None = None
-
-
 def _is_number(v: Value) -> bool:
     return type(v) in _NUMBER_TYPES or (isinstance(v, (int, float)) and not isinstance(v, bool))
-
-
-def evaluate(e: Expr, env: EvalEnv) -> Value:
-    """Evaluate an expression; every referenced name must be bound in env."""
-    return compile_expr(e, env.registry)(env.bindings, env.rng)
 
 
 def compile_expr(e: Expr, registry: FunctionRegistry | None, literals: dict | None = None) -> Program:

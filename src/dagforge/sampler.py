@@ -5,16 +5,14 @@ Each node draws from its own random sub-stream keyed by ``(seed,
 sample_index, hash(node name))``.  Because the key depends only on the
 node's name, structural edits elsewhere (adding, deleting, or intervening
 on other nodes) can never shift this node's draws, and samples with
-distinct indices may be evaluated in any order or in parallel.
+distinct indices may be evaluated in any order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import re
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError, ValidationError
@@ -29,9 +27,6 @@ from .values import MISSING, Value, csv_cell, type_name
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "apply_interventions", "sample_one", "simulate"]
 
 _UINT64_MAX = 2**64 - 1
-
-# Sample indices evaluated per block: the most results a run holds at once.
-BLOCK_SIZE = 64
 
 # A stratum label becomes part of a file name, so it is limited to these.
 _SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")
@@ -192,13 +187,11 @@ def _observed_columns(model: CompiledModel) -> list[str]:
 class KeptRows:
     """The kept rows of one run, produced lazily in sample-index order.
 
-    Sample indices are evaluated in blocks of ``BLOCK_SIZE``, so iterating
-    holds at most one block of results, whatever ``num_samples`` is.
+    Sample indices are evaluated one at a time, as rows are taken, so
+    iterating holds one row at a time, whatever ``num_samples`` is.
     Rejected indices stay consumed, so the kept rows depend only on the
-    seed, never on the acceptance pattern.  With ``threads > 1`` each block
-    is evaluated by ``min(threads, os.cpu_count())`` workers; the keyed
-    streams make the index-ordered result identical to sequential
-    execution.  ``threads`` below 1 is a ``ValueError``.
+    seed, never on the acceptance pattern; the keyed streams make every row
+    independent of the order in which indices are evaluated.
 
     Iterating raises SelectionStarvation if fewer than ``num_samples`` rows
     are kept within the rejection limit, and StratumNameError at the first
@@ -206,9 +199,7 @@ class KeptRows:
     rows produced so far; ``attempts`` is set once the last row is.
     """
 
-    def __init__(self, model: CompiledModel, config: RunConfig, registry: FunctionRegistry, threads: int = 1):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+    def __init__(self, model: CompiledModel, config: RunConfig, registry: FunctionRegistry):
         model = apply_interventions(model, config.interventions, registry)
         self.column_order = _observed_columns(model)
         self.kept = 0
@@ -216,48 +207,29 @@ class KeptRows:
         self._stratify = model.stratify
         self._steps = _compile_steps(model, registry)
         self._config = config
-        self._threads = threads
 
     def __iter__(self) -> Iterator[SampleRow]:
         steps, seed, stratify, columns = self._steps, self._config.seed, self._stratify, self.column_order
         needed = self._config.num_samples
         limit = needed * self._config.max_rejection_factor
         self.kept = self.attempts = 0
-
-        def eval_index(i: int) -> tuple[dict[str, Value], bool]:
-            return _run_steps(steps, i, seed)
-
-        workers = min(self._threads, os.cpu_count() or 1)
-        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
-            for start in range(0, limit, BLOCK_SIZE):
-                block = range(start, min(limit, start + BLOCK_SIZE))
-                results = pool.map(eval_index, block) if pool else map(eval_index, block)
-                for i, (bindings, selected) in zip(block, results):
-                    if not selected:
-                        continue
-                    stratum = check_stratum_label(bindings[stratify]) if stratify else None
-                    self.kept += 1
-                    yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
-                    if self.kept == needed:
-                        self.attempts = i + 1
-                        return
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+        for i in range(limit):
+            bindings, selected = _run_steps(steps, i, seed)
+            if not selected:
+                continue
+            stratum = check_stratum_label(bindings[stratify]) if stratify else None
+            self.kept += 1
+            yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
+            if self.kept == needed:
+                self.attempts = i + 1
+                return
         raise SelectionStarvation(attempts=limit, kept=self.kept, limit=limit)
 
 
-def simulate(
-    model: CompiledModel,
-    config: RunConfig,
-    registry: FunctionRegistry,
-    threads: int = 1,
-) -> Dataset:
+def simulate(model: CompiledModel, config: RunConfig, registry: FunctionRegistry) -> Dataset:
     """Draw rows at consecutive sample indices until num_samples are kept.
 
-    Collects :class:`KeptRows` into a Dataset; see there for blocks,
-    threads and errors.
+    Collects :class:`KeptRows` into a Dataset; see there for errors.
     """
-    rows = KeptRows(model, config, registry, threads)
+    rows = KeptRows(model, config, registry)
     return Dataset(rows=list(rows), column_order=rows.column_order, attempts=rows.attempts)

@@ -112,6 +112,13 @@ def test_run_bad_intervention_exit_2(run_cli, tmp_path):
     assert code == 2
 
 
+def test_run_repeated_intervention_target_exit_2(run_cli, tmp_path):
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", out, "--intervene", "H=0", "--intervene", "H=1")
+    assert code == 2
+    assert "--intervene H: given more than once" in err
+    assert not out.exists()
+
 
 def test_run_deeply_nested_intervention_exit_2(run_cli, tmp_path):
     nested = "(" * 400 + "1" + ")" * 400
@@ -139,18 +146,28 @@ def test_chain_at_depth_limit_runs(run_cli, tmp_path):
     chain = "+".join(["X"] * MAX_DEPTH)
     spec = tmp_path / "limit.yaml"
     spec.write_text(model_yaml(f'    X: "randint(0, 5)"\n    H: "{chain}"\n'))
-    code, _, err = run_cli("run", spec, "--out", tmp_path, "--threads", "2")
+    code, _, err = run_cli("run", spec, "--out", tmp_path)
     assert code == 0, err
     rows = read_csv(tmp_path / "out.csv")[1:]
     assert all(int(h) == MAX_DEPTH * int(x) for x, h in rows)
 
 
+def assert_threads_flag_rejected(run_cli, tmp_path, threads):
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", out, "--threads", threads)
+    assert code == 2
+    assert f"unrecognized arguments: --threads {threads}" in err
+    assert not out.exists()
+
+
+def test_run_threads_flag_is_rejected(run_cli, tmp_path):
+    assert_threads_flag_rejected(run_cli, tmp_path, "2")
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_run_threads_below_one_exit_2(run_cli, tmp_path, threads):
-    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", tmp_path, "--threads", threads)
-    assert code == 2
-    assert "threads must be >= 1" in err
-    assert not (tmp_path / "Images_metadata.csv").exists()
+    # the values the removed flag used to range-check are usage errors too
+    assert_threads_flag_rejected(run_cli, tmp_path, threads)
 
 def test_run_starvation_exit_3(run_cli, tmp_path):
     spec = tmp_path / "starve.yaml"

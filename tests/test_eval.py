@@ -1,15 +1,12 @@
 import pytest
 
-from dagforge import EvalEnv, RandomStream, build_registry, evaluate, parse, values_equal
+from dagforge import RandomStream, build_registry, parse, values_equal
 from dagforge.errors import EvalError
-
-
-def env_with(bindings=None, seed=0):
-    return EvalEnv(bindings=bindings or {}, rng=RandomStream(seed), registry=build_registry())
+from dagforge.evaluator import compile_expr
 
 
 def ev(src, bindings=None, seed=0):
-    return evaluate(parse(src), env_with(bindings, seed))
+    return compile_expr(parse(src), build_registry())(bindings or {}, RandomStream(seed))
 
 
 def test_arithmetic():
@@ -105,8 +102,8 @@ def test_list_literal_evaluates_elements():
 def test_stochastic_eval_is_deterministic_given_stream():
     e = parse("uniform(0, 1) + normal(0, 1)")
     reg = build_registry()
-    a = evaluate(e, EvalEnv(bindings={}, rng=RandomStream(123, 5), registry=reg))
-    b = evaluate(e, EvalEnv(bindings={}, rng=RandomStream(123, 5), registry=reg))
+    a = compile_expr(e, reg)({}, RandomStream(123, 5))
+    b = compile_expr(e, reg)({}, RandomStream(123, 5))
     assert values_equal(a, b)
-    c = evaluate(e, EvalEnv(bindings={}, rng=RandomStream(123, 6), registry=reg))
+    c = compile_expr(e, reg)({}, RandomStream(123, 6))
     assert a != c

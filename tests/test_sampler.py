@@ -1,4 +1,7 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dagforge import (
     MISSING,
@@ -12,10 +15,10 @@ from dagforge import (
     values_equal,
 )
 from dagforge.errors import CoercionError, SelectionStarvation, ValidationError
+from dagforge.evaluator import compile_expr
 from dagforge.expr import Lit, Ref
 
-from dagforge import sampler
-from conftest import MODELS, model_yaml
+from conftest import DATA, MODELS, model_yaml
 
 
 def compile_text(text, registry):
@@ -156,12 +159,10 @@ def test_selection_soundness(registry):
     )
     model = compile_text(text, registry)
     ds = simulate(model, RunConfig(num_samples=50, seed=3), registry)
-    from dagforge import EvalEnv, evaluate
 
-    predicate = model.by_name["S"].expr
+    predicate = compile_expr(model.by_name["S"].expr, registry)
     for row in ds.rows:
-        env = EvalEnv(bindings=dict(row.values), rng=None, registry=registry)
-        assert evaluate(predicate, env) is True
+        assert predicate(dict(row.values), None) is True
 
 
 def test_byte_determinism(registry):
@@ -198,14 +199,21 @@ def test_ancestral_consistency_leaf_deletion(registry):
             assert values_equal(ra.values[k], rb.values[k])
 
 
+def replay_on_threads(model, seed, attempts, registry):
+    """Kept rows of ``sample_one`` over every attempted index, run on 4 threads."""
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(lambda i: sample_one(model, i, seed, registry), range(attempts)))
+    return [row for row, selected in results if selected]
+
+
 def test_threads_do_not_change_output(registry):
     model = compile_text((MODELS / "images.yaml").read_text(), registry)
-    seq = simulate(model, RunConfig(num_samples=30, seed=9), registry, threads=1)
-    par = simulate(model, RunConfig(num_samples=30, seed=9), registry, threads=4)
-    assert seq.attempts == par.attempts
-    for ra, rb in zip(seq.rows, par.rows):
-        for k in ra.values:
-            assert values_equal(ra.values[k], rb.values[k])
+    ds = simulate(model, RunConfig(num_samples=30, seed=9), registry)
+    kept = replay_on_threads(model, 9, ds.attempts, registry)
+    assert len(kept) == len(ds.rows) == 30
+    for row, got in zip(kept, ds.rows):
+        for k in got.values:
+            assert values_equal(row[k], got.values[k])
 
 
 def test_threads_with_selection_match_sequential(registry):
@@ -214,47 +222,28 @@ def test_threads_with_selection_match_sequential(registry):
         '    S:\n      function: "X == 1"\n      kind: selection\n'
     )
     model = compile_text(text, registry)
-    seq = simulate(model, RunConfig(num_samples=40, seed=4), registry, threads=1)
-    par = simulate(model, RunConfig(num_samples=40, seed=4), registry, threads=3)
-    assert seq.attempts == par.attempts
-    for ra, rb in zip(seq.rows, par.rows):
-        assert values_equal(ra.values["X"], rb.values["X"])
+    ds = simulate(model, RunConfig(num_samples=40, seed=4), registry)
+    kept = replay_on_threads(model, 4, ds.attempts, registry)
+    assert ds.attempts > 40
+    assert len(kept) == len(ds.rows) == 40
+    for row, got in zip(kept, ds.rows):
+        assert values_equal(row["X"], got.values["X"])
 
 
-@pytest.mark.parametrize("threads, cpus, workers", [
-    (10**9, 4, [4]),
-    (3, 4, [3]),
-    (8, None, []),  # an unknown CPU count means one worker: no pool
-    (1, 4, []),
-])
-def test_thread_pool_is_capped_at_cpu_count(registry, monkeypatch, threads, cpus, workers):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
-    model = compile_text((MODELS / "images.yaml").read_text(), registry)
-    ds = simulate(model, RunConfig(num_samples=5, seed=1), registry, threads=threads)
-    assert sizes == workers
-    assert len(ds.rows) == 5
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_threads_below_one_is_value_error(registry, threads):
-    model = compile_text(model_yaml('    X: "1"\n'), registry)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        simulate(model, RunConfig(num_samples=1, seed=0), registry, threads=threads)
+@settings(deadline=None, max_examples=10, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_kept_rows_do_not_depend_on_index_order(registry, seed, data):
+    # a plate, a selection, a missing and a stratify node, under an intervention
+    model = compile_text((DATA / "strata.yaml").read_text(), registry)
+    model = apply_interventions(model, {"Score": parse("normal(U, 2)")}, registry)
+    ds = simulate(model, RunConfig(num_samples=12, seed=seed), registry)
+    order = data.draw(st.permutations(range(ds.attempts)))
+    replayed = {i: sample_one(model, i, seed, registry) for i in order}
+    kept = [replayed[i][0] for i in range(ds.attempts) if replayed[i][1]]
+    assert len(kept) == len(ds.rows) == 12
+    for row, got in zip(kept, ds.rows):
+        assert all(values_equal(row[c], got.values[c]) for c in ds.column_order)
+        assert got.stratum == row[model.stratify]
 
 
 # --- interventions -----------------------------------------------------------

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dagforge import (
-    EvalEnv,
     RandomStream,
     Tensor,
     build_registry,
-    evaluate,
     parse,
     register_host_function,
     values_equal,
 )
 from dagforge.errors import DomainError, RegistryError
+from dagforge.evaluator import compile_expr
 from dagforge.stdlib import (
     _binomial,
     _categorical,
@@ -360,18 +359,20 @@ def test_trusted_tensor_builds_match_checked_constructor(rect, fills):
 
 # --- registry ---------------------------------------------------------------
 
+def ev(src, registry, rng):
+    return compile_expr(parse(src), registry)({}, rng)
+
+
 def test_register_host_function_and_eval():
     reg = build_registry()
     register_host_function(reg, "double", 1, False, lambda x: x * 2)
-    env = EvalEnv(bindings={}, rng=RandomStream(0), registry=reg)
-    assert evaluate(parse("double(21)"), env) == 42
+    assert ev("double(21)", reg, RandomStream(0)) == 42
 
 
 def test_host_function_tuple_results_become_lists():
     reg = build_registry()
     register_host_function(reg, "pair", 2, False, lambda a, b: (a, b))
-    env = EvalEnv(bindings={}, rng=RandomStream(0), registry=reg)
-    assert evaluate(parse("pair(1, 2)"), env) == [1, 2]
+    assert ev("pair(1, 2)", reg, RandomStream(0)) == [1, 2]
 
 
 def test_registry_rejects_shadowing_builtin():
@@ -395,13 +396,11 @@ def test_pure_function_called_exactly_once_per_evaluation():
     calls = []
     reg = build_registry()
     register_host_function(reg, "probe", 1, False, lambda x: calls.append(x) or x)
-    env = EvalEnv(bindings={}, rng=RandomStream(0), registry=reg)
-    evaluate(parse("probe(7)"), env)
+    ev("probe(7)", reg, RandomStream(0))
     assert calls == [7]
 
 
 def test_stochastic_host_function_receives_stream():
     reg = build_registry()
     register_host_function(reg, "coin", 0, True, lambda rng: rng.next_float())
-    env = EvalEnv(bindings={}, rng=RandomStream(0, 0, 0), registry=reg)
-    assert evaluate(parse("coin()"), env) == GOLDEN["uniform01"][0]
+    assert ev("coin()", reg, RandomStream(0, 0, 0)) == GOLDEN["uniform01"][0]

@@ -1,4 +1,4 @@
-"""Streaming output: bounded memory, bounded blocks and all-or-nothing files.
+"""Streaming output: bounded memory, lazy rows and all-or-nothing files.
 
 ``dagforge run`` renders each kept row straight into a temp file in the
 output directory and renames the files into place after the last row, so a
@@ -15,9 +15,13 @@ import pytest
 from dagforge import RunConfig, parse_model, register_host_function, validate
 from dagforge import cli
 from dagforge.errors import DomainError
-from dagforge.sampler import BLOCK_SIZE, KeptRows
+from dagforge.sampler import KeptRows
 
 from conftest import MODELS, model_yaml
+
+
+# A watched call made well after the first rows went to the temp files.
+LATE_CALL = 128
 
 
 def snapshot(directory):
@@ -80,7 +84,7 @@ def test_eval_error_past_first_block_leaves_previous_run(run_cli, watched):
     assert run(run_cli, nodes, "--num-samples", "20")[0] == 0
     before = snapshot(out)
 
-    watch.arm(at=3 * BLOCK_SIZE)
+    watch.arm(at=LATE_CALL)
     code, _, err = run(run_cli, nodes, "--num-samples", "1000")
     assert code == 2
     assert "node Y: watched call failed" in err
@@ -97,7 +101,7 @@ def test_starvation_leaves_previous_run(run_cli, watched):
     assert run(run_cli, nodes, "--num-samples", "5")[0] == 0
     before = snapshot(out)
 
-    watch.arm(at=2 * BLOCK_SIZE, then=1)  # only looks: the value stays 1
+    watch.arm(at=LATE_CALL, then=1)  # only looks: the value stays 1
     code, _, err = run(run_cli, nodes, "--num-samples", "1000", "--max-rejection-factor", "1")
     assert code == 3
     assert "selection kept" in err and "limit 1000" in err
@@ -112,7 +116,7 @@ def test_unusable_stratum_label_after_first_row_leaves_previous_run(run_cli, wat
     before = snapshot(out)
     assert sorted(before) == ["out.manifest", "out_a.csv"]
 
-    watch.arm(at=2 * BLOCK_SIZE, then="a b")
+    watch.arm(at=LATE_CALL, then="a b")
     code, _, err = run(run_cli, nodes, "--num-samples", "1000")
     assert code == 2
     assert "stratum label 'a b' is not usable in a file name" in err
@@ -122,7 +126,7 @@ def test_unusable_stratum_label_after_first_row_leaves_previous_run(run_cli, wat
 
 def test_failed_run_removes_the_directories_it_made(run_cli, watched):
     run, out, watch = watched
-    watch.arm(at=2 * BLOCK_SIZE)
+    watch.arm(at=LATE_CALL)
     code, _, _ = run(run_cli, '    Y: "watch(1)"\n', "--num-samples", "1000")
     assert code == 2
     assert watch.seen  # the directory existed while rows were written
@@ -140,8 +144,8 @@ def test_written_files_get_the_umask_mode(run_cli, tmp_path):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_taking_rows_evaluates_at_most_one_block(registry, threads):
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_taking_rows_evaluates_only_those_rows(registry, n):
     calls = []
 
     def count(x):
@@ -150,11 +154,10 @@ def test_taking_rows_evaluates_at_most_one_block(registry, threads):
 
     register_host_function(registry, "count", 1, False, count)
     model = validate(parse_model(model_yaml('    X: "count(1)"\n'), registry), registry)
-    rows = iter(KeptRows(model, RunConfig(num_samples=10**6, seed=0), registry, threads=threads))
-    taken = list(itertools.islice(rows, 3))
-    rows.close()  # shuts the pool down
-    assert len(taken) == 3
-    assert 3 <= len(calls) <= BLOCK_SIZE
+    rows = iter(KeptRows(model, RunConfig(num_samples=10**6, seed=0), registry))
+    taken = list(itertools.islice(rows, n))
+    assert len(taken) == n
+    assert len(calls) == n
 
 
 def test_cli_memory_does_not_grow_with_rows(run_cli, tmp_path):
