@@ -7,6 +7,8 @@ package's choices and are documented here, next to the code that uses them.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DomainError
 from .registry import FunctionRegistry, register_host_function
 from .rng import RandomStream
@@ -74,17 +76,23 @@ def draw_image(h, v, r, c) -> Tensor:
     """Deterministic 16x16 image: one overlay per active indicator.
 
     Overlays are applied in argument order, later ones painting over
-    earlier ones where they overlap.
+    earlier ones where they overlap.  Every call checks its inputs; the
+    16 possible images are built once each and then shared (tensors are
+    immutable).
     """
-    flags = [_flag01(x, f"draw_image input {i}") for i, x in enumerate((h, v, r, c))]
+    return _image(*(_flag01(x, f"draw_image input {i}") for i, x in enumerate((h, v, r, c))))
+
+
+@functools.lru_cache(maxsize=16)
+def _image(h: int, v: int, r: int, c: int) -> Tensor:
     img = _tensor_zeros([IMAGE_SIZE, IMAGE_SIZE])
-    if flags[0]:  # horizontal bar
+    if h:  # horizontal bar
         img = _tensor_fill_rect(img, 7, 1, 9, 15, 1.0)
-    if flags[1]:  # vertical bar
+    if v:  # vertical bar
         img = _tensor_fill_rect(img, 1, 7, 15, 9, 1.0)
-    if flags[2]:  # top-left block
+    if r:  # top-left block
         img = _tensor_fill_rect(img, 2, 2, 6, 6, 0.5)
-    if flags[3]:  # bottom-right block
+    if c:  # bottom-right block
         img = _tensor_fill_rect(img, 10, 10, 14, 14, 0.75)
     return img
 

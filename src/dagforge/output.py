@@ -39,11 +39,11 @@ def write_csv(
     """Write the rows of ``ds`` under ``out_dir``; returns the created file paths.
 
     ``ds`` is a Dataset, or a KeptRows that is evaluated as it is written,
-    so no more than one block of rows is held.  Without a stratify node a
-    single ``<csv_name>.csv`` is produced.  With one, rows are partitioned
-    into ``<csv_name>_<stratum>.csv`` files (in order of first appearance of
-    each label); the label column itself stays in every file for
-    auditability.
+    one row at a time, so only the current row is held.  Without a stratify
+    node a single ``<csv_name>.csv`` is produced.  With one, rows are
+    partitioned into ``<csv_name>_<stratum>.csv`` files (in order of first
+    appearance of each label); the label column itself stays in every file
+    for auditability.
 
     Each file is written to a dot-prefixed temp file in ``out_dir`` and
     renamed into place only after the last row, so if anything fails the

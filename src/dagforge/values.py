@@ -8,6 +8,7 @@ node; the engine never mutates them and host functions must not either.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -71,6 +72,15 @@ class Tensor:
         object.__setattr__(t, "shape", shape)
         object.__setattr__(t, "data", data)
         return t
+
+    @functools.cached_property
+    def _cell(self) -> str:
+        """Compact JSON cell text, encoded on first use and kept on this tensor.
+
+        It is stored on the object, not in a table keyed by value: ``==``
+        treats ``0.0`` and ``-0.0`` as equal, but their cells differ.
+        """
+        return json.dumps(_jsonable(self), separators=(",", ":"))
 
 
 def _dim(d) -> int:
@@ -175,6 +185,8 @@ def csv_cell(v: Value) -> str:
         return repr(v)
     if isinstance(v, str):
         return v
+    if isinstance(v, Tensor):
+        return v._cell
     return json.dumps(_jsonable(v), separators=(",", ":"))
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
-from dagforge import RandomStream
+from dagforge import RandomStream, csv_cell, values_equal
 from dagforge.errors import DomainError
 from dagforge.examplefns import (
     IMAGE_SIZE,
+    _image,
     assign_protocol,
     complement_binomial,
     create_airr,
@@ -50,6 +53,29 @@ def test_draw_image_is_deterministic():
     assert draw_image(1, 0, 1, 0) == draw_image(1, 0, 1, 0)
     with pytest.raises(DomainError):
         draw_image(2, 0, 0, 0)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((0, 1), repeat=4)))
+def test_draw_image_memo_matches_uncached_builder(flags):
+    fresh = _image.__wrapped__(*flags)
+    for args in (flags, tuple(bool(f) for f in flags)):
+        img = draw_image(*args)
+        assert values_equal(img, fresh)
+        assert csv_cell(img) == csv_cell(fresh)
+        assert draw_image(*args) is img
+    # ints and bools share one entry
+    assert draw_image(*flags) is draw_image(*(bool(f) for f in flags))
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, "1", None, -1])
+def test_draw_image_rejects_bad_input_with_warm_memo(bad):
+    for flags in itertools.product((0, 1), repeat=4):
+        draw_image(*flags)
+    for pos in range(4):
+        args = [0, 0, 0, 0]
+        args[pos] = bad
+        with pytest.raises(DomainError, match=f"draw_image input {pos} must be 0 or 1"):
+            draw_image(*args)
 
 
 def test_assign_protocol_values_and_bias():

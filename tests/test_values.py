@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dagforge import MISSING, Tensor, csv_cell, parse_cell, type_name, values_equal
 from dagforge.errors import DomainError
+from dagforge.values import _jsonable
 
 
 def test_type_name_tags():
@@ -124,10 +126,10 @@ _scalars = st.one_of(
 
 
 @st.composite
-def _tensors(draw):
+def _tensors(draw, elements=st.floats(allow_nan=False, allow_infinity=False)):
     shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     n = math.prod(shape)
-    data = tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+    data = tuple(draw(st.lists(elements, min_size=n, max_size=n)))
     return Tensor(shape, data)
 
 
@@ -141,3 +143,37 @@ def test_cell_round_trip(v):
         # documented lossy corner: raw text that collides with another form
         return
     assert values_equal(parse_cell(csv_cell(v)), v)
+
+
+_elements = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0, -3, 1.5]),
+    st.floats(),
+    st.integers(-(10**6), 10**6),
+)
+
+
+def _fresh_cell(t):
+    return json.dumps(_jsonable(t), separators=(",", ":"))
+
+
+def _flip_zeros(t):
+    return Tensor(t.shape, tuple((-x if x == 0.0 else x) for x in t.data))
+
+
+@settings(deadline=None)
+@given(_tensors(_elements))
+def test_tensor_cell_is_encoded_once_and_stays_exact(t):
+    twin = Tensor(t.shape, t.data)
+    before = (t == twin, hash(t), repr(t), values_equal(t, twin))
+    first = csv_cell(t)
+    assert first == _fresh_cell(t)
+    assert csv_cell(t) == first
+    assert (t == twin, hash(t), repr(t), values_equal(t, twin)) == before
+
+    # equal and hash-equal to t, yet its own cell: 0.0 and -0.0 stay apart
+    flipped = _flip_zeros(t)
+    assert flipped == t and hash(flipped) == hash(t)
+    assert csv_cell(flipped) == _fresh_cell(flipped)
+    assert csv_cell(t) == first
+    if 0.0 in t.data:
+        assert csv_cell(flipped) != first
