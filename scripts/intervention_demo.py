@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagforge import (
     RunConfig,
+    apply_interventions,
     build_registry,
     parse,
     parse_model,
@@ -36,12 +37,9 @@ def main():
     spec = parse_model((MODELS / "images.yaml").read_text(), registry)
     model = validate(spec, registry)
 
-    base = simulate(model, RunConfig(num_samples=args.num_samples, seed=args.seed), registry)
-    done = simulate(
-        model,
-        RunConfig(num_samples=args.num_samples, seed=args.seed, interventions={"H": parse("1")}),
-        registry,
-    )
+    config = RunConfig(num_samples=args.num_samples, seed=args.seed)
+    base = simulate(model, config, registry)
+    done = simulate(apply_interventions(model, {"H": parse("1")}, registry), config, registry)
 
     print(f"{'column':>8} {'identical':>10} {'mean(base)':>12} {'mean(do H=1)':>13}")
     for col in base.column_order:

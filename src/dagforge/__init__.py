@@ -26,13 +26,13 @@ from .errors import (
     YamlSyntaxError,
 )
 from .examplefns import register_example_functions
-from .expr import Expr, free_refs, parse, parse_expr, pretty_print, tokenize
+from .expr import Expr, parse, pretty_print
 from .graph import CompiledModel, detect_cycle, topo_sort
-from .modelspec import ModelSpec, NodeDecl, SimInstructions, SpecWarning, parse_model, to_dot, validate
+from .modelspec import ModelSpec, NodeDecl, SimInstructions, SpecWarning, apply_interventions, parse_model, to_dot, validate
 from .output import ENGINE_VERSION, model_hash, write_csv, write_manifest
 from .registry import FunctionRegistry, register_host_function
 from .rng import RandomStream, node_stream_key
-from .sampler import Dataset, RunConfig, SampleRow, apply_interventions, sample_one, simulate
+from .sampler import Dataset, RunConfig, SampleRow, sample_one, simulate
 from .stdlib import build_registry
 from .values import MISSING, Tensor, Value, csv_cell, parse_cell, type_name, values_equal
 
@@ -43,13 +43,13 @@ __all__ = [
     "LexError", "ParseError", "RegistryError", "SelectionStarvation", "SpecError",
     "StratumNameError", "ValidationError", "YamlSyntaxError",
     "register_example_functions",
-    "Expr", "free_refs", "parse", "parse_expr", "pretty_print", "tokenize",
+    "Expr", "parse", "pretty_print",
     "CompiledModel", "detect_cycle", "topo_sort",
-    "ModelSpec", "NodeDecl", "SimInstructions", "SpecWarning", "parse_model", "to_dot", "validate",
+    "ModelSpec", "NodeDecl", "SimInstructions", "SpecWarning", "apply_interventions", "parse_model", "to_dot", "validate",
     "ENGINE_VERSION", "model_hash", "write_csv", "write_manifest",
     "FunctionRegistry", "register_host_function",
     "RandomStream", "node_stream_key",
-    "Dataset", "RunConfig", "SampleRow", "apply_interventions", "sample_one", "simulate",
+    "Dataset", "RunConfig", "SampleRow", "sample_one", "simulate",
     "build_registry",
     "MISSING", "Tensor", "Value", "csv_cell", "parse_cell", "type_name", "values_equal",
     "__version__",

@@ -24,9 +24,10 @@ from .errors import (
 )
 from .examplefns import register_example_functions
 from .expr import parse as parse_expression
-from .modelspec import ModelSpec, parse_model, to_dot, validate
+from .modelspec import ModelSpec, apply_interventions, parse_model, to_dot, validate
 from .output import write_csv, write_manifest
-from .sampler import KeptRows, RunConfig, apply_interventions
+from .registry import FunctionRegistry
+from .sampler import KeptRows, RunConfig
 from .stdlib import build_registry
 
 __all__ = ["main"]
@@ -43,19 +44,21 @@ def _err(msg: str) -> None:
     print(f"dagforge: {msg}", file=sys.stderr)
 
 
-def _default_registry():
+def _default_registry() -> FunctionRegistry:
     registry = build_registry()
     register_example_functions(registry)
     return registry
 
 
-def _load(path: str, registry) -> ModelSpec:
+def _load(path: str) -> tuple[FunctionRegistry, ModelSpec]:
+    """The default registry and the document at ``path``, parsed against it."""
+    registry = _default_registry()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Exit(EXIT_IO, f"cannot read {path}: {err}") from err
     try:
-        return parse_model(text, registry)
+        return registry, parse_model(text, registry)
     except YamlSyntaxError as err:
         raise _Exit(EXIT_IO, str(err)) from err
     except SpecError as err:
@@ -84,14 +87,8 @@ def _resolve_seed(flag_seed: int | None, spec_seed: int | None) -> int:
 
 
 def cmd_validate(args) -> int:
-    registry = _default_registry()
-    spec = _load(args.spec, registry)
-    try:
-        model = validate(spec, registry)
-    except ValidationError as err:
-        for problem in err.problems:
-            _err(problem)
-        return EXIT_INVALID
+    registry, spec = _load(args.spec)
+    model = validate(spec, registry)
     edges = sum(len(ps) for ps in model.parents.values())
     print(f"{len(model.nodes)} nodes, {edges} edges")
     print(f"topological order: {', '.join(model.topo_order)}")
@@ -99,14 +96,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    registry = _default_registry()
-    spec = _load(args.spec, registry)
-    try:
-        model = validate(spec, registry)
-    except ValidationError as err:
-        for problem in err.problems:
-            _err(problem)
-        return EXIT_INVALID
+    registry, spec = _load(args.spec)
+    model = validate(spec, registry)
     sys.stdout.write(to_dot(model))
     return EXIT_OK
 
@@ -127,16 +118,9 @@ def _parse_interventions(pairs: list[str]) -> dict:
 
 
 def cmd_run(args) -> int:
-    registry = _default_registry()
-    spec = _load(args.spec, registry)
+    registry, spec = _load(args.spec)
     interventions = _parse_interventions(args.intervene or [])
-    try:
-        model = validate(spec, registry)
-        effective = apply_interventions(model, interventions, registry)
-    except ValidationError as err:
-        for problem in err.problems:
-            _err(problem)
-        return EXIT_INVALID
+    effective = apply_interventions(validate(spec, registry), interventions, registry)
 
     instructions = spec.instructions
     config = RunConfig(
@@ -200,6 +184,10 @@ def main(argv: list[str] | None = None) -> int:
     except _Exit as stop:
         _err(stop.message)
         return stop.code
+    except ValidationError as err:
+        for problem in err.problems:
+            _err(problem)
+        return EXIT_INVALID
     except ValueError as err:
         _err(str(err))
         return EXIT_INVALID

@@ -24,7 +24,7 @@ from .values import Value
 
 __all__ = [
     "Token", "tokenize", "Expr", "Lit", "Ref", "Call", "Unary", "Binary",
-    "IfElse", "ListLit", "parse_expr", "parse", "preorder", "free_refs", "refs_in_order",
+    "IfElse", "ListLit", "parse_expr", "parse", "preorder",
     "pretty_print", "KEYWORDS", "MAX_DEPTH",
 ]
 
@@ -362,16 +362,6 @@ def preorder(e: Expr) -> Iterator[Expr]:
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children()))
-
-
-def refs_in_order(e: Expr) -> list[str]:
-    """Referenced node names in first-mention order, deduplicated."""
-    return list(dict.fromkeys(node.name for node in preorder(e) if isinstance(node, Ref)))
-
-
-def free_refs(e: Expr) -> set[str]:
-    """The set of node names the expression reads; string literals don't count."""
-    return set(refs_in_order(e))
 
 
 # --- printing ----------------------------------------------------------

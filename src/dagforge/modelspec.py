@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 
 from .errors import LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
-from .expr import Call, Expr, KEYWORDS, parse, preorder, refs_in_order
+from .expr import Call, Expr, KEYWORDS, Ref, parse, preorder
 from .graph import CompiledModel, detect_cycle, topo_sort
 from .registry import FunctionRegistry
 
 __all__ = [
     "NodeDecl", "SimInstructions", "ModelSpec", "SpecWarning",
-    "parse_model", "validate", "to_dot", "NODE_KINDS",
+    "parse_model", "validate", "apply_interventions", "to_dot", "NODE_KINDS",
 ]
 
 NODE_KINDS = ("standard", "selection", "missing", "stratify")
@@ -282,36 +282,68 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
     return ModelSpec(nodes=tuple(nodes), instructions=_parse_instructions(doc))
 
 
+def _check_node(
+    n: NodeDecl, declared: set[str], registry: FunctionRegistry | None, unresolved: list[str], functions: list[str]
+) -> list[str]:
+    """Walk ``n.expr`` once and return its parents in first-mention order.
+
+    Unresolved references go to ``unresolved``; unknown functions and wrong
+    argument counts, checked only when there is a registry, go to ``functions``.
+    """
+    refs: dict[str, None] = {}
+    for e in preorder(n.expr):
+        if isinstance(e, Ref):
+            refs[e.name] = None
+        elif registry is not None and isinstance(e, Call):
+            entry = registry.lookup(e.name)
+            if entry is None:
+                functions.append(f"node {n.name}: unknown function {e.name!r}")
+            elif not entry.arity.accepts(len(e.args)):
+                functions.append(
+                    f"node {n.name}: {e.name} expects {entry.arity.describe()} argument(s), got {len(e.args)}"
+                )
+    parents = []
+    for ref in refs:
+        if ref in declared:
+            parents.append(ref)
+        else:
+            unresolved.append(f"node {n.name}: unresolved reference {ref!r}")
+    if n.kind == "missing" and n.underlying in declared and n.underlying not in parents:
+        parents.append(n.underlying)
+    return parents
+
+
+def _link(
+    nodes: tuple[NodeDecl, ...], parents: dict[str, list[str]], missing_map: dict[str, str], problems: list[str]
+) -> CompiledModel:
+    """Add the cycle witness to ``problems``, raise if there are any, else order the graph."""
+    cycle = detect_cycle(parents)
+    if cycle is not None:
+        problems.append(f"cycle: {' -> '.join(cycle)}")
+    if problems:
+        raise ValidationError(problems)
+    return CompiledModel(
+        nodes=nodes,
+        parents=parents,
+        topo_order=topo_sort([n.name for n in nodes], parents),
+        selection=next((n.name for n in nodes if n.kind == "selection"), None),
+        stratify=next((n.name for n in nodes if n.kind == "stratify"), None),
+        missing_map=missing_map,
+    )
+
+
 def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None) -> CompiledModel:
-    """Semantic checks over a declaration-ordered node list; all failures collected."""
-    problems: list[str] = []
-    names = [n.name for n in nodes]
-    declared = set(names)
+    """Semantic checks over a declaration-ordered node list; all failures collected.
 
-    parents: dict[str, list[str]] = {}
-    for n in nodes:
-        mentioned = refs_in_order(n.expr)
-        for ref in mentioned:
-            if ref not in declared:
-                problems.append(f"node {n.name}: unresolved reference {ref!r}")
-        ordered = [r for r in mentioned if r in declared]
-        if n.kind == "missing" and n.underlying is not None and n.underlying not in ordered:
-            if n.underlying in declared:
-                ordered.append(n.underlying)
-        parents[n.name] = ordered
-
-    if registry is not None:
-        for n in nodes:
-            for call in preorder(n.expr):
-                if not isinstance(call, Call):
-                    continue
-                entry = registry.lookup(call.name)
-                if entry is None:
-                    problems.append(f"node {n.name}: unknown function {call.name!r}")
-                elif not entry.arity.accepts(len(call.args)):
-                    problems.append(
-                        f"node {n.name}: {call.name} expects {entry.arity.describe()} argument(s), got {len(call.args)}"
-                    )
+    Problems come in this order: unresolved references, function problems,
+    missing-node problems, then the cycle.
+    """
+    nodes = tuple(nodes)
+    declared = {n.name for n in nodes}
+    unresolved: list[str] = []
+    functions: list[str] = []
+    parents = {n.name: _check_node(n, declared, registry, unresolved, functions) for n in nodes}
+    problems = unresolved + functions
 
     missing_map: dict[str, str] = {}
     for n in nodes:
@@ -329,23 +361,44 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
         else:
             missing_map[u] = n.name
 
-    cycle = detect_cycle(parents)
-    if cycle is not None:
-        problems.append(f"cycle: {' -> '.join(cycle)}")
+    return _link(nodes, parents, missing_map, problems)
 
+
+def apply_interventions(
+    model: CompiledModel,
+    interventions: dict[str, Expr],
+    registry: FunctionRegistry | None = None,
+) -> CompiledModel:
+    """Replace each target node's generating expression: the do-operator.
+
+    Severs the target's previous parent edges.  Only the replacement
+    expressions are checked for reference and function resolution; every
+    other node keeps the parents ``model`` already has.  The result is
+    re-checked for acyclicity and re-ordered.
+    """
+    if not interventions:
+        return model
+    problems = []
+    for target in interventions:
+        decl = model.by_name.get(target)
+        if decl is None:
+            problems.append(f"intervention target {target!r} is not a declared node")
+        elif decl.kind != "standard":
+            problems.append(f"intervention target {target!r} is a {decl.kind} node; only standard nodes can be intervened on")
     if problems:
         raise ValidationError(problems)
 
-    selection = next((n.name for n in nodes if n.kind == "selection"), None)
-    stratify = next((n.name for n in nodes if n.kind == "stratify"), None)
-    return CompiledModel(
-        nodes=tuple(nodes),
-        parents=parents,
-        topo_order=topo_sort(names, parents),
-        selection=selection,
-        stratify=stratify,
-        missing_map=missing_map,
-    )
+    declared = set(model.by_name)
+    unresolved: list[str] = []
+    functions: list[str] = []
+    parents = dict(model.parents)
+    nodes = []
+    for n in model.nodes:
+        if n.name in interventions:
+            n = replace(n, expr=interventions[n.name])
+            parents[n.name] = _check_node(n, declared, registry, unresolved, functions)
+        nodes.append(n)
+    return _link(tuple(nodes), parents, model.missing_map, unresolved + functions)
 
 
 def validate(spec: ModelSpec, registry: FunctionRegistry | None = None) -> CompiledModel:

@@ -81,9 +81,6 @@ class FunctionRegistry:
     def names(self) -> list[str]:
         return sorted(self._entries)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
 
 def register_host_function(registry: FunctionRegistry, name: str, arity, stochastic: bool, impl: Callable) -> None:
     """Expose a host callable to the DSL under ``name``.

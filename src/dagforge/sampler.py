@@ -1,5 +1,5 @@
 """Forward sampling: per-sample evaluation, selection, plates, missing values,
-interventions, stratum labels.
+stratum labels.
 
 Each node draws from its own random sub-stream keyed by ``(seed,
 sample_index, hash(node name))``.  Because the key depends only on the
@@ -10,21 +10,18 @@ distinct indices may be evaluated in any order.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError, ValidationError
+from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError
 from .evaluator import compile_expr
-from .expr import Expr
 from .graph import CompiledModel
-from .modelspec import compile_nodes
 from .registry import FunctionRegistry
 from .rng import RandomStream, node_stream_key, sample_base
 from .values import MISSING, Value, csv_cell, type_name
 
-__all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "apply_interventions", "sample_one", "simulate"]
+__all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
 
 _UINT64_MAX = 2**64 - 1
 
@@ -36,7 +33,6 @@ _SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")
 class RunConfig:
     num_samples: int
     seed: int = 0
-    interventions: dict[str, Expr] = field(default_factory=dict)
     max_rejection_factor: int = 1000
 
     def __post_init__(self):
@@ -66,34 +62,6 @@ class Dataset:
     rows: list[SampleRow]
     column_order: list[str]  # topological order restricted to observed nodes
     attempts: int
-
-
-def apply_interventions(
-    model: CompiledModel,
-    interventions: dict[str, Expr],
-    registry: FunctionRegistry | None = None,
-) -> CompiledModel:
-    """Replace each target node's generating expression and recompile.
-
-    Severs the target's previous parent edges; the result is re-checked for
-    acyclicity and reference/function resolution.
-    """
-    if not interventions:
-        return model
-    problems = []
-    for target in interventions:
-        decl = model.by_name.get(target)
-        if decl is None:
-            problems.append(f"intervention target {target!r} is not a declared node")
-        elif decl.kind != "standard":
-            problems.append(f"intervention target {target!r} is a {decl.kind} node; only standard nodes can be intervened on")
-    if problems:
-        raise ValidationError(problems)
-    nodes = tuple(
-        dataclasses.replace(n, expr=interventions[n.name]) if n.name in interventions else n
-        for n in model.nodes
-    )
-    return compile_nodes(nodes, registry)
 
 
 def _as_flag(v: Value, node: str, what: str) -> bool:
@@ -200,7 +168,6 @@ class KeptRows:
     """
 
     def __init__(self, model: CompiledModel, config: RunConfig, registry: FunctionRegistry):
-        model = apply_interventions(model, config.interventions, registry)
         self.column_order = _observed_columns(model)
         self.kept = 0
         self.attempts = 0

@@ -19,7 +19,7 @@ from .registry import FunctionRegistry
 from .rng import RandomStream
 from .values import Tensor, Value, type_name
 
-__all__ = ["build_registry", "BUILTIN_NAMES"]
+__all__ = ["build_registry"]
 
 
 # --- argument checks -----------------------------------------------------
@@ -324,8 +324,6 @@ _BUILTINS = [
     ("tensor_zeros", 1, False, _tensor_zeros),
     ("tensor_fill_rect", 6, False, _tensor_fill_rect),
 ]
-
-BUILTIN_NAMES = frozenset(name for name, *_ in _BUILTINS)
 
 
 def build_registry() -> FunctionRegistry:

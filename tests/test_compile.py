@@ -11,7 +11,9 @@ from dagforge import (
     FunctionRegistry,
     RandomStream,
     RunConfig,
+    apply_interventions,
     build_registry,
+    parse,
     parse_model,
     register_example_functions,
     simulate,
@@ -20,7 +22,7 @@ from dagforge import (
 from dagforge import modelspec
 from dagforge.errors import SpecError
 from dagforge.evaluator import compile_expr
-from dagforge.expr import Call, ListLit, Lit, Ref, Unary, preorder, refs_in_order
+from dagforge.expr import Call, ListLit, Lit, Ref, Unary, preorder
 from dagforge.rng import sample_base
 
 from conftest import DATA, MODELS, model_yaml
@@ -69,6 +71,15 @@ def test_one_lookup_per_call_site_per_simulate(registry, model_file):
         assert counting.lookups == call_sites
 
 
+def test_intervening_looks_up_only_the_replacement_call_sites():
+    counting = counting_registry()
+    model = validate(parse_model((DATA / "strata.yaml").read_text(), counting), counting)
+    call_sites = sum(isinstance(e, Call) for decl in model.nodes for e in preorder(decl.expr))
+    assert counting.lookups == call_sites
+    apply_interventions(model, {"Score": parse("normal(U, 2)")}, counting)
+    assert counting.lookups == call_sites + 1
+
+
 def test_literal_closures_keep_type_and_sign():
     literals = {}
     program = compile_expr(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), None, literals)
@@ -84,10 +95,12 @@ def test_preorder_is_iterative_and_left_to_right():
     deep = Ref(name="X")
     for _ in range(5000):
         deep = Unary(op="-", operand=deep)
-    assert refs_in_order(deep) == ["X"]
     e = Call(name="f", args=(Ref(name="B"), Unary(op="-", operand=Ref(name="A")), Ref(name="B")))
     assert [type(n).__name__ for n in preorder(e)] == ["Call", "Ref", "Unary", "Ref", "Ref"]
-    assert refs_in_order(e) == ["B", "A"]
+    decls = {"A": Lit(value=1), "B": Lit(value=2), "X": Lit(value=3), "D": deep, "E": e}
+    parents = modelspec.compile_nodes(tuple(modelspec.NodeDecl(n, x) for n, x in decls.items()), None).parents
+    assert parents["D"] == ["X"]
+    assert parents["E"] == ["B", "A"]
 
 
 # --- YAML loading ----------------------------------------------------------

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagforge import free_refs, parse, parse_expr, pretty_print, tokenize
+from dagforge import parse, pretty_print
 from dagforge.errors import LexError, NestingError, ParseError
 from dagforge.evaluator import compile_expr
-from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
+from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary, parse_expr, preorder, tokenize
 
 
 def kinds_and_texts(src):
@@ -107,6 +107,10 @@ def test_parse_error_reports_expected():
         parse("f(1,)")
     with pytest.raises(ParseError):
         parse("")
+
+
+def free_refs(e):
+    return {node.name for node in preorder(e) if isinstance(node, Ref)}
 
 
 def test_free_refs_examples():

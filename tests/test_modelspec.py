@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagforge import free_refs, parse_model, to_dot, validate
+from dagforge import parse_model, to_dot, validate
 from dagforge.errors import SpecError, ValidationError, YamlSyntaxError
+from dagforge.expr import Ref, preorder
 from dagforge.modelspec import SpecWarning
 
 from conftest import DATA, MODELS, model_yaml
@@ -272,7 +273,7 @@ def test_parent_sets_match_brute_force_walk(data):
     spec = parse_model(model_yaml("".join(lines)), registry)
     model = validate(spec, registry)
     for decl in spec.nodes:
-        assert set(model.parents[decl.name]) == free_refs(decl.expr)
+        assert set(model.parents[decl.name]) == {e.name for e in preorder(decl.expr) if isinstance(e, Ref)}
 
 
 def _mutate(text: str, rng: random.Random) -> str:

@@ -289,7 +289,7 @@ def test_intervention_target_rules(registry):
 def test_intervention_screens_nondescendants(registry):
     model = compile_text((MODELS / "images.yaml").read_text(), registry)
     base = simulate(model, RunConfig(num_samples=25, seed=6), registry)
-    done = simulate(model, RunConfig(num_samples=25, seed=6, interventions={"H": Lit(value=1)}), registry)
+    done = simulate(apply_interventions(model, {"H": Lit(value=1)}, registry), RunConfig(num_samples=25, seed=6), registry)
     for ra, rb in zip(base.rows, done.rows):
         for k in ("U1", "U2", "C", "V", "Y"):  # non-descendants of H
             assert values_equal(ra.values[k], rb.values[k])
