@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import functools
 import hashlib
 import os
 import re
@@ -18,7 +19,7 @@ from .expr import pretty_print
 from .graph import CompiledModel
 from .modelspec import SimInstructions
 from .sampler import Dataset, KeptRows, RunConfig, check_stratum_label
-from .values import csv_cell
+from .values import Tensor, Value, csv_cell
 
 __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
 
@@ -58,6 +59,15 @@ def write_csv(
     rows = ds if isinstance(ds, KeptRows) else ds.rows
     columns = ds.column_order
     header = ",".join(_field(c) for c in columns) + "\n"
+    # A tensor keeps its cell text, so a tensor that recurs across rows passes
+    # the same string object, whose hash is cached: each distinct cell is
+    # quoted once.  The cache holds the last 16 cells of this call only.
+    tensor_field = functools.lru_cache(maxsize=16)(_field)
+
+    def cell_field(v: Value) -> str:
+        text = csv_cell(v)
+        return tensor_field(text) if type(v) is Tensor else _field(text)
+
     made = _make_dirs(out_dir)
     files: dict[str | None, tuple[Path, Path, TextIO]] = {}  # label -> (path, temp path, open temp file)
 
@@ -74,7 +84,8 @@ def write_csv(
         for row in rows:
             label = check_stratum_label(row.stratum) if stratified else None
             fh = files[label][2] if label in files else open_stratum(label)
-            fh.write(",".join(_field(csv_cell(row.values[c])) for c in columns) + "\n")
+            values = row.values
+            fh.write(",".join([cell_field(values[c]) for c in columns]) + "\n")
         for _, _, fh in files.values():
             fh.close()
     except BaseException:

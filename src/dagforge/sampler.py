@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError
 from .evaluator import compile_expr
 from .graph import CompiledModel
-from .registry import FunctionRegistry
+from .registry import FunctionEntry, FunctionRegistry
 from .rng import RandomStream, node_stream_key, sample_base
 from .values import MISSING, Value, csv_cell, type_name
 
@@ -88,15 +88,32 @@ def check_stratum_label(label: str | None) -> str:
     return label
 
 
+class _DrawScan:
+    """A registry view for compiling one expression: forwards each lookup and
+    notes whether any call resolved may draw (a stochastic or unknown function)."""
+
+    def __init__(self, registry: FunctionRegistry | None):
+        self._registry = registry
+        self.draws = False
+
+    def lookup(self, name: str) -> FunctionEntry | None:
+        entry = self._registry.lookup(name) if self._registry is not None else None
+        self.draws = self.draws or entry is None or entry.stochastic
+        return entry
+
+
 def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> list[tuple]:
-    """One step per node in topological order: (name, stream key, kind, plate
-    size, underlying node, compiled expression)."""
+    """One step per node in topological order: (name, stream key or None for a
+    node that never draws, kind, plate size, underlying node, compiled
+    expression)."""
     literals: dict = {}
     steps = []
     for name in model.topo_order:
         decl = model.by_name[name]
-        program = compile_expr(decl.expr, registry, literals)
-        steps.append((name, node_stream_key(name), decl.kind, decl.size, decl.underlying, program))
+        scan = _DrawScan(registry)
+        program = compile_expr(decl.expr, scan, literals)
+        key = node_stream_key(name) if scan.draws else None
+        steps.append((name, key, decl.kind, decl.size, decl.underlying, program))
     return steps
 
 
@@ -106,7 +123,7 @@ def _run_steps(steps: list[tuple], sample_index: int, seed: int) -> tuple[dict[s
     bindings: dict[str, Value] = {}
     selected = True
     for name, key, kind, size, underlying, program in steps:
-        rng = RandomStream(seed, sample_index, key, base)
+        rng = None if key is None else RandomStream(seed, sample_index, key, base)
         try:
             if kind == "standard":
                 if size is None:

@@ -12,6 +12,7 @@ The full reference (domains, distributions) lives in docs/stdlib.md.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import DomainError
@@ -153,7 +154,7 @@ def _random_seq(rng: RandomStream, alphabet, length):
     if length < 0:
         raise DomainError(f"random_seq length must be >= 0, got {length}")
     k = len(alphabet)
-    return "".join(alphabet[rng.next_word() % k] for _ in range(length))
+    return "".join([alphabet[w % k] for w in rng._iter_words(length)])
 
 
 # --- pure math ------------------------------------------------------------
@@ -256,17 +257,23 @@ def _kmer_counts(seqs, k, alphabet):
         raise DomainError("kmer_counts alphabet must be non-empty without repeats")
     index = {c: i for i, c in enumerate(alphabet)}
     base = len(alphabet)
-    counts = [0] * base**k
+    size = base**k
+    counts = [0] * size
     for s in seqs:
         s = _str(s, "kmer_counts sequence")
-        bad = set(s) - set(alphabet)
-        if bad:
-            raise DomainError(f"sequence contains characters outside the alphabet: {sorted(bad)}")
-        for start in range(len(s) - k + 1):
-            code = 0
-            for c in s[start:start + k]:
+        # rolling code of the window ending at each character; the first
+        # k - 1 characters only start the first window
+        chars = iter(s)
+        code = 0
+        try:
+            for c in itertools.islice(chars, k - 1):
                 code = code * base + index[c]
-            counts[code] += 1
+            for c in chars:
+                code = (code * base + index[c]) % size
+                counts[code] += 1
+        except KeyError:
+            bad = sorted(set(s).difference(index))
+            raise DomainError(f"sequence contains characters outside the alphabet: {bad}") from None
     return counts
 
 

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dagforge.sampler as sampler
 from dagforge import (
     MISSING,
     RunConfig,
@@ -55,6 +56,35 @@ def test_sample_one_bioseq_row(registry):
         assert 10 <= row["Age"] <= 79
         assert len(row["kmerVec"]) == 16
         assert "AIRR" in row  # unobserved nodes still exist in rows
+
+
+def test_nodes_that_never_draw_get_no_stream(registry, monkeypatch):
+    # bioseq's kmerVec calls only the pure encode_kmers: 4 streams a row, not 5
+    made = []
+
+    class CountingStream(sampler.RandomStream):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    model = compile_text((MODELS / "bioseq.yaml").read_text(), registry)
+    monkeypatch.setattr(sampler, "RandomStream", CountingStream)
+    ds = simulate(model, RunConfig(num_samples=20, seed=3), registry)
+    assert ds.attempts == 20
+    assert len(made) == (len(model.topo_order) - 1) * 20
+
+
+def test_only_pure_calls_mean_no_stream(registry):
+    text = model_yaml(
+        '    A: "concat(\\"a\\", \\"b\\") == \\"ab\\""\n'
+        '    B: "1 + not_registered(2)"\n'
+        '    C: "[1, binomial(1, 0.5)]"\n'
+        '    D: "if A then 1 else 2"\n'
+    )
+    model = validate(parse_model(text, registry), None)
+    keys = {step[0]: step[1] for step in sampler._compile_steps(model, registry)}
+    assert keys["A"] is None and keys["D"] is None
+    assert keys["B"] is not None and keys["C"] is not None
 
 
 def test_selection_value_not_in_row(registry):

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dagforge import (
     RandomStream,
@@ -14,6 +14,7 @@ from dagforge import (
 )
 from dagforge.errors import DomainError, RegistryError
 from dagforge.evaluator import compile_expr
+from dagforge.rng import _LANES
 from dagforge.stdlib import (
     _binomial,
     _categorical,
@@ -179,6 +180,57 @@ def test_scalar_helpers():
         _concat("a", [1])
 
 
+# --- batched words ---------------------------------------------------------
+
+_CHUNK_SIZES = [_LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 5]
+_BATCH_SIZES = [0, 1, 2, 3, *_CHUNK_SIZES]
+_u64 = st.integers(0, 2**64 - 1)
+
+
+def _twin_streams(seed, index, key, counter):
+    batched, scalar = RandomStream(seed, index, key), RandomStream(seed, index, key)
+    batched.draw_counter = scalar.draw_counter = counter
+    return batched, scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_u64, index=_u64, key=_u64, counter=st.integers(0, 2**70), n=st.sampled_from(_BATCH_SIZES))
+def test_next_words_equals_next_word_calls(seed, index, key, counter, n):
+    batched, scalar = _twin_streams(seed, index, key, counter)
+    assert batched.next_words(n) == [scalar.next_word() for _ in range(n)]
+    assert batched.draw_counter == scalar.draw_counter == counter + n
+
+
+@settings(max_examples=60, deadline=None)
+@given(counter=st.integers(0, 2**64), alphabet=st.text(min_size=1, max_size=6),
+       length=st.one_of(st.integers(2, 40), st.sampled_from(_CHUNK_SIZES)))
+def test_random_seq_equals_scalar_definition(counter, alphabet, length):
+    batched, scalar = _twin_streams(3, 5, 7, counter)
+    expected = "".join(alphabet[scalar.next_word() % len(alphabet)] for _ in range(length))
+    assert _random_seq(batched, alphabet, length) == expected
+    assert batched.draw_counter == scalar.draw_counter
+
+
+@settings(max_examples=60, deadline=None)
+@given(counter=st.integers(0, 2**64), p=st.floats(0.0, 1.0),
+       n=st.one_of(st.integers(2, 40), st.sampled_from(_CHUNK_SIZES)))
+@example(counter=0, p=RandomStream(3, 5, 7).next_float(), n=4)  # a draw equal to p is a failure
+def test_binomial_equals_scalar_definition(counter, p, n):
+    batched, scalar = _twin_streams(3, 5, 7, counter)
+    expected = sum(1 for _ in range(n) if scalar.next_float() < p)
+    assert _binomial(batched, n, p) == expected
+    assert batched.draw_counter == scalar.draw_counter
+
+
+def test_next_words_rejects_negative_n():
+    rng = RandomStream(1, 2, 3)
+    rng.next_word()
+    with pytest.raises(ValueError):
+        rng.next_words(-1)
+    assert rng.draw_counter == 1
+    assert rng.next_word() == RandomStream(1, 2, 3).next_words(2)[1]
+
+
 def test_random_seq():
     assert _random_seq(fresh(), "A", 4) == "AAAA"
     assert _random_seq(fresh(), "ACGT", 0) == ""
@@ -220,6 +272,32 @@ def test_kmer_counts_against_oracle():
     seqs = ["ACGTACGT", "GGGG", "TACG", ""]
     for k in (1, 2, 3):
         assert _kmer_counts(seqs, k, "ACGT") == brute_kmer_counts(seqs, k, "ACGT")
+
+
+@st.composite
+def _kmer_inputs(draw):
+    alphabet = "".join(draw(st.lists(st.sampled_from("ACGTN"), min_size=1, max_size=4, unique=True)))
+    # "x" is never in the alphabet, so some inputs hold a bad character
+    chars = alphabet + "x" if draw(st.booleans()) else alphabet
+    seqs = draw(st.lists(st.text(alphabet=chars, max_size=12), max_size=5))
+    return seqs, draw(st.integers(1, 4)), alphabet
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_kmer_inputs())
+@example(inputs=([], 2, "ACGT"))
+@example(inputs=(["ACG", ""], 4, "ACGT"))  # k > len(seq): no window
+@example(inputs=(["ACGT", "GA"], 1, "ACGT"))
+@example(inputs=(["AC", "AxGy"], 2, "ACGT"))
+def test_kmer_counts_equals_window_definition(inputs):
+    seqs, k, alphabet = inputs
+    bad = [sorted(set(s) - set(alphabet)) for s in seqs if set(s) - set(alphabet)]
+    if bad:  # the first sequence with a bad character is named
+        with pytest.raises(DomainError) as raised:
+            _kmer_counts(seqs, k, alphabet)
+        assert str(raised.value) == f"sequence contains characters outside the alphabet: {bad[0]}"
+    else:
+        assert _kmer_counts(seqs, k, alphabet) == brute_kmer_counts(seqs, k, alphabet)
 
 
 def test_kmer_counts_domain():
@@ -316,6 +394,8 @@ def test_choice_uses_weights():
     (_categorical, ([0.5, 0.5],), 1),
     (_choice, (["a", "b"], [0.5, 0.5]), 1),
     (_random_seq, ("ACGT", 7), 7),
+    (_random_seq, ("ACGT", 0), 0),
+    (_binomial, (2000, 0.3), 2000),  # crosses a next_words chunk boundary
 ])
 def test_draw_counts_are_fixed(fn, args, count):
     rng = fresh()
