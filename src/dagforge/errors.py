@@ -86,7 +86,11 @@ class ValidationError(DagforgeError):
 
 
 class CycleError(DagforgeError):
-    """Topological sort invoked on a cyclic graph."""
+    """Topological sort invoked on a cyclic graph; ``cycle`` is one witness."""
+
+    def __init__(self, cycle: list[str]):
+        self.cycle = cycle
+        super().__init__(f"graph contains a cycle: {' -> '.join(cycle)}")
 
 
 class CoercionError(DagforgeError):

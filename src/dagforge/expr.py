@@ -11,13 +11,24 @@ Grammar (also published in docs/grammar.md):
     unary   := ["-"|"not"] atom
     atom    := literal | ident | ident "(" [expr {"," expr}] ")"
              | "[" [expr {"," expr}] "]" | "(" expr ")"
+
+The front end is table-driven.  ``tokenize`` is one compiled regular
+expression applied at each position; numbers are ASCII digits only, and a
+literal outside the 64-bit integer range or too large for a finite float is a
+LexError.  The parser descends only for if-else, prefix operators and atoms:
+the five binary levels are one precedence-climbing loop (Pratt, "Top down
+operator precedence", 1973) over ``_BIN_LEVEL``, the table the printer also
+uses to decide where parentheses go.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import LexError, NestingError, ParseError
 from .values import Value
@@ -31,112 +42,89 @@ __all__ = [
 KEYWORDS = frozenset({"if", "then", "else", "and", "or", "not"})
 
 # The deepest expression tree that parses.  The compiler, the evaluator and
-# the printer recurse once or twice per level, so this keeps them well inside
-# the interpreter's recursion limit.  A chain ``a + b + c`` nests one level
-# per operator.
+# the printer recurse once or twice per level and the parser four times per
+# call or list level, so this keeps them all well inside the interpreter's
+# recursion limit.  A chain ``a + b + c`` nests one level per operator.
+# Parentheses cost the parser three frames each and add no level, so about
+# 330 of them exhaust its stack first, which is also a NestingError.
 MAX_DEPTH = 200
 
 INT64_MAX = 2**63 - 1
 
-_PUNCT = frozenset("()[],")
-_SYMBOL_OPS = ("==", "!=", "<=", ">=", "+", "-", "*", "/", "%", "<", ">")
+# Binding strength of each binary operator, loosest first; if-else is level 0,
+# the prefix operators 6 and atoms 7.  The parser and the printer both read it.
+_BIN_LEVEL = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+              "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_CMP, _UNARY, _ATOM = 3, 6, 7
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int-lit | float-lit | str-lit | punct | operator | eof
     text: str
     span: tuple[int, int]
     value: object = None  # decoded payload for literals
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
+# Leading whitespace, then one token; the group that matched names its kind.
+# A '"' that starts no complete string literal matches no group.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+  | (?P<int>[0-9]+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<punct>[()\[\],])
+  | (?P<operator>[=!<>]=|[-+*/%<>])
+)?""", re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+def _unescape(body: str, offset: int) -> str:
+    """Decode a string literal's body, which starts at ``offset`` in the source."""
+    if "\\" not in body:
+        return body
+    for m in _ESCAPE_RE.finditer(body):
+        if m[1] not in '"\\':
+            raise LexError((offset + m.start(), offset + m.end()), f"unknown escape \\{m[1]}")
+    return _ESCAPE_RE.sub(r"\1", body)
 
 
 def tokenize(src: str) -> list[Token]:
     """Split source into tokens; spans cover everything but whitespace."""
     tokens: list[Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        start = i
-        if _is_ident_start(c):
-            while i < n and _is_ident_char(src[i]):
-                i += 1
-            text = src[start:i]
-            kind = "operator" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, (start, i)))
-            continue
-        if c.isdigit():
-            while i < n and src[i].isdigit():
-                i += 1
-            is_float = False
-            if i < n and src[i] == "." and i + 1 < n and src[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-            if i < n and src[i] in "eE":
-                j = i + 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                if j < n and src[j].isdigit():
-                    is_float = True
-                    i = j
-                    while i < n and src[i].isdigit():
-                        i += 1
-            text = src[start:i]
-            if is_float:
-                tokens.append(Token("float-lit", text, (start, i), float(text)))
-            else:
-                v = int(text)
-                if v > INT64_MAX:
-                    raise LexError((start, i), f"integer literal {text} exceeds the 64-bit signed range")
-                tokens.append(Token("int-lit", text, (start, i), v))
-            continue
-        if c == '"':
-            i += 1
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise LexError((start, n), "unterminated string literal")
-                c = src[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise LexError((start, n), "unterminated string literal")
-                    esc = src[i + 1]
-                    if esc not in ('"', "\\"):
-                        raise LexError((i, i + 2), f"unknown escape \\{esc}")
-                    buf.append(esc)
-                    i += 2
-                else:
-                    buf.append(c)
-                    i += 1
-            tokens.append(Token("str-lit", src[start:i], (start, i), "".join(buf)))
-            continue
-        if c in _PUNCT:
-            i += 1
-            tokens.append(Token("punct", c, (start, i)))
-            continue
-        for op in _SYMBOL_OPS:
-            if src.startswith(op, i):
-                i += len(op)
-                tokens.append(Token("operator", op, (start, i)))
+    append, match = tokens.append, _TOKEN_RE.match
+    pos, n = 0, len(src)
+    while True:
+        m = match(src, pos)
+        kind = m.lastgroup
+        if kind is None:
+            pos = m.end()
+            if pos == n:
                 break
+            if src[pos] == '"':
+                _unescape(src[pos + 1:], pos + 1)  # an earlier bad escape wins
+                raise LexError((pos, n), "unterminated string literal")
+            raise LexError((pos, pos + 1), f"unexpected character {src[pos]!r}")
+        text = m[kind]
+        start, pos = m.span(kind)
+        if kind == "ident":
+            append(Token("operator" if text in KEYWORDS else "ident", text, (start, pos)))
+        elif kind == "int":
+            # int() refuses texts past its digit limit, which are out of range anyway
+            digits = text.lstrip("0") or "0"
+            v = int(digits) if len(digits) <= 19 else INT64_MAX + 1
+            if v > INT64_MAX:
+                raise LexError((start, pos), f"integer literal {text} exceeds the 64-bit signed range")
+            append(Token("int-lit", text, (start, pos), v))
+        elif kind == "float":
+            v = float(text)
+            if math.isinf(v):
+                raise LexError((start, pos), f"float literal {text} is too large to be finite")
+            append(Token("float-lit", text, (start, pos), v))
+        elif kind == "string":
+            append(Token("str-lit", text, (start, pos), _unescape(text[1:-1], start + 1)))
         else:
-            raise LexError((start, start + 1), f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", (n, n)))
+            append(Token(kind, text, (start, pos)))
+    append(Token("eof", "", (n, n)))
     return tokens
 
 
@@ -209,6 +197,7 @@ class ListLit(Expr):
 
 
 class _Parser:
+    # a token's text fixes its kind, so the parser tests texts only
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -228,15 +217,12 @@ class _Parser:
         raise ParseError(t.span, expected, found)
 
     def expect(self, text: str) -> Token:
-        if self.cur.text != text or self.cur.kind == "eof":
+        if self.cur.text != text:
             self.fail((text,))
         return self.advance()
 
-    def at_op(self, *texts: str) -> bool:
-        return self.cur.kind == "operator" and self.cur.text in texts
-
     def expr(self) -> Expr:
-        if self.at_op("if"):
+        if self.cur.text == "if":
             start = self.advance().span[0]
             cond = self.expr()
             self.expect("then")
@@ -244,42 +230,28 @@ class _Parser:
             self.expect("else")
             otherwise = self.expr()
             return IfElse(cond=cond, then=then, otherwise=otherwise, span=(start, otherwise.span[1]))
-        return self.or_expr()
+        return self.binary(1)
 
-    def _binary_chain(self, ops: tuple[str, ...], sub) -> Expr:
-        lhs = sub()
-        while self.at_op(*ops):
+    def binary(self, floor: int) -> Expr:
+        """Binary operators of level ``floor`` or tighter, left-associative.
+
+        Each right operand takes only tighter operators.  After a comparison
+        only a looser operator may follow, so comparisons do not chain.
+        """
+        # going straight to atom keeps a call or list level to four frames
+        lhs = self.unary() if self.cur.text in ("-", "not") else self.atom()
+        ceiling = _UNARY
+        while floor <= (level := _BIN_LEVEL.get(self.cur.text, 0)) < ceiling:
             op = self.advance().text
-            rhs = sub()
+            rhs = self.binary(level + 1)
             lhs = Binary(op=op, lhs=lhs, rhs=rhs, span=(lhs.span[0], rhs.span[1]))
+            ceiling = level if level == _CMP else level + 1
         return lhs
-
-    def or_expr(self) -> Expr:
-        return self._binary_chain(("or",), self.and_expr)
-
-    def and_expr(self) -> Expr:
-        return self._binary_chain(("and",), self.cmp)
-
-    def cmp(self) -> Expr:
-        lhs = self.add()
-        if self.at_op("==", "!=", "<", "<=", ">", ">="):
-            op = self.advance().text
-            rhs = self.add()
-            return Binary(op=op, lhs=lhs, rhs=rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def add(self) -> Expr:
-        return self._binary_chain(("+", "-"), self.mul)
-
-    def mul(self) -> Expr:
-        return self._binary_chain(("*", "/", "%"), self.unary)
 
     def unary(self) -> Expr:
-        if self.at_op("-", "not"):
-            tok = self.advance()
-            operand = self.atom()
-            return Unary(op=tok.text, operand=operand, span=(tok.span[0], operand.span[1]))
-        return self.atom()
+        tok = self.advance()
+        operand = self.atom()
+        return Unary(op=tok.text, operand=operand, span=(tok.span[0], operand.span[1]))
 
     def atom(self) -> Expr:
         t = self.cur
@@ -288,18 +260,16 @@ class _Parser:
             return Lit(value=t.value, span=t.span)
         if t.kind == "ident":
             self.advance()
-            if self.cur.text == "(" and self.cur.kind == "punct":
-                self.advance()
-                args = self._expr_list(")")
-                end = self.expect(")").span[1]
-                return Call(name=t.text, args=tuple(args), span=(t.span[0], end))
-            return Ref(name=t.text, span=t.span)
-        if t.text == "[" and t.kind == "punct":
+            if self.cur.text != "(":
+                return Ref(name=t.text, span=t.span)
             self.advance()
-            elems = self._expr_list("]")
-            end = self.expect("]").span[1]
-            return ListLit(elements=tuple(elems), span=(t.span[0], end))
-        if t.text == "(" and t.kind == "punct":
+            args, end = self._expr_list(")")
+            return Call(name=t.text, args=args, span=(t.span[0], end))
+        if t.text == "[":
+            self.advance()
+            elems, end = self._expr_list("]")
+            return ListLit(elements=elems, span=(t.span[0], end))
+        if t.text == "(":
             self.advance()
             inner = self.expr()
             end = self.expect(")").span[1]
@@ -307,21 +277,22 @@ class _Parser:
             return dataclasses.replace(inner, span=(t.span[0], end))
         self.fail(("literal", "identifier", "(", "["))
 
-    def _expr_list(self, closer: str) -> list[Expr]:
-        if self.cur.text == closer and self.cur.kind == "punct":
-            return []
-        items = [self.expr()]
-        while self.cur.text == "," and self.cur.kind == "punct":
-            self.advance()
+    def _expr_list(self, closer: str) -> tuple[tuple[Expr, ...], int]:
+        """Comma-separated expressions through ``closer``, and the closer's end."""
+        items = []
+        if self.cur.text != closer:
             items.append(self.expr())
-        return items
+            while self.cur.text == ",":
+                self.advance()
+                items.append(self.expr())
+        return tuple(items), self.expect(closer).span[1]
 
 
 def parse_expr(tokens: list[Token]) -> Expr:
     """Parse a token list (ending with eof) into a single expression.
 
-    A tree deeper than MAX_DEPTH is a NestingError, as is nesting of
-    parentheses, calls or lists that exhausts the parser's own stack first.
+    A tree deeper than MAX_DEPTH is a NestingError, as is nesting that
+    exhausts the parser's own stack first, such as ~330 parentheses.
     """
     p = _Parser(tokens)
     try:
@@ -366,11 +337,6 @@ def preorder(e: Expr) -> Iterator[Expr]:
 
 # --- printing ----------------------------------------------------------
 
-# precedence levels: if-else 0 < or 1 < and 2 < cmp 3 < add 4 < mul 5 < unary 6 < atom 7
-_BIN_LEVEL = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-              "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
-
-
 def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -381,8 +347,8 @@ def _level(e: Expr) -> int:
     if isinstance(e, Binary):
         return _BIN_LEVEL[e.op]
     if isinstance(e, Unary):
-        return 6
-    return 7
+        return _UNARY
+    return _ATOM
 
 
 def _print_at(e: Expr, minimum: int) -> str:
@@ -406,12 +372,12 @@ def _print(e: Expr) -> str:
         return f"[{', '.join(_print(el) for el in e.elements)}]"
     if isinstance(e, Unary):
         op = e.op + " " if e.op == "not" else e.op
-        return f"{op}{_print_at(e.operand, 7)}"
+        return f"{op}{_print_at(e.operand, _ATOM)}"
     if isinstance(e, Binary):
         lvl = _BIN_LEVEL[e.op]
-        if lvl == 3:
+        if lvl == _CMP:
             # comparisons don't chain: parenthesize comparison operands
-            return f"{_print_at(e.lhs, 4)} {e.op} {_print_at(e.rhs, 4)}"
+            return f"{_print_at(e.lhs, _CMP + 1)} {e.op} {_print_at(e.rhs, _CMP + 1)}"
         return f"{_print_at(e.lhs, lvl)} {e.op} {_print_at(e.rhs, lvl + 1)}"
     if isinstance(e, IfElse):
         return f"if {_print(e.cond)} then {_print(e.then)} else {_print(e.otherwise)}"

@@ -78,7 +78,8 @@ def topo_sort(names: list[str], edges: dict[str, list[str]]) -> list[str]:
 
     When several nodes are ready, the one earliest in ``names`` (declaration
     order) is emitted first, so the order is a deterministic function of the
-    model alone.
+    model alone.  A graph Kahn cannot finish is a CycleError carrying
+    ``detect_cycle``'s witness, so an acyclic graph is searched only once.
     """
     decl_index = {name: i for i, name in enumerate(names)}
     children: dict[str, list[str]] = {name: [] for name in names}
@@ -99,6 +100,5 @@ def topo_sort(names: list[str], edges: dict[str, list[str]]) -> list[str]:
             if indegree[child] == 0:
                 heapq.heappush(ready, decl_index[child])
     if len(order) != len(names):
-        witness = detect_cycle(edges)
-        raise CycleError(f"graph contains a cycle: {' -> '.join(witness or [])}")
+        raise CycleError(detect_cycle(edges))
     return order

@@ -20,15 +20,16 @@ legacy documents load unchanged.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
 
 import yaml
 
-from .errors import LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
+from .errors import CycleError, LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
 from .expr import Call, Expr, KEYWORDS, Ref, parse, preorder
-from .graph import CompiledModel, detect_cycle, topo_sort
+from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
 
 __all__ = [
@@ -88,6 +89,9 @@ def _as_bool(value, path: str) -> bool:
 def _as_expr(value, path: str) -> Expr:
     if isinstance(value, bool) or value is None:
         raise SpecError(path, f"expected an expression string, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        # repr would give ``inf`` or ``nan``, which parse as references
+        raise SpecError(path, f"expected a finite number, got {value!r}")
     if isinstance(value, (int, float)):
         value = repr(value)
     if not isinstance(value, str):
@@ -316,16 +320,17 @@ def _check_node(
 def _link(
     nodes: tuple[NodeDecl, ...], parents: dict[str, list[str]], missing_map: dict[str, str], problems: list[str]
 ) -> CompiledModel:
-    """Add the cycle witness to ``problems``, raise if there are any, else order the graph."""
-    cycle = detect_cycle(parents)
-    if cycle is not None:
-        problems.append(f"cycle: {' -> '.join(cycle)}")
+    """Order the graph; add a cycle witness to ``problems`` and raise if there are any."""
+    try:
+        order = topo_sort([n.name for n in nodes], parents)
+    except CycleError as err:
+        problems.append(f"cycle: {' -> '.join(err.cycle)}")
     if problems:
         raise ValidationError(problems)
     return CompiledModel(
         nodes=nodes,
         parents=parents,
-        topo_order=topo_sort([n.name for n in nodes], parents),
+        topo_order=order,
         selection=next((n.name for n in nodes if n.kind == "selection"), None),
         stratify=next((n.name for n in nodes if n.kind == "stratify"), None),
         missing_map=missing_map,

@@ -152,6 +152,20 @@ def test_chain_at_depth_limit_runs(run_cli, tmp_path):
     assert all(int(h) == MAX_DEPTH * int(x) for x, h in rows)
 
 
+@pytest.mark.parametrize("source, char", [("1 + \u00b2", "\u00b2"), ("\u0663 + 1", "\u0663")])
+def test_non_ascii_digit_is_a_lex_error_in_yaml_and_intervention(run_cli, tmp_path, source, char):
+    spec = tmp_path / "digits.yaml"
+    spec.write_text(model_yaml(f'    H: "1"\n    X: "{source}"\n'), encoding="utf-8")
+    code, _, err = run_cli("validate", spec)
+    assert code == 2
+    assert f"graph.nodes.X: bad expression {source!r}: unexpected character {char!r}" in err
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", out, "--intervene", f"H={source}")
+    assert code == 2
+    assert f"--intervene H: unexpected character {char!r}" in err
+    assert not out.exists()
+
+
 def assert_threads_flag_rejected(run_cli, tmp_path, threads):
     out = tmp_path / "out"
     code, _, err = run_cli("run", MODELS / "images.yaml", "--out", out, "--threads", threads)

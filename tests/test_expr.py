@@ -44,6 +44,33 @@ def test_lex_errors():
     assert tokenize(str(2**63 - 1))[0].value == 2**63 - 1
 
 
+@pytest.mark.parametrize("src, span", [
+    ("1 + \u00b2", (4, 5)),  # superscript two: a digit to str.isdigit, not to int()
+    ("\u0663 + 1", (0, 1)),  # Arabic-Indic three
+    ("12\u00b2", (2, 3)),
+])
+def test_only_ascii_digits_are_digits(src, span):
+    with pytest.raises(LexError) as exc:
+        parse(src)
+    assert exc.value.message == f"unexpected character {src[span[0]]!r}"
+    assert exc.value.span == span
+
+
+def test_non_finite_float_literal_is_a_lex_error():
+    # it would print as ``inf``, which re-parses as a reference
+    for src in ("1e999 + 1", "1.5e400", "17976931348623159" + "0" * 292 + ".0"):
+        with pytest.raises(LexError, match="too large to be finite"):
+            tokenize(src)
+    assert tokenize("1e-999")[0].value == 0.0
+    assert tokenize("1.7976931348623157e308")[0].value == 1.7976931348623157e308
+
+
+def test_integer_literal_past_the_conversion_digit_limit_is_a_lex_error():
+    with pytest.raises(LexError, match="exceeds the 64-bit signed range"):
+        tokenize("1" * 5000)
+    assert tokenize("0" * 5000 + "7")[0].value == 7
+
+
 def test_string_escapes():
     tok = tokenize(r'"a\"b\\c"')[0]
     assert tok.kind == "str-lit"
@@ -107,6 +134,83 @@ def test_parse_error_reports_expected():
         parse("f(1,)")
     with pytest.raises(ParseError):
         parse("")
+
+
+# Each source with the printed tree it parses to, or the (expected, found, span)
+# of the ParseError it raises.  Recorded from the descent parser this one replaced.
+_FRONT_END_CASES = [
+    ("a - b - c", "a - b - c"),
+    ("a / b * c", "a / b * c"),
+    ("a * b / c % d", "a * b / c % d"),
+    ("a - (b - c)", "a - (b - c)"),
+    ("(a * b) * c", "a * b * c"),
+    ("-x * y", "-x * y"),
+    ("- x - y", "-x - y"),
+    ("-(a + b)", "-(a + b)"),
+    ("not a == b", "not a == b"),
+    ("not a and b", "not a and b"),
+    ("a or b and c", "a or b and c"),
+    ("a and b or c", "a and b or c"),
+    ("a < b and c", "a < b and c"),
+    ("a + b < c * d", "a + b < c * d"),
+    ("a < -b", "a < -b"),
+    ("(a < b) == (c < d)", "(a < b) == (c < d)"),
+    ("a == b or c != d", "a == b or c != d"),
+    ("f(if a then b else c, d)", "f(if a then b else c, d)"),
+    ("[if a then 1 else 2, 3]", "[if a then 1 else 2, 3]"),
+    ("if a or b then c + 1 else -d", "if a or b then c + 1 else -d"),
+    ("g(a, [b, c], h(1.5))", "g(a, [b, c], h(1.5))"),
+    ('""', '""'),
+    ("1 +", (("(", "[", "identifier", "literal"), "end of input", (3, 3))),
+    ("f(1,)", (("(", "[", "identifier", "literal"), ")", (4, 5))),
+    ("", (("(", "[", "identifier", "literal"), "end of input", (0, 0))),
+    ("(1", ((")",), "end of input", (2, 2))),
+    ("- - 1", (("(", "[", "identifier", "literal"), "-", (2, 3))),
+    ("not not a", (("(", "[", "identifier", "literal"), "not", (4, 7))),
+    ("a +* b", (("(", "[", "identifier", "literal"), "*", (3, 4))),
+    ("a < b < c", (("end of input",), "<", (6, 7))),
+    ("a and b < c < d", (("end of input",), "<", (12, 13))),
+    ("f(a < b < c)", ((")",), "<", (8, 9))),
+    ("[1 2]", (("]",), "2", (3, 4))),
+    ("a b", (("end of input",), "b", (2, 3))),
+    ("if a then b", (("else",), "end of input", (11, 11))),
+    ("if a b", (("then",), "b", (5, 6))),
+]
+
+
+@pytest.mark.parametrize("src, want", _FRONT_END_CASES)
+def test_front_end_table(src, want):
+    if isinstance(want, str):
+        e = parse(src)
+        assert pretty_print(e) == want
+        assert parse(want) == e
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.expected, exc.value.found, exc.value.span) == want
+
+
+# The first lex error in source order is the one reported.
+_LEX_ERROR_CASES = [
+    ("1 @ 2", "unexpected character '@'", (2, 3)),
+    ('"abc', "unterminated string literal", (0, 4)),
+    ('"a\\', "unterminated string literal", (0, 3)),
+    ('"ok" + "\\"', "unterminated string literal", (7, 10)),
+    ('"bad \\q', "unknown escape \\q", (5, 7)),
+    ('"bad \\q escape"', "unknown escape \\q", (5, 7)),
+    ('x + "\\q" @', "unknown escape \\q", (5, 7)),
+    ('@ "\\q', "unexpected character '@'", (0, 1)),
+    ("9223372036854775808 @", "integer literal 9223372036854775808 exceeds the 64-bit signed range", (0, 19)),
+    ("a = b", "unexpected character '='", (2, 3)),
+    ("1.e5", "unexpected character '.'", (1, 2)),
+]
+
+
+@pytest.mark.parametrize("src, message, span", _LEX_ERROR_CASES)
+def test_lex_error_table(src, message, span):
+    with pytest.raises(LexError) as exc:
+        tokenize(src)
+    assert (exc.value.message, exc.value.span) == (message, span)
 
 
 def free_refs(e):
@@ -180,12 +284,17 @@ def test_printed_source_spans_cover(e):
 @pytest.mark.parametrize("make", [
     lambda n: " + ".join(["1"] * n),  # left-deep: n - 1 operators over a literal
     lambda n: "if 1 == 2 then 1 else " * (n - 2) + "0",  # the last if's condition is 2 levels below it
+    lambda n: "abs(" * (n - 1) + "0" + ")" * (n - 1),  # n - 1 calls around a literal
+    lambda n: "[" * (n - 1) + "0" + "]" * (n - 1),  # n - 1 lists around a literal
 ])
-def test_depth_limit_is_checked_at_parse(make):
+def test_depth_limit_is_checked_at_parse(make, registry):
     ok = make(MAX_DEPTH)
     e = parse(ok)
     assert parse(pretty_print(e)) == e
-    assert compile_expr(e, None)({}, None) in (0, MAX_DEPTH)
+    value = compile_expr(e, registry)({}, None)
+    while isinstance(value, list):
+        (value,) = value
+    assert value in (0, MAX_DEPTH)
     with pytest.raises(NestingError, match="nested too deeply"):
         parse(make(MAX_DEPTH + 1))
 

@@ -60,6 +60,13 @@ def test_topo_sort_raises_on_cycle():
         topo_sort(["A", "B"], {"A": ["B"], "B": ["A"]})
 
 
+def test_cycle_error_carries_the_witness():
+    edges = {"C": ["B"], "B": ["A"], "A": ["C"], "D": []}
+    with pytest.raises(CycleError, match="graph contains a cycle: A -> C -> B") as exc:
+        topo_sort(["D", "C", "B", "A"], edges)
+    assert exc.value.cycle == detect_cycle(edges) == ["A", "C", "B"]
+
+
 def _random_parent_map(rng, n, p):
     names = [f"n{i}" for i in range(n)]
     return names, {

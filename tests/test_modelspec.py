@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagforge import parse_model, to_dot, validate
+from dagforge import detect_cycle, parse_model, to_dot, validate
 from dagforge.errors import SpecError, ValidationError, YamlSyntaxError
 from dagforge.expr import Ref, preorder
 from dagforge.modelspec import SpecWarning
@@ -131,6 +131,18 @@ def test_numeric_scalar_expression_accepted(registry):
     assert model.parents == {"X": [], "Y": []}
 
 
+@pytest.mark.parametrize("number", [".inf", "-.inf", ".nan", ".NaN", "1.0e+999"])
+def test_non_finite_bare_number_is_spec_error(registry, number):
+    # repr would make it the text inf or nan, a reference to the node below
+    for node, path in (
+        (f"    X: {number}\n", "graph.nodes.X"),
+        (f"    X:\n      function: {number}\n", "graph.nodes.X.function"),
+    ):
+        with pytest.raises(SpecError, match="expected a finite number") as exc:
+            parse_model(model_yaml(node + "    inf: 7\n    nan: 8\n"), registry)
+        assert exc.value.path == path
+
+
 # --- validate ---------------------------------------------------------------
 
 def test_validate_bioseq_topology(registry):
@@ -151,6 +163,18 @@ def test_validate_cycle(registry):
         validate(spec, registry)
     except ValidationError as err:
         assert any("X -> Y" in p or "X -> " in p for p in err.problems)
+
+
+def test_validate_searches_for_a_cycle_only_when_the_graph_cannot_be_ordered(registry, monkeypatch):
+    calls = []
+    monkeypatch.setattr("dagforge.graph.detect_cycle", lambda edges: calls.append(1) or detect_cycle(edges))
+    validate(parse_model(load(MODELS / "bioseq.yaml"), registry), registry)
+    assert calls == []
+    spec = parse_model(model_yaml('    X: "sigmoid(Y)"\n    Y: "sigmoid(X)"\n    Z: "Ghost"\n'), registry)
+    with pytest.raises(ValidationError) as exc:
+        validate(spec, registry)
+    assert exc.value.problems == ["node Z: unresolved reference 'Ghost'", "cycle: X -> Y"]
+    assert calls == [1]
 
 
 def test_validate_unknown_function(registry):
