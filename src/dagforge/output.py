@@ -26,6 +26,8 @@ __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
 ENGINE_VERSION = "0.1.0"
 
 _NEEDS_QUOTE = re.compile(r'[",\r\n]')
+# the cell text of these types never holds a quote, comma or line break
+_UNQUOTED = frozenset({bool, int, float})
 
 
 def _field(text: str) -> str:
@@ -66,7 +68,10 @@ def write_csv(
 
     def cell_field(v: Value) -> str:
         text = csv_cell(v)
-        return tensor_field(text) if type(v) is Tensor else _field(text)
+        kind = type(v)
+        if kind in _UNQUOTED:
+            return text
+        return tensor_field(text) if kind is Tensor else _field(text)
 
     made = _make_dirs(out_dir)
     files: dict[str | None, tuple[Path, Path, TextIO]] = {}  # label -> (path, temp path, open temp file)

@@ -87,7 +87,8 @@ def register_host_function(registry: FunctionRegistry, name: str, arity, stochas
 
     The callable receives engine values (plus the node's RandomStream first
     when ``stochastic``) and must return a value in the closed algebra;
-    tuples are normalized to lists.
+    tuples are normalized to lists.  A list of plain scalars is bound as it
+    is, not copied, so the callable must not change it afterwards.
     """
 
     if stochastic:

@@ -46,11 +46,13 @@ def _lane_constants(n: int) -> tuple[int, int, int, struct.Struct]:
     return ones, mask, int.from_bytes(steps, "little"), struct.Struct("<" + "Q8x" * n)
 
 
-def _mix_words(state: int, first: int, n: int) -> Iterator[int]:
-    """The words for counters ``first .. first + n - 1``.
+def _mixed_chunks(state: int, first: int, n: int) -> Iterator[tuple[bytes, struct.Struct]]:
+    """The words for counters ``first .. first + n - 1``, mixed in chunks.
 
     Word i depends only on the state and its counter, so the words are mixed
-    together, as the lanes of one int, in chunks of at most ``_LANES``.
+    together, as the lanes of one int, in chunks of at most ``_LANES``.  Each
+    chunk comes as the little-endian bytes of its lanes (a word's low byte is
+    every 16th byte) and the reader of its words.
     """
     for chunk in range(first, first + n, _LANES):
         size = min(_LANES, first + n - chunk)
@@ -60,7 +62,13 @@ def _mix_words(state: int, first: int, n: int) -> Iterator[int]:
         x = (((x ^ (x >> 27)) & mask) * _MIX2) & mask
         # the high halves now hold bits shifted in from the next lane; never read
         x ^= x >> 31
-        yield from low_halves.unpack(x.to_bytes(16 * size, "little"))
+        yield x.to_bytes(16 * size, "little"), low_halves
+
+
+def _mix_words(state: int, first: int, n: int) -> Iterator[int]:
+    """The words for counters ``first .. first + n - 1``."""
+    for lanes, low_halves in _mixed_chunks(state, first, n):
+        yield from low_halves.unpack(lanes)
 
 
 @lru_cache(maxsize=65536)
@@ -115,12 +123,21 @@ class RandomStream:
 
     def _iter_words(self, n: int) -> Iterator[int]:
         """:meth:`next_words` as an iterator; the counter advances at the call."""
+        return _mix_words(self._state, self._advance(n), n)
+
+    def _low_bytes(self, n: int) -> bytes:
+        """The low byte of each of the next ``n`` words; advances the counter by ``n``."""
+        return b"".join([lanes[::16] for lanes, _ in _mixed_chunks(self._state, self._advance(n), n)])
+
+    def _advance(self, n: int) -> int:
+        """Take ``n`` draws: the counter of the first of them; ``n < 0`` is a ``ValueError``."""
         if n < 0:
             raise ValueError(f"next_words needs n >= 0, got {n}")
         start = self.draw_counter
         self.draw_counter = start + n
-        return _mix_words(self._state, start + 1, n)
+        return start + 1
 
     def next_float(self) -> float:
         """Uniform float in [0, 1) with 53 random bits. One raw draw."""
-        return (self.next_word() >> 11) * 2.0**-53
+        self.draw_counter += 1
+        return (_finalize((self._state + self.draw_counter * _GOLDEN) & _MASK) >> 11) * 2.0**-53

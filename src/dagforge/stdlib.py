@@ -12,6 +12,7 @@ The full reference (domains, distributions) lives in docs/stdlib.md.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -25,23 +26,34 @@ __all__ = ["build_registry"]
 
 # --- argument checks -----------------------------------------------------
 
+# Each check tries the exact built-in type first: engine values have it, so the
+# common case costs one comparison.
+
 def _number(x: Value, what: str) -> int | float:
+    if type(x) is float or type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DomainError(f"{what} must be a number, got {type_name(x)}")
     return x
 
 
 def _float(x: Value, what: str) -> float:
+    if type(x) is float:
+        return x
     return float(_number(x, what))
 
 
 def _int(x: Value, what: str) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, int):
         raise DomainError(f"{what} must be an integer, got {type_name(x)}")
     return x
 
 
 def _str(x: Value, what: str) -> str:
+    if type(x) is str:
+        return x
     if not isinstance(x, str):
         raise DomainError(f"{what} must be a string, got {type_name(x)}")
     return x
@@ -103,8 +115,8 @@ def _normal(rng: RandomStream, mu, sigma):
 
 def _poisson(rng: RandomStream, lam):
     lam = _float(lam, "poisson rate")
-    if lam < 0:
-        raise DomainError(f"poisson requires lam >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"poisson requires a finite lam >= 0, got {lam}")
     # split into chunks of rate <= 500 (Poisson additivity) so exp() never
     # underflows; draw count is max(1, ceil(lam/500))
     chunks = max(1, math.ceil(lam / 500.0))
@@ -154,7 +166,17 @@ def _random_seq(rng: RandomStream, alphabet, length):
     if length < 0:
         raise DomainError(f"random_seq length must be >= 0, got {length}")
     k = len(alphabet)
-    return "".join([alphabet[w % k] for w in rng._iter_words(length)])
+    if 256 % k:
+        return "".join([alphabet[w % k] for w in rng._iter_words(length)])
+    # k divides 256, so w % k == (w & 0xFF) % k: the low byte of each word is enough
+    return rng._low_bytes(length).decode("latin-1").translate(_byte_table(alphabet))
+
+
+@functools.lru_cache(maxsize=64)
+def _byte_table(alphabet: str) -> str:
+    """``str.translate`` table from a word's low byte (as a Latin-1 code point) to its character."""
+    k = len(alphabet)
+    return "".join([alphabet[b % k] for b in range(256)])
 
 
 # --- pure math ------------------------------------------------------------
@@ -202,13 +224,20 @@ def _clamp(x, lo, hi):
     return lo if x < lo else hi if x > hi else x
 
 
+def _finite(x, what: str) -> int | float:
+    x = _number(x, what)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _floor(x):
-    return math.floor(_number(x, "floor argument"))
+    return math.floor(_finite(x, "floor argument"))
 
 
 def _round(x):
     # banker's rounding, matching the host language convention
-    return round(_number(x, "round argument"))
+    return round(_finite(x, "round argument"))
 
 
 def _get(xs, i):

@@ -80,7 +80,7 @@ class Tensor:
         It is stored on the object, not in a table keyed by value: ``==``
         treats ``0.0`` and ``-0.0`` as equal, but their cells differ.
         """
-        return json.dumps(_jsonable(self), separators=(",", ":"))
+        return _JSON.encode(self)
 
 
 def _dim(d) -> int:
@@ -120,11 +120,20 @@ def type_name(v: Value) -> str:
     raise TypeError(f"not an engine value: {v!r}")
 
 
+_PLAIN = frozenset({bool, int, float, str})
+
+
 def as_value(obj: object) -> Value:
     """Normalize a host-function result into the closed value algebra.
 
-    Tuples become lists; anything outside the algebra raises ``TypeError``.
+    An exact ``bool``, ``int``, ``float`` or ``str``, and a ``list`` of only
+    those, is already a value and comes back as the same object.  Otherwise
+    tuples become lists, int and float subclasses their base type, and
+    anything outside the algebra raises ``TypeError``.
     """
+    t = type(obj)
+    if t in _PLAIN or (t is list and _PLAIN.issuperset(map(type, obj))):
+        return obj
     if obj is MISSING or isinstance(obj, (bool, str, Tensor)):
         return obj
     if isinstance(obj, int):
@@ -158,15 +167,18 @@ def values_equal(a: Value, b: Value) -> bool:
     return False
 
 
-def _jsonable(v: Value):
+def _json_default(v):
+    """What :data:`_JSON` writes for the values json has no form of."""
     if v is MISSING:
         return None
     if isinstance(v, Tensor):
         # json writes tuples as arrays, so the tuples need no list copy
         return {"shape": v.shape, "data": v.data}
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    return v
+    raise TypeError(f"not an engine value: {v!r}")
+
+
+# the one compact encoder for list and tensor cells
+_JSON = json.JSONEncoder(separators=(",", ":"), default=_json_default)
 
 
 def csv_cell(v: Value) -> str:
@@ -187,7 +199,7 @@ def csv_cell(v: Value) -> str:
         return v
     if isinstance(v, Tensor):
         return v._cell
-    return json.dumps(_jsonable(v), separators=(",", ":"))
+    return _JSON.encode(v)
 
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")

@@ -166,6 +166,27 @@ def test_non_ascii_digit_is_a_lex_error_in_yaml_and_intervention(run_cli, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("call, arg", [
+    ("poisson", "exp(709) * 10"),
+    ("round", "exp(709) * 10"),
+    ("floor", "-exp(709) * 10"),
+    ("poisson", "exp(709) * 10 - exp(709) * 10"),
+    ("round", "exp(709) * 10 - exp(709) * 10"),
+    ("floor", "exp(709) * 10 - exp(709) * 10"),
+])
+def test_non_finite_argument_exit_2_names_node_and_span(run_cli, tmp_path, call, arg):
+    source = f"{call}({arg})"
+    spec = tmp_path / "nonfinite.yaml"
+    spec.write_text(model_yaml(f'    X: "{source}"\n'))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("dagforge: node X: ")
+    assert "finite" in err and err.rstrip().endswith(f" at 0..{len(source)}")
+    assert not out.exists()
+
+
 def assert_threads_flag_rejected(run_cli, tmp_path, threads):
     out = tmp_path / "out"
     code, _, err = run_cli("run", MODELS / "images.yaml", "--out", out, "--threads", threads)

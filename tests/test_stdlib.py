@@ -21,6 +21,7 @@ from dagforge.stdlib import (
     _choice,
     _clamp,
     _concat,
+    _floor,
     _get,
     _implant,
     _kmer_counts,
@@ -29,6 +30,7 @@ from dagforge.stdlib import (
     _poisson,
     _randint,
     _random_seq,
+    _round,
     _sigmoid,
     _tensor_fill_rect,
     _tensor_zeros,
@@ -141,6 +143,20 @@ def test_poisson_domain():
         _poisson(fresh(), -0.5)
 
 
+@pytest.mark.parametrize("fn", [_poisson, _floor, _round])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_argument_is_a_domain_error(fn, x):
+    args = (fresh(), x) if fn is _poisson else (x,)
+    with pytest.raises(DomainError, match="finite"):
+        fn(*args)
+
+
+def test_floor_and_round_keep_finite_and_integer_arguments():
+    assert _floor(-2.5) == -3 and _round(2.5) == 2 and _round(3.5) == 4
+    assert _floor(1e308) == int(1e308)
+    assert _floor(10**400) == 10**400 and _round(-(10**400)) == -(10**400)
+
+
 def test_categorical_domain():
     with pytest.raises(DomainError):
         _categorical(fresh(), [0.5, 0.6])
@@ -201,10 +217,34 @@ def test_next_words_equals_next_word_calls(seed, index, key, counter, n):
     assert batched.draw_counter == scalar.draw_counter == counter + n
 
 
-@settings(max_examples=60, deadline=None)
-@given(counter=st.integers(0, 2**64), alphabet=st.text(min_size=1, max_size=6),
+# sizes that divide 256 take the low-byte path, the others the word path
+_LOW_BYTE_SIZES = [1, 2, 4, 8]
+_WORD_SIZES = [3, 5, 20]
+
+
+@st.composite
+def _seq_alphabets(draw):
+    """Alphabets of every tested size; the small pool makes repeated characters likely."""
+    k = draw(st.sampled_from(_LOW_BYTE_SIZES + _WORD_SIZES))
+    pool = st.sampled_from("AC\u00ff\u0394\u4e2d\U0001f600") | st.characters()
+    return "".join(draw(st.lists(pool, min_size=k, max_size=k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counter=st.integers(0, 2**64), alphabet=_seq_alphabets(),
        length=st.one_of(st.integers(2, 40), st.sampled_from(_CHUNK_SIZES)))
+@example(counter=0, alphabet="ACGT", length=_LANES + 1)
+@example(counter=5, alphabet="AACG", length=3 * _LANES + 5)
+@example(counter=2**64, alphabet="G", length=_LANES)
+@example(counter=9, alphabet="\u0394\u4e2d", length=_LANES - 1)
+@example(counter=1, alphabet="ACGTacgt", length=40)
+@example(counter=3, alphabet="\u00e9A\U0001f600A", length=_LANES + 1)
+@example(counter=0, alphabet="ACG", length=_LANES + 1)
+@example(counter=7, alphabet="AACGT", length=3 * _LANES + 5)
+@example(counter=1, alphabet="ACDEFGHIKLMNPQRSTVWY", length=_LANES)
+@example(counter=2, alphabet="\u0394\u4e2d\u0394", length=40)
 def test_random_seq_equals_scalar_definition(counter, alphabet, length):
+    assert len(alphabet) in _LOW_BYTE_SIZES + _WORD_SIZES
     batched, scalar = _twin_streams(3, 5, 7, counter)
     expected = "".join(alphabet[scalar.next_word() % len(alphabet)] for _ in range(length))
     assert _random_seq(batched, alphabet, length) == expected

@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dagforge import MISSING, Tensor, csv_cell, parse_cell, type_name, values_equal
 from dagforge.errors import DomainError
-from dagforge.values import _jsonable
+from dagforge.values import as_value
 
 
 def test_type_name_tags():
@@ -152,8 +153,19 @@ _elements = st.one_of(
 )
 
 
-def _fresh_cell(t):
-    return json.dumps(_jsonable(t), separators=(",", ":"))
+def _plain_json(v):
+    """The JSON document of a cell, converted by hand: MISSING is null, a tensor a dict."""
+    if v is MISSING:
+        return None
+    if isinstance(v, Tensor):
+        return {"shape": list(v.shape), "data": list(v.data)}
+    if isinstance(v, list):
+        return [_plain_json(x) for x in v]
+    return v
+
+
+def _fresh_cell(v):
+    return json.dumps(_plain_json(v), separators=(",", ":"))
 
 
 def _flip_zeros(t):
@@ -177,3 +189,114 @@ def test_tensor_cell_is_encoded_once_and_stays_exact(t):
     assert csv_cell(t) == first
     if 0.0 in t.data:
         assert csv_cell(flipped) != first
+
+
+_cell_items = st.one_of(
+    st.just(MISSING),
+    _tensors(_elements),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.text(),
+    st.text(st.characters(min_codepoint=0x80), min_size=1),
+)
+_nested_lists = st.recursive(st.lists(_cell_items, max_size=4), lambda inner: st.lists(inner | _cell_items, max_size=4),
+                             max_leaves=16)
+
+
+@settings(deadline=None)
+@given(_nested_lists)
+def test_list_cell_equals_plain_json(v):
+    assert csv_cell(v) == _fresh_cell(v)
+
+
+# --- host results ------------------------------------------------------------
+
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class _Metres(float):
+    pass
+
+
+def _as_value_spec(obj):
+    """The recursive definition of as_value."""
+    if obj is MISSING or isinstance(obj, (bool, str, Tensor)):
+        return obj
+    if isinstance(obj, int):
+        return int(obj)
+    if isinstance(obj, float):
+        return float(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_as_value_spec(x) for x in obj]
+    raise TypeError(type(obj).__name__)
+
+
+_host_scalars = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+)
+_host_leaves = st.one_of(
+    _host_scalars,
+    st.just(MISSING),
+    _tensors(),
+    st.sampled_from(_Level),
+    st.floats(allow_nan=False).map(_Metres),
+)
+_non_values = st.sampled_from([None, b"AC", {"a": 1}, {1, 2}, 1j, object()])
+_host_results = st.recursive(
+    _host_leaves | st.lists(_host_scalars, max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=16,
+)
+
+
+def _exact_types(v) -> bool:
+    if type(v) is list:
+        return all(_exact_types(x) for x in v)
+    return v is MISSING or type(v) in (bool, int, float, str, Tensor)
+
+
+def _plain_list(obj) -> bool:
+    return type(obj) is list and all(type(x) in (bool, int, float, str) for x in obj)
+
+
+@settings(deadline=None)
+@given(_host_results)
+def test_as_value_normalises_host_results(obj):
+    v = as_value(obj)
+    assert values_equal(v, _as_value_spec(obj))
+    assert _exact_types(v)
+    if _plain_list(obj):
+        assert v is obj
+
+
+@settings(deadline=None)
+@given(st.recursive(_host_leaves | _non_values, lambda inner: st.lists(inner, max_size=4)
+                    | st.lists(inner, max_size=4).map(tuple), max_leaves=16))
+def test_as_value_rejects_a_non_value_at_any_depth(obj):
+    try:
+        expected = _as_value_spec(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            as_value(obj)
+    else:
+        assert values_equal(as_value(obj), expected)
+
+
+def test_as_value_returns_plain_scalar_lists_as_they_are():
+    kmers = [0, 3, 1, 2]
+    assert as_value(kmers) is kmers
+    mixed = [True, 1, 1.5, "a"]
+    assert as_value(mixed) is mixed
+    assert as_value((1, 2)) == [1, 2]
+    nested = [[1, 2], "a"]
+    assert as_value(nested) is not nested and as_value(nested)[0] is nested[0]
+    assert type(as_value([_Level.HIGH])[0]) is int
+    with pytest.raises(TypeError):
+        as_value([1, [2, None]])
