@@ -94,7 +94,8 @@ class CycleError(DagforgeError):
 
 
 class CoercionError(DagforgeError):
-    """A selection, missing, or stratify value could not be coerced."""
+    """A selection, missing, or stratify value could not be coerced, or a value
+    could not be written as a CSV cell."""
 
 
 class SelectionStarvation(DagforgeError):

@@ -1,17 +1,30 @@
 """Expression evaluation against a set of node bindings.
 
-An expression is compiled once into a closure ``program(bindings, rng)``
-(Feeley & Lapalme, "Using closures for code generation", 1987): each AST
-node becomes one small function whose operator, operands, registry entry and
-source span are fixed when it is built, so evaluation does no type dispatch
-and no registry lookup.  Captured values are bound as default arguments
-rather than closure cells, and equal scalar literals share one closure, which
-keeps a compiled model about the size of its AST.
+An expression is compiled once into ``program(bindings, rng)``.  The nodes of
+a model repeat a few expression shapes over different names and literals, so
+programs are generated per shape and shared, after the AST specialisation of
+Würthinger et al. ("One VM to rule them all", 2013):
+
+* One walk over the AST yields the expression's shape key and its operands.
+  The key holds the operators, the kind and argument count of each call and
+  the *type* of each literal; the operands, in emission order, are the
+  reference names, literal values, spans, registry implementations and
+  error messages.  Each call site is looked up once, during the walk.
+* For the first expression of a shape, Python source is generated from the
+  key alone and compiled into a factory; every expression of that shape gets
+  ``factory(*operands)``.  Model text never becomes source: names and values
+  reach a program only as factory arguments, so no name or string literal
+  can change what runs.
+
+The generated code is straight-line, one statement per AST node, with the
+type checks written in.  Operands known to be numbers (numeric literals,
+arithmetic results) or booleans (comparison results) are not checked again.
+Unknown functions and wrong argument counts raise only when reached, and
+``and``, ``or`` and ``if`` evaluate only the side they take.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
 from .errors import DomainError, EvalError
@@ -20,191 +33,305 @@ from .registry import FunctionRegistry
 from .rng import RandomStream
 from .values import Value, type_name, values_equal
 
-__all__ = ["compile_expr"]
+__all__ = ["compile_expr", "compile_node"]
 
 Program = Callable[[dict, RandomStream], Value]
 
-# exact types for the fast path of _is_number; subclasses take the slow one
-_NUMBER_TYPES = frozenset({int, float})
+# a literal's key token, which is the static kind of its value ("literal" when
+# none is known); int and float share one, since code that is right for one
+# number is right for the other
+_LITERAL = {int: "num", float: "num", bool: "bool"}
+_ORDERING = frozenset({"<", "<=", ">", ">="})
+_ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
+_BINARY = _ORDERING | _ARITHMETIC | {"==", "!=", "and", "or"}
+# the node classes, most frequent first; dict keys keep the order
+_NODE_CLASSES = dict.fromkeys((Ref, Lit, Binary, Call, IfElse, Unary, ListLit))
 
-_ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-# operator -> (function, what a zero divisor is called, or None)
-_ARITHMETIC = {
-    "+": (operator.add, None),
-    "-": (operator.sub, None),
-    "*": (operator.mul, None),
-    "/": (operator.truediv, "division"),
-    "%": (operator.mod, "modulo"),
-}
+# Python allows 100 levels of indentation.  A nested block (and, or, if) that
+# would start deeper than this becomes a function of its own.
+_MAX_INDENT = 40
 
 
 def _is_number(v: Value) -> bool:
-    return type(v) in _NUMBER_TYPES or (isinstance(v, (int, float)) and not isinstance(v, bool))
+    return type(v) in (int, float) or (isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
-def compile_expr(e: Expr, registry: FunctionRegistry | None, literals: dict | None = None) -> Program:
+def compile_expr(e: Expr, registry: FunctionRegistry | None) -> Program:
     """Compile an expression into ``program(bindings, rng) -> value``.
 
     Calls are resolved against ``registry`` now.  An unknown function or a
-    wrong argument count compiles to a closure that raises the EvalError
-    evaluation would raise, and only when it is reached, so short-circuiting
-    still skips it.  ``literals`` caches one closure per distinct scalar
-    literal; pass one dict to share them across the expressions of a model.
+    wrong argument count compiles to code that raises the EvalError
+    evaluation would raise, and only when it is reached.
     """
-    if literals is None:
-        literals = {}
-    if isinstance(e, Lit):
-        return _literal(e.value, literals)
-    if isinstance(e, Ref):
-        def ref(b, r, _name=e.name, _span=e.span):
-            try:
-                return b[_name]
-            except KeyError:
-                raise EvalError(_span, f"unbound reference {_name!r}") from None
-
-        return ref
-    if isinstance(e, Call):
-        return _call(e, registry, literals)
-    if isinstance(e, Binary):
-        return _binary(e, compile_expr(e.lhs, registry, literals), compile_expr(e.rhs, registry, literals))
-    if isinstance(e, Unary):
-        operand = compile_expr(e.operand, registry, literals)
-        if e.op == "not":
-            def not_(b, r, _x=operand, _span=e.span):
-                v = _x(b, r)
-                if v is True or v is False:
-                    return not v
-                raise EvalError(_span, f"operand of 'not' must be a boolean, got {type_name(v)}")
-
-            return not_
-
-        def negate(b, r, _x=operand, _num=_is_number, _span=e.span):
-            v = _x(b, r)
-            if _num(v):
-                return -v
-            raise EvalError(_span, f"cannot negate a {type_name(v)}")
-
-        return negate
-    if isinstance(e, IfElse):
-        def if_else(b, r, _cond=compile_expr(e.cond, registry, literals), _then=compile_expr(e.then, registry, literals),
-                    _else=compile_expr(e.otherwise, registry, literals), _span=e.span):
-            c = _cond(b, r)
-            if c is True:
-                return _then(b, r)
-            if c is False:
-                return _else(b, r)
-            raise EvalError(_span, f"if condition must be a boolean, got {type_name(c)}")
-
-        return if_else
-    if isinstance(e, ListLit):
-        def list_(b, r, _elements=tuple(compile_expr(el, registry, literals) for el in e.elements)):
-            return [el(b, r) for el in _elements]
-
-        return list_
-    return _failing(e.span, f"cannot evaluate node of type {type(e).__name__}")
+    return compile_node(e, registry, {})[0]
 
 
-def _literal(value: Value, literals: dict) -> Program:
-    def lit(b, r, _v=value):
-        return _v
+def compile_node(e: Expr, registry: FunctionRegistry | None, shapes: dict) -> tuple[Program, bool]:
+    """:func:`compile_expr`, sharing generated code through ``shapes``.
 
-    if not isinstance(value, (bool, int, float, str)):
-        return lit
-    # repr tells 0.0 from -0.0 and 1 from True, which == does not
-    return literals.setdefault((type(value), repr(value)), lit)
-
-
-def _failing(span, message: str) -> Program:
-    def fail(b, r, _span=span, _message=message):
-        raise EvalError(_span, _message)
-
-    return fail
-
-
-def _call(e: Call, registry: FunctionRegistry | None, literals: dict) -> Program:
-    entry = registry.lookup(e.name) if registry is not None else None
-    if entry is None:
-        return _failing(e.span, f"unknown function {e.name!r}")
-    if not entry.arity.accepts(len(e.args)):
-        return _failing(e.span, f"{e.name} expects {entry.arity.describe()} argument(s), got {len(e.args)}")
-    args = tuple(compile_expr(a, registry, literals) for a in e.args)
-    impl, span = entry.impl, e.span
-
-    if not entry.stochastic:
-        def pure(b, r, _f=impl, _args=args, _span=span):
-            try:
-                return _f(*[a(b, r) for a in _args])
-            except DomainError as err:
-                raise EvalError(_span, str(err)) from err
-
-        return pure
-    if len(args) == 1:
-        def stochastic1(b, r, _f=impl, _a=args[0], _span=span):
-            try:
-                return _f(r, _a(b, r))
-            except DomainError as err:
-                raise EvalError(_span, str(err)) from err
-
-        return stochastic1
-    if len(args) == 2:
-        def stochastic2(b, r, _f=impl, _a=args[0], _b=args[1], _span=span):
-            try:
-                return _f(r, _a(b, r), _b(b, r))
-            except DomainError as err:
-                raise EvalError(_span, str(err)) from err
-
-        return stochastic2
-
-    def stochastic(b, r, _f=impl, _args=args, _span=span):
-        try:
-            return _f(r, *[a(b, r) for a in _args])
-        except DomainError as err:
-            raise EvalError(_span, str(err)) from err
-
-    return stochastic
+    ``shapes`` maps shape keys to factories; pass one dict for all the
+    expressions of a model.  Also returns whether the program may draw,
+    that is, whether it calls a stochastic or an unknown function.
+    """
+    key, operands, draws = _shape(e, registry)
+    factory = shapes.get(key)
+    if factory is None:
+        namespace = dict(_GLOBALS)
+        exec(compile(_source(key), "<dagforge shape>", "exec"), namespace)
+        factory = shapes[key] = namespace["factory"]
+    return factory(*operands), draws
 
 
-def _binary(e: Binary, lhs: Program, rhs: Program) -> Program:
-    op, span = e.op, e.span
-    if op in ("and", "or"):
-        def logic(b, r, _l=lhs, _r=rhs, _stop=op == "or", _op=op, _span=span):
-            x = _l(b, r)
-            if x is not True and x is not False:
-                raise EvalError(_span, f"left operand of {_op!r} must be a boolean, got {type_name(x)}")
-            if x is _stop:  # short-circuit: the right operand is never evaluated
-                return x
-            y = _r(b, r)
-            if y is True or y is False:
-                return y
-            raise EvalError(_span, f"right operand of {_op!r} must be a boolean, got {type_name(y)}")
+def _shape(e: Expr, registry: FunctionRegistry | None) -> tuple[tuple, list, bool]:
+    """The shape key of ``e``, its operands in emission order, and whether it may draw."""
+    key: list = []
+    operands: list = []
+    draws = _walk(e, registry, key.append, operands.append)
+    return tuple(key), operands, draws
 
-        return logic
-    if op in ("==", "!="):
-        def equal(b, r, _l=lhs, _r=rhs, _eq=values_equal, _want=op == "=="):
-            return _eq(_l(b, r), _r(b, r)) is _want
 
-        return equal
-    if op in _ORDERING:
-        def order(b, r, _l=lhs, _r=rhs, _op=_ORDERING[op], _num=_is_number, _span=span):
-            x = _l(b, r)
-            y = _r(b, r)
-            if (_num(x) and _num(y)) or (isinstance(x, str) and isinstance(y, str)):
-                return _op(x, y)
-            raise EvalError(_span, f"cannot order {type_name(x)} and {type_name(y)}")
+def _walk(e: Expr, registry: FunctionRegistry | None, token, operand) -> bool:
+    """Emit the key tokens and operands of ``e``; True if it calls a stochastic or unknown function."""
+    cls = type(e)
+    if cls not in _NODE_CLASSES:  # a subclass, in a hand-built AST
+        cls = next((c for c in _NODE_CLASSES if isinstance(e, c)), None)
+    if cls is Ref:
+        token("r")
+        operand(e.span)
+        operand(e.name)
+        return False
+    if cls is Lit:
+        v = e.value
+        token(_LITERAL.get(type(v), "literal"))
+        operand(v)
+        return False
+    if cls is Binary:
+        if e.op not in _BINARY:  # only a hand-built AST gets here
+            return _fail(token, operand, e.span, f"unknown operator {e.op!r}", False)
+        token(e.op)
+        operand(e.span)
+        return _walk(e.lhs, registry, token, operand) | _walk(e.rhs, registry, token, operand)
+    if cls is Call:
+        entry = registry.lookup(e.name) if registry is not None else None
+        args = e.args
+        if entry is None:
+            return _fail(token, operand, e.span, f"unknown function {e.name!r}", True)
+        if not entry.arity.accepts(len(args)):
+            message = f"{e.name} expects {entry.arity.describe()} argument(s), got {len(args)}"
+            return _fail(token, operand, e.span, message, entry.stochastic)
+        token("s" if entry.stochastic else "c")
+        token(len(args))
+        operand(e.span)
+        operand(entry.impl)
+        draws = entry.stochastic
+        for a in args:
+            draws |= _walk(a, registry, token, operand)
+        return draws
+    if cls is IfElse:
+        token("if")
+        operand(e.span)
+        return (_walk(e.cond, registry, token, operand) | _walk(e.then, registry, token, operand)
+                | _walk(e.otherwise, registry, token, operand))
+    if cls is Unary:
+        token("not" if e.op == "not" else "neg")
+        operand(e.span)
+        return _walk(e.operand, registry, token, operand)
+    if cls is ListLit:
+        token("[")
+        token(len(e.elements))
+        draws = False
+        for el in e.elements:
+            draws |= _walk(el, registry, token, operand)
+        return draws
+    return _fail(token, operand, e.span, f"cannot evaluate node of type {type(e).__name__}", False)
 
-        return order
 
-    if op not in _ARITHMETIC:  # only a hand-built AST gets here; the parser has no other operator
-        return _failing(span, f"unknown operator {op!r}")
-    fn, zero = _ARITHMETIC[op]
+def _fail(token, operand, span, message: str, draws: bool) -> bool:
+    """Emit code that raises ``EvalError(span, message)`` when reached."""
+    token("!")
+    operand(span)
+    operand(message)
+    return draws
 
-    def arithmetic(b, r, _l=lhs, _r=rhs, _op=fn, _zero=zero, _num=_is_number, _sym=op, _span=span):
-        x = _l(b, r)
-        y = _r(b, r)
-        if _num(x) and _num(y):
-            if _zero is not None and y == 0:
-                raise EvalError(_span, f"{_zero} by zero")
-            return _op(x, y)
-        raise EvalError(_span, f"arithmetic {_sym!r} needs numbers, got {type_name(x)} and {type_name(y)}")
 
-    return arithmetic
+# --- code generation ---------------------------------------------------------
+
+def _type_error(span, template: str, *values: Value) -> EvalError:
+    return EvalError(span, template.format(*map(type_name, values)))
+
+
+# every name generated code reads besides builtins, its operands and its temporaries
+_GLOBALS = {
+    "EvalError": EvalError, "DomainError": DomainError, "values_equal": values_equal,
+    "is_number": _is_number, "type_error": _type_error,
+}
+
+# Statement templates for str.format, in which {{ and }} stand for braces.  The
+# fields are filled with operand and temporary names, operators from the
+# tables above and messages written here, never with model text.
+_REF = """try:
+    {t} = b[{name}]
+except KeyError:
+    raise EvalError({span}, f'unbound reference {{{name}!r}}') from None"""
+_CALL = """try:
+    {t} = {fn}({args})
+except DomainError as err:
+    raise EvalError({span}, str(err)) from err"""
+# OverflowError: an int too large for a float met a float, or an int quotient is too large
+_ARITHMETIC_STEP = """try:
+    {t} = {x} {op} {y}
+except OverflowError as err:
+    raise EvalError({span}, f"arithmetic '{op}' overflows: {{err}}") from err"""
+_NONZERO = """if {y} == 0:
+    raise EvalError({span}, '{what} by zero')"""
+_BOOLEAN = """if {x} is not True and {x} is not False:
+    raise type_error({span}, {message!r}, {x})"""
+# the exact-type test first; is_number only when it fails
+_NUMBERS = """if ({fast}) and not ({slow}):
+    raise type_error({span}, {message!r}, {values})"""
+
+
+def _put(out: list[str], depth: int, template: str, **fields: str) -> None:
+    out.extend("    " * depth + line for line in template.format(**fields).split("\n"))
+
+
+def _not_exact_number(x: str) -> str:
+    return f"type({x}) is not float and type({x}) is not int"
+
+
+class _Generator:
+    """Source for one shape key, read front to back in the walk's order.
+
+    Operands are named ``o0, o1, ...`` in the order the walk emitted them and
+    temporaries ``t0, t1, ...``; each ``emit`` appends the statements of one
+    subexpression and returns the name holding its value and the value's
+    static kind: ``"num"``, ``"bool"``, or None when unknown.
+    """
+
+    def __init__(self, key: tuple):
+        self._next = iter(key).__next__
+        self._operands = 0
+        self._temps = 0
+        self.functions: list[list[str]] = []
+
+    def operand(self) -> str:
+        self._operands += 1
+        return f"o{self._operands - 1}"
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps - 1}"
+
+    def function(self, name: str, first_token) -> str | None:
+        """Generate ``def name(b, r)`` for the subexpression that starts with ``first_token``."""
+        body = [f"    def {name}(b, r):"]
+        self.functions.append(body)
+        result, kind = self._emit(first_token, body, 2)
+        body.append(f"        return {result}")
+        return kind
+
+    def source(self) -> str:
+        self.function("program", self._next())
+        params = ", ".join(f"o{i}" for i in range(self._operands))
+        lines = [f"def factory({params}):"]
+        for body in self.functions:
+            lines += body
+        lines.append("    return program")
+        return "\n".join(lines) + "\n"
+
+    def emit(self, out: list[str], depth: int) -> tuple[str, str | None]:
+        token = self._next()
+        if token in ("if", "and", "or") and depth > _MAX_INDENT:
+            name = f"f{len(self.functions)}"
+            kind = self.function(name, token)
+            t = self.temp()
+            _put(out, depth, "{t} = {name}(b, r)", t=t, name=name)
+            return t, kind
+        return self._emit(token, out, depth)
+
+    def _emit(self, token, out: list[str], depth: int) -> tuple[str, str | None]:
+        if token in ("num", "bool", "literal"):
+            return self.operand(), None if token == "literal" else token
+        if token == "!":
+            _put(out, depth, "raise EvalError({span}, {message})", span=self.operand(), message=self.operand())
+            return "None", None
+        if token == "[":
+            elements = [self.emit(out, depth)[0] for _ in range(self._next())]
+            t = self.temp()
+            _put(out, depth, "{t} = [{elements}]", t=t, elements=", ".join(elements))
+            return t, None
+        span, t = self.operand(), self.temp()  # every other token has a span
+        if token == "r":
+            _put(out, depth, _REF, t=t, name=self.operand(), span=span)
+            return t, None
+        if token in ("s", "c"):
+            fn = self.operand()
+            args = [self.emit(out, depth)[0] for _ in range(self._next())]
+            _put(out, depth, _CALL, t=t, fn=fn, args=", ".join(["r", *args] if token == "s" else args), span=span)
+            return t, None
+        if token == "if":
+            return self._if_else(span, t, out, depth)
+        if token in ("and", "or"):
+            return self._logic(token, span, t, out, depth)
+        x, kx = self.emit(out, depth)
+        if token == "not":
+            if kx != "bool":
+                _put(out, depth, _BOOLEAN, x=x, span=span, message="operand of 'not' must be a boolean, got {}")
+            _put(out, depth, "{t} = not {x}", t=t, x=x)
+            return t, "bool"
+        if token == "neg":
+            if kx != "num":
+                _put(out, depth, _NUMBERS, fast=_not_exact_number(x), slow=f"is_number({x})", span=span,
+                     message="cannot negate a {}", values=x)
+            _put(out, depth, "{t} = -{x}", t=t, x=x)
+            return t, "num"
+        y, ky = self.emit(out, depth)
+        if token in ("==", "!="):
+            template = "{t} = {x} {op} {y}" if kx == ky == "num" else "{t} = {negate}values_equal({x}, {y})"
+            _put(out, depth, template, t=t, x=x, op=token, y=y, negate="" if token == "==" else "not ")
+            return t, "bool"
+        fast = " or ".join(_not_exact_number(v) for v, k in ((x, kx), (y, ky)) if k != "num")
+        numbers = f"is_number({x}) and is_number({y})"
+        if token in _ORDERING:
+            if fast:
+                _put(out, depth, _NUMBERS, fast=fast, slow=f"{numbers} or isinstance({x}, str) and isinstance({y}, str)",
+                     span=span, message="cannot order {} and {}", values=f"{x}, {y}")
+            _put(out, depth, "{t} = {x} {op} {y}", t=t, x=x, op=token, y=y)
+            return t, "bool"
+        if fast:
+            _put(out, depth, _NUMBERS, fast=fast, slow=numbers, span=span,
+                 message=f"arithmetic '{token}' needs numbers, got {{}} and {{}}", values=f"{x}, {y}")
+        if token in ("/", "%"):
+            _put(out, depth, _NONZERO, y=y, span=span, what="division" if token == "/" else "modulo")
+        _put(out, depth, _ARITHMETIC_STEP, t=t, x=x, op=token, y=y, span=span)
+        return t, "num"
+
+    def _logic(self, op: str, span: str, t: str, out: list[str], depth: int) -> tuple[str, str]:
+        x, kx = self.emit(out, depth)
+        if kx != "bool":
+            _put(out, depth, _BOOLEAN, x=x, span=span, message=f"left operand of '{op}' must be a boolean, got {{}}")
+        # short-circuit: the right operand is evaluated only when it decides
+        _put(out, depth, "{t} = {x}\nif {negate}{t}:", t=t, x=x, negate="" if op == "and" else "not ")
+        y, ky = self.emit(out, depth + 1)
+        if ky != "bool":
+            _put(out, depth + 1, _BOOLEAN, x=y, span=span, message=f"right operand of '{op}' must be a boolean, got {{}}")
+        _put(out, depth + 1, "{t} = {y}", t=t, y=y)
+        return t, "bool"
+
+    def _if_else(self, span: str, t: str, out: list[str], depth: int) -> tuple[str, str | None]:
+        c, kc = self.emit(out, depth)
+        _put(out, depth, "if {c}:" if kc == "bool" else "if {c} is True:", c=c)
+        then, k_then = self.emit(out, depth + 1)
+        _put(out, depth + 1, "{t} = {then}", t=t, then=then)
+        _put(out, depth, "else:" if kc == "bool" else "elif {c} is False:", c=c)
+        otherwise, k_else = self.emit(out, depth + 1)
+        _put(out, depth + 1, "{t} = {otherwise}", t=t, otherwise=otherwise)
+        if kc != "bool":
+            _put(out, depth, "else:\n    raise type_error({span}, 'if condition must be a boolean, got {{}}', {c})",
+                 span=span, c=c)
+        return t, k_then if k_then == k_else else None
+
+
+def _source(key: tuple) -> str:
+    """Python source defining ``factory(*operands) -> program`` for one shape key."""
+    return _Generator(key).source()

@@ -15,6 +15,7 @@ import re
 from pathlib import Path
 from typing import TextIO
 
+from .errors import CoercionError
 from .expr import pretty_print
 from .graph import CompiledModel
 from .modelspec import SimInstructions
@@ -90,7 +91,11 @@ def write_csv(
             label = check_stratum_label(row.stratum) if stratified else None
             fh = files[label][2] if label in files else open_stratum(label)
             values = row.values
-            fh.write(",".join([cell_field(values[c]) for c in columns]) + "\n")
+            try:
+                line = ",".join([cell_field(values[c]) for c in columns])
+            except ValueError as err:  # an int past the interpreter's digit limit has no text
+                raise _cell_error(values, columns) or err
+            fh.write(line + "\n")
         for _, _, fh in files.values():
             fh.close()
     except BaseException:
@@ -115,6 +120,16 @@ def write_csv(
         if name and Path(name).name == name and old.is_file():
             old.unlink()
     return paths
+
+
+def _cell_error(values: dict[str, Value], columns: list[str]) -> CoercionError | None:
+    """The error naming the first column of a row whose value has no cell text."""
+    for c in columns:
+        try:
+            csv_cell(values[c])
+        except ValueError as err:
+            return CoercionError(f"column {c}: cannot write the value: {err}")
+    return None
 
 
 def _make_dirs(out_dir: Path) -> list[Path]:

@@ -15,9 +15,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError
-from .evaluator import compile_expr
+from .evaluator import compile_node
 from .graph import CompiledModel
-from .registry import FunctionEntry, FunctionRegistry
+from .registry import FunctionRegistry
 from .rng import RandomStream, node_stream_key, sample_base
 from .values import MISSING, Value, csv_cell, type_name
 
@@ -74,7 +74,10 @@ def _as_flag(v: Value, node: str, what: str) -> bool:
 
 def _as_label(v: Value, node: str) -> str:
     if isinstance(v, (bool, int, float, str)):
-        return v if isinstance(v, str) else csv_cell(v)
+        try:
+            return v if isinstance(v, str) else csv_cell(v)
+        except ValueError as err:  # an int past the interpreter's digit limit
+            raise CoercionError(f"node {node}: stratum label cannot be written: {err}") from None
     raise CoercionError(f"node {node}: stratum label must be a scalar, got {type_name(v)}")
 
 
@@ -88,31 +91,16 @@ def check_stratum_label(label: str | None) -> str:
     return label
 
 
-class _DrawScan:
-    """A registry view for compiling one expression: forwards each lookup and
-    notes whether any call resolved may draw (a stochastic or unknown function)."""
-
-    def __init__(self, registry: FunctionRegistry | None):
-        self._registry = registry
-        self.draws = False
-
-    def lookup(self, name: str) -> FunctionEntry | None:
-        entry = self._registry.lookup(name) if self._registry is not None else None
-        self.draws = self.draws or entry is None or entry.stochastic
-        return entry
-
-
 def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> list[tuple]:
     """One step per node in topological order: (name, stream key or None for a
     node that never draws, kind, plate size, underlying node, compiled
     expression)."""
-    literals: dict = {}
+    shapes: dict = {}
     steps = []
     for name in model.topo_order:
         decl = model.by_name[name]
-        scan = _DrawScan(registry)
-        program = compile_expr(decl.expr, scan, literals)
-        key = node_stream_key(name) if scan.draws else None
+        program, draws = compile_node(decl.expr, registry, shapes)
+        key = node_stream_key(name) if draws else None
         steps.append((name, key, decl.kind, decl.size, decl.underlying, program))
     return steps
 

@@ -40,7 +40,10 @@ def _number(x: Value, what: str) -> int | float:
 def _float(x: Value, what: str) -> float:
     if type(x) is float:
         return x
-    return float(_number(x, what))
+    try:
+        return float(x if type(x) is int else _number(x, what))
+    except OverflowError:
+        raise DomainError(f"{what} is too large for a 64-bit real") from None
 
 
 def _int(x: Value, what: str) -> int:

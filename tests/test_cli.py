@@ -187,6 +187,42 @@ def test_non_finite_argument_exit_2_names_node_and_span(run_cli, tmp_path, call,
     assert not out.exists()
 
 
+# an int past the float range: int literals are bounded, their products are not
+HUGE = "*".join(["4000000000000000000"] * 18)
+
+
+@pytest.mark.parametrize("source", [
+    f"uniform(0, {HUGE})", f"{HUGE} * 0.5", f"{HUGE} / 3", f"{HUGE} + 0.5", f"{HUGE} % 2.5",
+], ids=lambda source: source.replace(HUGE, "P"))
+def test_int_past_the_float_range_exit_2_names_node_and_span(run_cli, tmp_path, source):
+    spec = tmp_path / "huge.yaml"
+    spec.write_text(model_yaml(f'    X: "{source}"\n'))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("dagforge: node X: ")
+    assert err.rstrip().endswith(f" at 0..{len(source)}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node, kind, expected", [
+    ("Y", "standard", "dagforge: column Y: cannot write the value"),
+    ("G", "stratify", "dagforge: node G: stratum label cannot be written"),
+])
+def test_int_too_long_for_text_exit_2_names_its_node(run_cli, tmp_path, node, kind, expected):
+    # X has ~2850 digits, its square ~5700: past the interpreter's 4300-digit limit
+    x = "*".join(["4000000000000000000"] * 150)
+    spec = tmp_path / "long.yaml"
+    spec.write_text(model_yaml(f'    X: "{x}"\n    {node}:\n      function: "X * X"\n      kind: {kind}\n'))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(expected)
+    assert not out.exists()
+
+
 def assert_threads_flag_rejected(run_cli, tmp_path, threads):
     out = tmp_path / "out"
     code, _, err = run_cli("run", MODELS / "images.yaml", "--out", out, "--threads", threads)

@@ -1,6 +1,11 @@
 """Invariants of compile-once evaluation: per-sample stream bases, one registry
 lookup per call site, loader agreement, observed-only rows."""
 
+import csv
+import dataclasses
+import io
+import itertools
+import math
 import random
 
 import pytest
@@ -16,15 +21,19 @@ from dagforge import (
     parse,
     parse_model,
     register_example_functions,
+    sample_one,
     simulate,
     validate,
 )
-from dagforge import modelspec
+from dagforge import evaluator, modelspec
 from dagforge.errors import SpecError
-from dagforge.evaluator import compile_expr
-from dagforge.expr import Call, ListLit, Lit, Ref, Unary, preorder
+from dagforge.evaluator import compile_expr, compile_node
+from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, preorder
+from dagforge.expr import _depth as expr_depth
 from dagforge.rng import sample_base
+from dagforge.values import MISSING, Tensor
 
+import reference_eval
 from conftest import DATA, MODELS, model_yaml
 from test_modelspec import _mutate
 
@@ -81,14 +90,205 @@ def test_intervening_looks_up_only_the_replacement_call_sites():
 
 
 def test_literal_closures_keep_type_and_sign():
-    literals = {}
-    program = compile_expr(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), None, literals)
+    program = compile_expr(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), None)
     out = program({}, None)
     assert [type(v) for v in out] == [int, bool, float, float, float, str]
     assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
-    assert len(literals) == 6
-    again = compile_expr(Lit(value=1.0), None, literals)
-    assert again is literals[(float, "1.0")]
+    # the nodes of one model share code per shape, and each keeps its own literal
+    values = (1, True, 1.0, 0.0, -0.0, "1")
+    model = modelspec.compile_nodes(tuple(modelspec.NodeDecl(f"N{i}", Lit(value=v)) for i, v in enumerate(values)), None)
+    row, _ = sample_one(model, 0, 0, None)
+    out = [row[f"N{i}"] for i in range(len(values))]
+    assert [type(v) for v in out] == [int, bool, float, float, float, str]
+    assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
+    shapes = {}
+    for decl in model.nodes:
+        compile_node(decl.expr, None, shapes)
+    assert len(shapes) == 3  # numbers, booleans, strings
+
+
+# (template, innermost expression, expected cell or None for an error), over
+# the nodes T: true, F: false and X: -3; the template is applied until the
+# expression is MAX_DEPTH levels deep
+DEEP = {
+    "then-chain": ("if T then {} else 0", "X", "-3"),
+    "else-chain": ("if F then 0 else {}", "X", "-3"),
+    "condition-chain": ("if ({}) then T else F", "T", "true"),
+    "or-chain": ("F or ({})", "T", "true"),
+    "and-chain": ("T and ({})", "F", "false"),
+    "calls": ("abs({})", "X", "3"),
+    "lists": ("[{}]", "X", "[" * (MAX_DEPTH - 1) + "-3" + "]" * (MAX_DEPTH - 1)),
+    "negations": ("-({})", "X", "3"),
+    "nots": ("not ({})", "T", "false"),
+    "failing then-chain": ("if T then {} else 0", 'X + "a"', None),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_expressions_at_the_depth_limit_run(run_cli, tmp_path, name):
+    template, inner, expected = DEEP[name]
+    source = inner
+    for _ in range(MAX_DEPTH - expr_depth(parse(inner))):
+        source = template.format(source)
+    assert expr_depth(parse(source)) == MAX_DEPTH
+    spec = tmp_path / "deep.yaml"
+    spec.write_text(model_yaml(f'    T: "1 == 1"\n    F: "1 == 2"\n    X: "-3"\n    D: \'{source}\'\n'))
+    code, _, err = run_cli("run", spec, "--out", tmp_path / "out")
+    assert "Traceback" not in err
+    if expected is None:
+        assert code == 2
+        start = source.index(inner)
+        assert err.startswith("dagforge: node D: arithmetic '+' needs numbers, got int and str")
+        assert err.rstrip().endswith(f" at {start}..{start + len(inner)}")
+        return
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO((tmp_path / "out" / "out.csv").read_text())))
+    assert rows[0][-1] == "D"
+    assert {row[-1] for row in rows[1:]} == {expected}
+
+
+# --- generated code against the reference evaluator -------------------------
+
+BINDINGS = {
+    "B": True, "I": 3, "ZERO": 0, "HUGE": 10**309, "F": 2.5, "NZ": -0.0, "INF": math.inf, "NAN": math.nan,
+    "S": "ab", "L": [1, 2.0, "x"], "M": MISSING, "T": Tensor((2,), (0.0, -0.0)),
+}
+# pure and stochastic built-ins whose cost does not grow with their arguments,
+# and one name no registry has, with the argument count each accepts
+ARITY = {"uniform": 2, "normal": 2, "randint": 2, "categorical": 1, "abs": 1, "min": 2, "max": 3, "exp": 1,
+         "floor": 1, "len": 1, "get": 2, "concat": 2, "nosuch": 1}
+COMPARISONS = ["<", "<=", ">", ">=", "==", "!="]
+LEAVES = st.one_of(
+    st.builds(Lit, value=st.booleans()),
+    st.builds(Lit, value=st.integers(-3, 3)),
+    st.builds(Lit, value=st.sampled_from([0.0, -0.0, 0.5, 1e308, math.inf, math.nan])),
+    st.builds(Lit, value=st.sampled_from(["", "a", "ab"])),
+    st.builds(Ref, name=st.sampled_from([*BINDINGS] * 3 + ["UNBOUND"])),
+)
+
+
+def _branches(children):
+    condition = st.one_of(children, st.builds(Binary, op=st.sampled_from(COMPARISONS), lhs=children, rhs=children))
+    calls = st.sampled_from(sorted(ARITY)).flatmap(lambda name: st.builds(
+        Call, name=st.just(name),
+        args=st.one_of(st.lists(children, min_size=ARITY[name], max_size=ARITY[name]),
+                       st.lists(children, max_size=3)).map(tuple)))
+    return st.one_of(
+        st.builds(Binary, op=st.sampled_from(["+", "-", "*", "/", "%", *COMPARISONS]), lhs=children, rhs=children),
+        st.builds(Binary, op=st.sampled_from(["and", "or"]), lhs=condition, rhs=condition),
+        st.builds(Unary, op=st.sampled_from(["-", "not"]), operand=children),
+        st.builds(IfElse, cond=condition, then=children, otherwise=children),
+        calls,
+        st.builds(ListLit, elements=st.lists(children, max_size=3).map(tuple)),
+    )
+
+
+NUMBERS = st.one_of(
+    st.builds(Lit, value=st.sampled_from([0, 1, 2, -0.0, 0.5, 3.5])),
+    st.builds(Ref, name=st.sampled_from(["I", "ZERO", "HUGE", "F", "NZ", "INF"])),
+)
+
+
+def _numeric_branches(children):
+    """Mostly well-typed number expressions, so that evaluation goes deep and draws."""
+    return st.one_of(
+        st.builds(Binary, op=st.sampled_from(["+", "-", "*", "/", "%"]), lhs=children, rhs=children),
+        st.builds(Unary, op=st.just("-"), operand=children),
+        st.builds(IfElse, cond=st.builds(Binary, op=st.sampled_from(COMPARISONS), lhs=children, rhs=children),
+                  then=children, otherwise=children),
+        st.builds(Call, name=st.sampled_from(["uniform", "normal", "min"]), args=st.tuples(children, children)),
+        st.builds(Call, name=st.just("abs"), args=st.tuples(children)),
+    )
+
+
+EXPRESSIONS = st.one_of(st.recursive(LEAVES, _branches, max_leaves=12),
+                        st.recursive(NUMBERS, _numeric_branches, max_leaves=12))
+
+
+def _rebuilt(e, own_fields):
+    """A copy of ``e`` in which each node, taken in preorder, gets the fields ``own_fields(node)``."""
+    fields = own_fields(e)
+    for name in ("lhs", "rhs", "operand", "cond", "then", "otherwise"):
+        if hasattr(e, name):
+            fields[name] = _rebuilt(getattr(e, name), own_fields)
+    for name in ("args", "elements"):
+        if hasattr(e, name):
+            fields[name] = tuple(_rebuilt(child, own_fields) for child in getattr(e, name))
+    return dataclasses.replace(e, **fields)
+
+
+def _respanned(e):
+    """``e`` with distinct spans, so that an error's span names the node that raised it."""
+    counter = itertools.count()
+    return _rebuilt(e, lambda node: {"span": (next(counter),) * 2})
+
+
+def _evaluation(run):
+    rng = RandomStream(7, 0, 1)
+    try:
+        value = run(rng)
+    except Exception as err:  # noqa: BLE001 - any failure is part of the outcome
+        return ("error", type(err).__name__, str(err), getattr(err, "span", None), rng.draw_counter)
+    return ("value", repr(value), rng.draw_counter)
+
+
+@settings(max_examples=250, deadline=None)
+@given(e=EXPRESSIONS.map(_respanned))
+def test_generated_code_agrees_with_the_reference_evaluator(e):
+    registry = build_registry()
+    program = compile_expr(e, registry)
+    expected = _evaluation(lambda rng: reference_eval.evaluate(e, BINDINGS, rng, registry))
+    assert _evaluation(lambda rng: program(BINDINGS, rng)) == expected
+
+
+HOSTILE_NAMES = ("b", "r", "t1", "p0", "o0", "f0", "err", "EvalError", "type_name", "lambda", "def", "None",
+                 "__builtins__", "factory", "program")
+HOSTILE_STRINGS = ('"', "\\", "{__import__('os')}", '"""', "one\ntwo", "')\nraise SystemExit\n#", "o0")
+
+
+def _dsl_string(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _hostile_model(registry):
+    nodes = {HOSTILE_NAMES[0]: "1"}
+    for prev, name in zip(HOSTILE_NAMES, HOSTILE_NAMES[1:]):
+        nodes[name] = f"if {prev} > 0 then {prev} + 1 else {prev}"
+    for i, text in enumerate(HOSTILE_STRINGS):
+        literal = _dsl_string(text)
+        nodes[f"s{i}"] = f"[{literal}, concat({literal}, {literal}) == {literal} or {HOSTILE_NAMES[i]} > 0, len({literal})]"
+    text = yaml.safe_dump({"graph": {"nodes": nodes}, "instructions": {"simulation": {"csv_name": "out", "num_samples": 1}}})
+    return validate(parse_model(text, registry), registry)
+
+
+def test_hostile_names_and_literals_are_only_data(registry):
+    row, _ = sample_one(_hostile_model(registry), 0, 0, registry)
+    for i, name in enumerate(HOSTILE_NAMES):
+        assert type(row[name]) is int and row[name] == i + 1
+    for i, text in enumerate(HOSTILE_STRINGS):
+        assert row[f"s{i}"] == [text, True, len(text)]
+
+
+def _renamed(node):
+    """Fields that change a name, or a literal to another value of the same type."""
+    if isinstance(node, Ref):
+        return {"name": node.name + "_renamed"}
+    if isinstance(node, Lit):
+        v = node.value
+        return {"value": (not v) if isinstance(v, bool) else v * 2 + 7 if isinstance(v, (int, float)) else v + "'\"{x}"}
+    return {}
+
+
+def test_generated_source_holds_no_name_or_literal(registry):
+    models = [_hostile_model(registry)] + [
+        validate(parse_model(path.read_text(encoding="utf-8"), registry), registry)
+        for path in (MODELS / "images.yaml", MODELS / "bioseq.yaml", DATA / "strata.yaml")
+    ]
+    for model in models:
+        for decl in model.nodes:
+            source = evaluator._source(evaluator._shape(decl.expr, registry)[0])
+            assert evaluator._source(evaluator._shape(_rebuilt(decl.expr, _renamed), registry)[0]) == source
+            assert "__import__" not in source and "SystemExit" not in source
 
 
 def test_preorder_is_iterative_and_left_to_right():
