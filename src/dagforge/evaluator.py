@@ -11,10 +11,10 @@ Würthinger et al. ("One VM to rule them all", 2013):
   reference names, literal values, spans, registry implementations and
   error messages.  Each call site is looked up once, during the walk.
 * For the first expression of a shape, Python source is generated from the
-  key alone and compiled into a factory; every expression of that shape gets
-  ``factory(*operands)``.  Model text never becomes source: names and values
-  reach a program only as factory arguments, so no name or string literal
-  can change what runs.
+  key alone and compiled into a factory, which a bounded memo keeps for the
+  process; every expression of that shape gets ``factory(*operands)``.
+  Model text never becomes source: names and values reach a program only
+  as factory arguments, so no name or string literal can change what runs.
 
 The generated code is straight-line, one statement per AST node, with the
 type checks written in.  Operands known to be numbers (numeric literals,
@@ -25,6 +25,7 @@ Unknown functions and wrong argument counts raise only when reached, and
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from .errors import DomainError, EvalError
@@ -63,23 +64,28 @@ def compile_expr(e: Expr, registry: FunctionRegistry | None) -> Program:
     wrong argument count compiles to code that raises the EvalError
     evaluation would raise, and only when it is reached.
     """
-    return compile_node(e, registry, {})[0]
+    return compile_node(e, registry)[0]
 
 
-def compile_node(e: Expr, registry: FunctionRegistry | None, shapes: dict) -> tuple[Program, bool]:
-    """:func:`compile_expr`, sharing generated code through ``shapes``.
+def compile_node(e: Expr, registry: FunctionRegistry | None) -> tuple[Program, bool]:
+    """:func:`compile_expr`, and whether the program may draw.
 
-    ``shapes`` maps shape keys to factories; pass one dict for all the
-    expressions of a model.  Also returns whether the program may draw,
-    that is, whether it calls a stochastic or an unknown function.
+    A program may draw when it calls a stochastic or an unknown function.
     """
     key, operands, draws = _shape(e, registry)
-    factory = shapes.get(key)
-    if factory is None:
-        namespace = dict(_GLOBALS)
-        exec(compile(_source(key), "<dagforge shape>", "exec"), namespace)
-        factory = shapes[key] = namespace["factory"]
-    return factory(*operands), draws
+    return _factory(key)(*operands), draws
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(key: tuple) -> Callable:
+    """The compiled ``factory(*operands)`` of a shape key, which it depends on alone.
+
+    Memoised, so expressions of one shape share code across models and
+    across :func:`~dagforge.sampler.sample_one` calls.
+    """
+    namespace = dict(_GLOBALS)
+    exec(compile(_source(key), "<dagforge shape>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _shape(e: Expr, registry: FunctionRegistry | None) -> tuple[tuple, list, bool]:

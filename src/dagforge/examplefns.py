@@ -14,6 +14,7 @@ from .registry import FunctionRegistry, register_host_function
 from .rng import RandomStream
 from .stdlib import (
     _binomial,
+    _float,
     _implant,
     _kmer_counts,
     _random_seq,
@@ -21,7 +22,7 @@ from .stdlib import (
     _tensor_fill_rect,
     _tensor_zeros,
 )
-from .values import Tensor
+from .values import Tensor, _brief
 
 __all__ = ["register_example_functions"]
 
@@ -48,14 +49,14 @@ def _flag01(x, what: str) -> int:
         return int(x)
     if isinstance(x, int) and x in (0, 1):
         return x
-    raise DomainError(f"{what} must be 0 or 1, got {x!r}")
+    raise DomainError(f"{what} must be 0 or 1, got {_brief(x)}")
 
 
 def complement_binomial(rng: RandomStream, p) -> int:
     """Bernoulli draw with success probability 1 - p. One raw draw."""
     if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise DomainError(f"complement_binomial expects a probability, got {p!r}")
-    return _binomial(rng, 1, 1.0 - float(p))
+        raise DomainError(f"complement_binomial expects a probability, got {_brief(p)}")
+    return _binomial(rng, 1, 1.0 - _float(p, "complement_binomial probability"))
 
 
 def sigmoid_binomial(rng: RandomStream, a, b, label) -> int:
@@ -65,7 +66,7 @@ def sigmoid_binomial(rng: RandomStream, a, b, label) -> int:
     One raw draw.
     """
     if not isinstance(label, str) or label not in _SIGMOID_PRESETS:
-        raise DomainError(f"sigmoid_binomial preset label must be one of {sorted(_SIGMOID_PRESETS)}, got {label!r}")
+        raise DomainError(f"sigmoid_binomial preset label must be one of {sorted(_SIGMOID_PRESETS)}, got {_brief(label)}")
     bias, wa, wb = _SIGMOID_PRESETS[label]
     a = _flag01(a, "sigmoid_binomial first input")
     b = _flag01(b, "sigmoid_binomial second input")
@@ -113,16 +114,17 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
     """
     d = _flag01(disease, "create_airr disease")
     if isinstance(age, bool) or not isinstance(age, int):
-        raise DomainError(f"create_airr age must be an integer, got {age!r}")
+        raise DomainError(f"create_airr age must be an integer, got {_brief(age)}")
     if protocol not in ("A", "B"):
-        raise DomainError(f"create_airr protocol must be 'A' or 'B', got {protocol!r}")
+        raise DomainError(f"create_airr protocol must be 'A' or 'B', got {_brief(protocol)}")
+    p_age = _float(age, "create_airr age") / 200.0
     seqs = []
     for _ in range(_N_SEQUENCES):
         s = _random_seq(rng, _ALPHABET, _SEQ_LEN)
         if d and rng.next_float() < 0.8:
             pos = rng.next_word() % (_SEQ_LEN - len(_DISEASE_MOTIF) + 1)
             s = _implant(s, _DISEASE_MOTIF, pos)
-        if rng.next_float() < age / 200.0:
+        if rng.next_float() < p_age:
             s = _implant(s, _AGE_MOTIF, _SEQ_LEN - len(_AGE_MOTIF))
         if protocol == "B":
             s = _implant(s, _PROTOCOL_MOTIF, 0)

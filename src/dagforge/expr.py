@@ -12,18 +12,20 @@ Grammar (also published in docs/grammar.md):
     atom    := literal | ident | ident "(" [expr {"," expr}] ")"
              | "[" [expr {"," expr}] "]" | "(" expr ")"
 
-The front end is table-driven.  ``tokenize`` is one compiled regular
-expression applied at each position; numbers are ASCII digits only, and a
-literal outside the 64-bit integer range or too large for a finite float is a
-LexError.  The parser descends only for if-else, prefix operators and atoms:
-the five binary levels are one precedence-climbing loop (Pratt, "Top down
+The front end builds no object per token.  ``_scan`` applies one compiled
+regular expression at each position and records each token as a plain
+``(kind, text, span, value)`` tuple; numbers are ASCII digits only, and a
+literal outside the 64-bit integer range or too large for a finite float is
+a LexError.  ``_Parser`` reads the tokens as four parallel tuples at an int
+position.  It descends only for if-else, prefix operators and atoms: the
+five binary levels are one precedence-climbing loop (Pratt, "Top down
 operator precedence", 1973) over ``_BIN_LEVEL``, the table the printer also
-uses to decide where parentheses go.
+uses to decide where parentheses go.  It fills the slots of the nodes it
+builds directly, skipping the frozen ``__init__``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from collections.abc import Iterator
@@ -88,10 +90,10 @@ def _unescape(body: str, offset: int) -> str:
     return _ESCAPE_RE.sub(r"\1", body)
 
 
-def tokenize(src: str) -> list[Token]:
-    """Split source into tokens; spans cover everything but whitespace."""
-    tokens: list[Token] = []
-    append, match = tokens.append, _TOKEN_RE.match
+def _scan(src: str) -> list[tuple[str, str, tuple[int, int], object]]:
+    """The fields of each :class:`Token` of ``src`` as a plain tuple."""
+    tokens = []
+    add, match = tokens.append, _TOKEN_RE.match
     pos, n = 0, len(src)
     while True:
         m = match(src, pos)
@@ -105,27 +107,35 @@ def tokenize(src: str) -> list[Token]:
                 raise LexError((pos, n), "unterminated string literal")
             raise LexError((pos, pos + 1), f"unexpected character {src[pos]!r}")
         text = m[kind]
-        start, pos = m.span(kind)
+        span = m.span(kind)
+        pos = span[1]
+        value = None
         if kind == "ident":
-            append(Token("operator" if text in KEYWORDS else "ident", text, (start, pos)))
+            if text in KEYWORDS:
+                kind = "operator"
         elif kind == "int":
+            kind = "int-lit"
             # int() refuses texts past its digit limit, which are out of range anyway
             digits = text.lstrip("0") or "0"
-            v = int(digits) if len(digits) <= 19 else INT64_MAX + 1
-            if v > INT64_MAX:
-                raise LexError((start, pos), f"integer literal {text} exceeds the 64-bit signed range")
-            append(Token("int-lit", text, (start, pos), v))
+            value = int(digits) if len(digits) <= 19 else INT64_MAX + 1
+            if value > INT64_MAX:
+                raise LexError(span, f"integer literal {text} exceeds the 64-bit signed range")
         elif kind == "float":
-            v = float(text)
-            if math.isinf(v):
-                raise LexError((start, pos), f"float literal {text} is too large to be finite")
-            append(Token("float-lit", text, (start, pos), v))
+            kind = "float-lit"
+            value = float(text)
+            if math.isinf(value):
+                raise LexError(span, f"float literal {text} is too large to be finite")
         elif kind == "string":
-            append(Token("str-lit", text, (start, pos), _unescape(text[1:-1], start + 1)))
-        else:
-            append(Token(kind, text, (start, pos)))
-    append(Token("eof", "", (n, n)))
+            kind = "str-lit"
+            value = _unescape(text[1:-1], span[0] + 1)
+        add((kind, text, span, value))
+    add(("eof", "", (n, n), None))
     return tokens
+
+
+def tokenize(src: str) -> list[Token]:
+    """Split source into tokens; spans cover everything but whitespace."""
+    return list(map(Token._make, _scan(src)))
 
 
 # --- AST ---------------------------------------------------------------
@@ -196,41 +206,55 @@ class ListLit(Expr):
         return self.elements
 
 
+# The parser sets a new node's slots through their descriptors: the frozen
+# __init__ goes through object.__setattr__, at twice the cost.
+_new = object.__new__
+_set_span = Expr.span.__set__
+_set_value, _set_ref = Lit.value.__set__, Ref.name.__set__
+_set_callee, _set_args = Call.name.__set__, Call.args.__set__
+_set_prefix, _set_operand = Unary.op.__set__, Unary.operand.__set__
+_set_op, _set_lhs, _set_rhs = Binary.op.__set__, Binary.lhs.__set__, Binary.rhs.__set__
+_set_cond, _set_then, _set_otherwise = IfElse.cond.__set__, IfElse.then.__set__, IfElse.otherwise.__set__
+_set_elements = ListLit.elements.__set__
+
+
 class _Parser:
-    # a token's text fixes its kind, so the parser tests texts only
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    # A token's text fixes its kind, except that literals and identifiers
+    # must be told apart by kind, which only atom does.
+
+    def __init__(self, kinds, texts, spans, values):
+        self.kinds, self.texts, self.spans, self.values = kinds, texts, spans, values
         self.pos = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        t = self.cur
-        self.pos += 1
-        return t
-
     def fail(self, expected: tuple[str, ...]):
-        t = self.cur
-        found = t.text if t.kind != "eof" else "end of input"
-        raise ParseError(t.span, expected, found)
+        pos = self.pos
+        found = self.texts[pos] if self.kinds[pos] != "eof" else "end of input"
+        raise ParseError(self.spans[pos], expected, found)
 
-    def expect(self, text: str) -> Token:
-        if self.cur.text != text:
+    def expect(self, text: str) -> int:
+        """Consume ``text`` and return its end offset."""
+        pos = self.pos
+        if self.texts[pos] != text:
             self.fail((text,))
-        return self.advance()
+        self.pos = pos + 1
+        return self.spans[pos][1]
 
     def expr(self) -> Expr:
-        if self.cur.text == "if":
-            start = self.advance().span[0]
-            cond = self.expr()
-            self.expect("then")
-            then = self.expr()
-            self.expect("else")
-            otherwise = self.expr()
-            return IfElse(cond=cond, then=then, otherwise=otherwise, span=(start, otherwise.span[1]))
-        return self.binary(1)
+        start = self.pos
+        if self.texts[start] != "if":
+            return self.binary(1)
+        self.pos = start + 1
+        cond = self.expr()
+        self.expect("then")
+        then = self.expr()
+        self.expect("else")
+        otherwise = self.expr()
+        e = _new(IfElse)
+        _set_cond(e, cond)
+        _set_then(e, then)
+        _set_otherwise(e, otherwise)
+        _set_span(e, (self.spans[start][0], otherwise.span[1]))
+        return e
 
     def binary(self, floor: int) -> Expr:
         """Binary operators of level ``floor`` or tighter, left-associative.
@@ -238,54 +262,77 @@ class _Parser:
         Each right operand takes only tighter operators.  After a comparison
         only a looser operator may follow, so comparisons do not chain.
         """
+        texts = self.texts
         # going straight to atom keeps a call or list level to four frames
-        lhs = self.unary() if self.cur.text in ("-", "not") else self.atom()
+        lhs = self.unary() if texts[self.pos] in ("-", "not") else self.atom()
         ceiling = _UNARY
-        while floor <= (level := _BIN_LEVEL.get(self.cur.text, 0)) < ceiling:
-            op = self.advance().text
+        while floor <= (level := _BIN_LEVEL.get(op := texts[self.pos], 0)) < ceiling:
+            self.pos += 1
             rhs = self.binary(level + 1)
-            lhs = Binary(op=op, lhs=lhs, rhs=rhs, span=(lhs.span[0], rhs.span[1]))
+            e = _new(Binary)
+            _set_op(e, op)
+            _set_lhs(e, lhs)
+            _set_rhs(e, rhs)
+            _set_span(e, (lhs.span[0], rhs.span[1]))
+            lhs = e
             ceiling = level if level == _CMP else level + 1
         return lhs
 
     def unary(self) -> Expr:
-        tok = self.advance()
+        start = self.pos
+        self.pos = start + 1
         operand = self.atom()
-        return Unary(op=tok.text, operand=operand, span=(tok.span[0], operand.span[1]))
+        e = _new(Unary)
+        _set_prefix(e, self.texts[start])
+        _set_operand(e, operand)
+        _set_span(e, (self.spans[start][0], operand.span[1]))
+        return e
 
     def atom(self) -> Expr:
-        t = self.cur
-        if t.kind in ("int-lit", "float-lit", "str-lit"):
-            self.advance()
-            return Lit(value=t.value, span=t.span)
-        if t.kind == "ident":
-            self.advance()
-            if self.cur.text != "(":
-                return Ref(name=t.text, span=t.span)
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "ident":
+            if self.texts[pos + 1] != "(":  # an ident is never the last token
+                self.pos = pos + 1
+                e = _new(Ref)
+                _set_ref(e, self.texts[pos])
+                _set_span(e, self.spans[pos])
+                return e
+            self.pos = pos + 2
             args, end = self._expr_list(")")
-            return Call(name=t.text, args=args, span=(t.span[0], end))
-        if t.text == "[":
-            self.advance()
-            elems, end = self._expr_list("]")
-            return ListLit(elements=elems, span=(t.span[0], end))
-        if t.text == "(":
-            self.advance()
-            inner = self.expr()
-            end = self.expect(")").span[1]
-            # re-span to the parenthesized extent; structure is unchanged
-            return dataclasses.replace(inner, span=(t.span[0], end))
-        self.fail(("literal", "identifier", "(", "["))
+            e = _new(Call)
+            _set_callee(e, self.texts[pos])
+            _set_args(e, args)
+        elif kind in ("int-lit", "float-lit", "str-lit"):
+            self.pos = pos + 1
+            e = _new(Lit)
+            _set_value(e, self.values[pos])
+            _set_span(e, self.spans[pos])
+            return e
+        elif (text := self.texts[pos]) == "[":
+            self.pos = pos + 1
+            elements, end = self._expr_list("]")
+            e = _new(ListLit)
+            _set_elements(e, elements)
+        elif text == "(":
+            self.pos = pos + 1
+            e = self.expr()
+            end = self.expect(")")
+            # the inner node is new, so it is re-spanned in place to the parenthesized extent
+        else:
+            self.fail(("literal", "identifier", "(", "["))
+        _set_span(e, (self.spans[pos][0], end))
+        return e
 
     def _expr_list(self, closer: str) -> tuple[tuple[Expr, ...], int]:
         """Comma-separated expressions through ``closer``, and the closer's end."""
         items = []
-        if self.cur.text != closer:
+        if self.texts[self.pos] != closer:
             items.append(self.expr())
-            while self.cur.text == ",":
-                self.advance()
+            while self.texts[self.pos] == ",":
+                self.pos += 1
                 items.append(self.expr())
-        return tuple(items), self.expect(closer).span[1]
+        return tuple(items), self.expect(closer)
 
 
 def parse_expr(tokens: list[Token]) -> Expr:
@@ -294,12 +341,13 @@ def parse_expr(tokens: list[Token]) -> Expr:
     A tree deeper than MAX_DEPTH is a NestingError, as is nesting that
     exhausts the parser's own stack first, such as ~330 parentheses.
     """
-    p = _Parser(tokens)
+    # four parallel tuples: every token's kind, every token's text, ...
+    p = _Parser(*zip(*tokens))
     try:
         e = p.expr()
     except RecursionError:
         raise NestingError(None, "expression is nested too deeply") from None
-    if p.cur.kind != "eof":
+    if p.kinds[p.pos] != "eof":
         p.fail(("end of input",))
     # every tree node consumes a token of its own, so a short source is shallow
     if len(tokens) > MAX_DEPTH and _depth(e) > MAX_DEPTH:
@@ -319,7 +367,7 @@ def _depth(e: Expr) -> int:
 
 def parse(src: str) -> Expr:
     """Tokenize and parse source text."""
-    return parse_expr(tokenize(src))
+    return parse_expr(_scan(src))
 
 
 def preorder(e: Expr) -> Iterator[Expr]:

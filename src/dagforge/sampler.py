@@ -19,7 +19,7 @@ from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
 from .rng import RandomStream, node_stream_key, sample_base
-from .values import MISSING, Value, csv_cell, type_name
+from .values import MISSING, Value, _brief, csv_cell, type_name
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
 
@@ -69,7 +69,7 @@ def _as_flag(v: Value, node: str, what: str) -> bool:
         return v
     if isinstance(v, int) and v in (0, 1):
         return bool(v)
-    raise CoercionError(f"node {node}: {what} must be a boolean or 0/1, got {type_name(v)} {v!r}")
+    raise CoercionError(f"node {node}: {what} must be a boolean or 0/1, got {type_name(v)} {_brief(v)}")
 
 
 def _as_label(v: Value, node: str) -> str:
@@ -95,11 +95,10 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> list[tup
     """One step per node in topological order: (name, stream key or None for a
     node that never draws, kind, plate size, underlying node, compiled
     expression)."""
-    shapes: dict = {}
     steps = []
     for name in model.topo_order:
         decl = model.by_name[name]
-        program, draws = compile_node(decl.expr, registry, shapes)
+        program, draws = compile_node(decl.expr, registry)
         key = node_stream_key(name) if draws else None
         steps.append((name, key, decl.kind, decl.size, decl.underlying, program))
     return steps

@@ -19,7 +19,7 @@ import math
 from .errors import DomainError
 from .registry import FunctionRegistry
 from .rng import RandomStream
-from .values import Tensor, Value, type_name
+from .values import Tensor, Value, _brief, type_name
 
 __all__ = ["build_registry"]
 
@@ -93,7 +93,7 @@ def _binomial(rng: RandomStream, n, p):
     n = _int(n, "binomial trial count")
     p = _float(p, "binomial probability")
     if n < 0:
-        raise DomainError(f"binomial requires n >= 0, got {n}")
+        raise DomainError(f"binomial requires n >= 0, got {_brief(n)}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial requires 0 <= p <= 1, got {p}")
     return sum(1 for _ in range(n) if rng.next_float() < p)
@@ -102,7 +102,7 @@ def _binomial(rng: RandomStream, n, p):
 def _randint(rng: RandomStream, lo, hi):
     lo, hi = _int(lo, "randint lower bound"), _int(hi, "randint upper bound")
     if lo >= hi:
-        raise DomainError(f"randint requires lo < hi (half-open range), got ({lo}, {hi})")
+        raise DomainError(f"randint requires lo < hi (half-open range), got ({_brief(lo)}, {_brief(hi)})")
     return lo + rng.next_word() % (hi - lo)
 
 
@@ -167,7 +167,7 @@ def _random_seq(rng: RandomStream, alphabet, length):
     if not alphabet:
         raise DomainError("random_seq alphabet must be non-empty")
     if length < 0:
-        raise DomainError(f"random_seq length must be >= 0, got {length}")
+        raise DomainError(f"random_seq length must be >= 0, got {_brief(length)}")
     k = len(alphabet)
     if 256 % k:
         return "".join([alphabet[w % k] for w in rng._iter_words(length)])
@@ -223,7 +223,7 @@ def _clamp(x, lo, hi):
     lo = _number(lo, "clamp lower bound")
     hi = _number(hi, "clamp upper bound")
     if lo > hi:
-        raise DomainError(f"clamp requires lo <= hi, got ({lo}, {hi})")
+        raise DomainError(f"clamp requires lo <= hi, got ({_brief(lo)}, {_brief(hi)})")
     return lo if x < lo else hi if x > hi else x
 
 
@@ -247,7 +247,7 @@ def _get(xs, i):
     xs = _list(xs, "get target")
     i = _int(i, "get index")
     if not 0 <= i < len(xs):
-        raise DomainError(f"get index {i} out of range for list of length {len(xs)}")
+        raise DomainError(f"get index {_brief(i)} out of range for list of length {len(xs)}")
     return xs[i]
 
 
@@ -273,7 +273,7 @@ def _implant(seq, motif, pos):
     pos = _int(pos, "implant position")
     if pos < 0 or pos + len(motif) > len(seq):
         raise DomainError(
-            f"implant position {pos} with motif length {len(motif)} "
+            f"implant position {_brief(pos)} with motif length {len(motif)} "
             f"does not fit in sequence of length {len(seq)}"
         )
     return seq[:pos] + motif + seq[pos + len(motif):]
@@ -284,7 +284,7 @@ def _kmer_counts(seqs, k, alphabet):
     k = _int(k, "kmer_counts k")
     alphabet = _str(alphabet, "kmer_counts alphabet")
     if k < 1:
-        raise DomainError(f"kmer_counts requires k >= 1, got {k}")
+        raise DomainError(f"kmer_counts requires k >= 1, got {_brief(k)}")
     if not alphabet or len(set(alphabet)) != len(alphabet):
         raise DomainError("kmer_counts alphabet must be non-empty without repeats")
     index = {c: i for i, c in enumerate(alphabet)}
@@ -312,7 +312,7 @@ def _kmer_counts(seqs, k, alphabet):
 def _tensor_zeros(shape):
     dims = [_int(d, "tensor_zeros dimension") for d in _list(shape, "tensor_zeros shape")]
     if not dims or any(d < 1 for d in dims):
-        raise DomainError(f"tensor_zeros dimensions must be >= 1, got {dims}")
+        raise DomainError(f"tensor_zeros dimensions must be >= 1, got {_brief(dims)}")
     return Tensor._trusted(tuple(dims), (0.0,) * math.prod(dims))
 
 
@@ -327,7 +327,7 @@ def _tensor_fill_rect(t, r0, c0, r1, c1, v):
     v = _float(v, "fill value")
     if not (0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols):
         raise DomainError(
-            f"rectangle ({r0},{c0})..({r1},{c1}) out of range for shape {list(t.shape)}"
+            f"rectangle ({_brief(r0)},{_brief(c0)})..({_brief(r1)},{_brief(c1)}) out of range for shape {list(t.shape)}"
         )
     data = list(t.data)
     fill = [v] * (c1 - c0)

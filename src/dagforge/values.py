@@ -53,7 +53,7 @@ class Tensor:
     def __post_init__(self):
         shape = tuple(_dim(d) for d in self.shape)
         if not shape or any(d < 1 for d in shape):
-            raise DomainError(f"tensor shape must be positive integers, got {list(self.shape)}")
+            raise DomainError(f"tensor shape must be positive integers, got {_brief(list(self.shape))}")
         n = math.prod(shape)
         data = tuple(_element(x) for x in self.data)
         if len(data) != n:
@@ -85,17 +85,32 @@ class Tensor:
 
 def _dim(d) -> int:
     if isinstance(d, bool) or not isinstance(d, int):
-        raise DomainError(f"tensor dimension must be an integer, got {d!r}")
+        raise DomainError(f"tensor dimension must be an integer, got {_brief(d)}")
     return int(d)
 
 
 def _element(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DomainError(f"tensor element must be a number, got {x!r}")
+        raise DomainError(f"tensor element must be a number, got {_brief(x)}")
     try:
         return float(x)
     except OverflowError:
-        raise DomainError(f"tensor element {x!r} is too large for a 64-bit real") from None
+        raise DomainError(f"tensor element {_brief(x)} is too large for a 64-bit real") from None
+
+
+def _brief(v: object) -> str:
+    """``repr(v)`` for an error message, cut to 80 characters.
+
+    An int past the interpreter's digit limit has no text, so it is given by
+    its size, or named when it sits inside a list.
+    """
+    try:
+        text = repr(v)
+    except ValueError:
+        if isinstance(v, int):
+            return f"an int of {v.bit_length()} bits"
+        return f"a {type(v).__name__} holding an int too long to print"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 Value = bool | int | float | str | list | _Missing | Tensor

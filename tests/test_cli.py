@@ -206,15 +206,46 @@ def test_int_past_the_float_range_exit_2_names_node_and_span(run_cli, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, message", [
+    (f"complement_binomial({HUGE})", "complement_binomial probability is too large for a 64-bit real"),
+    (f'create_airr(1, {HUGE}, "A")', "create_airr age is too large for a 64-bit real"),
+], ids=["complement_binomial", "create_airr"])
+def test_example_function_of_an_int_past_the_float_range_exit_2(run_cli, tmp_path, source, message):
+    spec = tmp_path / "huge.yaml"
+    spec.write_text(model_yaml(f"    X: '{source}'\n"))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}"
+    assert not out.exists()
+
+
+# X has ~2850 digits, its square ~5700: past the interpreter's 4300-digit limit
+LONG = "*".join(["4000000000000000000"] * 150)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("get([1], X * X)", "get index an int of 18539 bits out of range for list of length 1"),
+    ('create_airr(1, 1, X * X)', "create_airr protocol must be 'A' or 'B', got an int of 18539 bits"),
+    ("tensor_zeros([0 - X * X])", "tensor_zeros dimensions must be >= 1, got a list holding an int too long to print"),
+], ids=["get", "create_airr", "tensor_zeros"])
+def test_int_too_long_for_text_in_an_error_message_exit_2(run_cli, tmp_path, source, message):
+    spec = tmp_path / "long.yaml"
+    spec.write_text(model_yaml(f'    X: "{LONG}"\n    Y: \'{source}\'\n'))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert err.rstrip() == f"dagforge: node Y: {message} at 0..{len(source)}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("node, kind, expected", [
     ("Y", "standard", "dagforge: column Y: cannot write the value"),
     ("G", "stratify", "dagforge: node G: stratum label cannot be written"),
 ])
 def test_int_too_long_for_text_exit_2_names_its_node(run_cli, tmp_path, node, kind, expected):
-    # X has ~2850 digits, its square ~5700: past the interpreter's 4300-digit limit
-    x = "*".join(["4000000000000000000"] * 150)
     spec = tmp_path / "long.yaml"
-    spec.write_text(model_yaml(f'    X: "{x}"\n    {node}:\n      function: "X * X"\n      kind: {kind}\n'))
+    spec.write_text(model_yaml(f'    X: "{LONG}"\n    {node}:\n      function: "X * X"\n      kind: {kind}\n'))
     out = tmp_path / "out"
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2

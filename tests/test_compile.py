@@ -27,7 +27,7 @@ from dagforge import (
 )
 from dagforge import evaluator, modelspec
 from dagforge.errors import SpecError
-from dagforge.evaluator import compile_expr, compile_node
+from dagforge.evaluator import compile_expr
 from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, preorder
 from dagforge.expr import _depth as expr_depth
 from dagforge.rng import sample_base
@@ -101,10 +101,18 @@ def test_literal_closures_keep_type_and_sign():
     out = [row[f"N{i}"] for i in range(len(values))]
     assert [type(v) for v in out] == [int, bool, float, float, float, str]
     assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
-    shapes = {}
-    for decl in model.nodes:
-        compile_node(decl.expr, None, shapes)
-    assert len(shapes) == 3  # numbers, booleans, strings
+    assert len({evaluator._shape(decl.expr, None)[0] for decl in model.nodes}) == 3  # numbers, booleans, strings
+
+
+def test_sample_one_generates_each_shape_once(monkeypatch, registry):
+    # a shape's code depends on its key alone, so repeated calls reuse it
+    model = validate(parse_model((MODELS / "images.yaml").read_text(), registry), registry)
+    generated = []
+    source = evaluator._source
+    monkeypatch.setattr(evaluator, "_source", lambda key: generated.append(key) or source(key))
+    rows = [sample_one(model, i, 1, registry) for i in range(50)]
+    assert len(generated) == len(set(generated))
+    assert rows == [sample_one(model, i, 1, registry) for i in range(50)]
 
 
 # (template, innermost expression, expected cell or None for an error), over

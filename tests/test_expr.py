@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagforge import parse, pretty_print
+import reference_expr
+from dagforge import expr, parse, pretty_print
 from dagforge.errors import LexError, NestingError, ParseError
 from dagforge.evaluator import compile_expr
 from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary, parse_expr, preorder, tokenize
@@ -302,3 +305,81 @@ def test_depth_limit_is_checked_at_parse(make, registry):
 def test_parser_stack_exhaustion_is_a_nesting_error():
     with pytest.raises(NestingError, match="nested too deeply"):
         parse("(" * 400 + "1" + ")" * 400)
+
+
+def _outcome(parse_fn, src):
+    """The tree with every node's type and span in preorder, or the error's type, message and span."""
+    try:
+        e = parse_fn(src)
+    except (LexError, ParseError, NestingError) as err:
+        return type(err), str(err), err.span
+    return e, [(type(node), node.span) for node in preorder(e)]
+
+
+_SOUP = ["a", "x_y", "if", "then", "else", "and", "or", "not", "f", "0", "007", "1.5", "2e3", "1e999", "1.e5",
+         "9223372036854775807", "9223372036854775808", '"s"', '""', '"a\\"b"', '"q\\q"', '"open',
+         "(", ")", "[", "]", ",", "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "=", "@", "\u00b2", "\t"]
+
+
+@st.composite
+def _sources(draw):
+    """Token soups, and printed trees with one character cut or one token spliced in."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.tuples(st.sampled_from(_SOUP), st.sampled_from(["", " "])).map("".join),
+                                     max_size=20)))
+    src = pretty_print(draw(_exprs))
+    cut = draw(st.integers(0, len(src)))
+    change = draw(st.sampled_from(["keep", "cut", "splice"]))
+    if change == "cut":
+        return src[:cut] + src[cut + 1:]
+    if change == "splice":
+        return src[:cut] + draw(st.sampled_from(_SOUP)) + src[cut:]
+    return src
+
+
+@settings(deadline=None, max_examples=300)
+@given(_sources())
+def test_parse_agrees_with_the_reference_front_end(src):
+    assert _outcome(parse, src) == _outcome(reference_expr.parse, src)
+
+
+# a source with every kind of node
+_ALL_NODES = 'if f(-x, [1.5, "s"]) < 2 then (a + b) * c else not d'
+
+
+def test_parse_builds_no_token(monkeypatch):
+    want = parse(_ALL_NODES)
+
+    class NoTokens:
+        def __call__(self, *args):
+            raise AssertionError("parse built a Token")
+
+        def __getattr__(self, name):
+            raise AssertionError("parse used Token")
+
+    monkeypatch.setattr(expr, "Token", NoTokens())
+    got = parse(_ALL_NODES)
+    assert got == want and [n.span for n in preorder(got)] == [n.span for n in preorder(want)]
+    monkeypatch.undo()
+    assert all(type(t) is expr.Token for t in tokenize(_ALL_NODES))
+
+
+def _rebuilt(e):
+    """``e`` built again through the node constructors."""
+    def rebuilt(v):
+        if isinstance(v, expr.Expr):
+            return _rebuilt(v)
+        return tuple(map(_rebuilt, v)) if isinstance(v, tuple) and v and isinstance(v[0], expr.Expr) else v
+    return type(e)(**{f.name: rebuilt(getattr(e, f.name)) for f in dataclasses.fields(e)})
+
+
+def test_parser_built_nodes_are_the_frozen_dataclasses():
+    nodes = list(preorder(parse(_ALL_NODES)))
+    assert {type(n) for n in nodes} == {IfElse, Binary, Call, Unary, Ref, ListLit, Lit}
+    for node in nodes:
+        twin = _rebuilt(node)
+        assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+        assert dataclasses.replace(node, span=None) == node
+        for f in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f.name, getattr(node, f.name))

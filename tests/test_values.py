@@ -93,6 +93,9 @@ def test_tensor_invariant_enforced():
     ((1,), (True,)),
     ((1,), (None,)),
     ((1,), (10**400,)),
+    ((1,), (10**5000,)),  # past the interpreter's digit limit, so the message cannot print it
+    ((1,), ([10**5000],)),
+    ((-10**5000,), (1.0,)),
 ])
 def test_tensor_constructor_rejects_malformed_parts(shape, data):
     with pytest.raises(DomainError):
