@@ -34,7 +34,7 @@ def main():
 
     registry = build_registry()
     register_example_functions(registry)
-    spec = parse_model((MODELS / "images.yaml").read_text(), registry)
+    spec = parse_model((MODELS / "images.yaml").read_text())
     model = validate(spec, registry)
 
     config = RunConfig(num_samples=args.num_samples, seed=args.seed)

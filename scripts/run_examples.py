@@ -34,7 +34,7 @@ def main():
     register_example_functions(registry)
 
     for name in ("images.yaml", "bioseq.yaml"):
-        spec = parse_model((MODELS / name).read_text(), registry)
+        spec = parse_model((MODELS / name).read_text())
         model = validate(spec, registry)
         config = RunConfig(num_samples=spec.instructions.num_samples, seed=args.seed)
         ds = simulate(model, config, registry)

@@ -5,7 +5,7 @@ Typical library use:
     from dagforge import build_registry, parse_model, validate, simulate, RunConfig, write_csv
 
     registry = build_registry()
-    spec = parse_model(yaml_text, registry)
+    spec = parse_model(yaml_text)
     model = validate(spec, registry)
     dataset = simulate(model, RunConfig(num_samples=100, seed=0), registry)
 """

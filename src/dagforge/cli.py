@@ -51,14 +51,14 @@ def _default_registry() -> FunctionRegistry:
 
 
 def _load(path: str) -> tuple[FunctionRegistry, ModelSpec]:
-    """The default registry and the document at ``path``, parsed against it."""
+    """The default registry and the parsed document at ``path``."""
     registry = _default_registry()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Exit(EXIT_IO, f"cannot read {path}: {err}") from err
     try:
-        return registry, parse_model(text, registry)
+        return registry, parse_model(text)
     except YamlSyntaxError as err:
         raise _Exit(EXIT_IO, str(err)) from err
     except SpecError as err:

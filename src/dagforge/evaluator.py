@@ -60,9 +60,9 @@ def _is_number(v: Value) -> bool:
 def compile_expr(e: Expr, registry: FunctionRegistry | None) -> Program:
     """Compile an expression into ``program(bindings, rng) -> value``.
 
-    Calls are resolved against ``registry`` now.  An unknown function or a
-    wrong argument count compiles to code that raises the EvalError
-    evaluation would raise, and only when it is reached.
+    Calls are resolved against ``registry`` (with None, no function) now.  An
+    unknown function or a wrong argument count compiles to code that raises
+    the EvalError evaluation would raise, and only when it is reached.
     """
     return compile_node(e, registry)[0]
 
@@ -72,7 +72,7 @@ def compile_node(e: Expr, registry: FunctionRegistry | None) -> tuple[Program, b
 
     A program may draw when it calls a stochastic or an unknown function.
     """
-    key, operands, draws = _shape(e, registry)
+    key, operands, draws = _shape(e, registry if registry is not None else FunctionRegistry())
     return _factory(key)(*operands), draws
 
 
@@ -88,7 +88,7 @@ def _factory(key: tuple) -> Callable:
     return namespace["factory"]
 
 
-def _shape(e: Expr, registry: FunctionRegistry | None) -> tuple[tuple, list, bool]:
+def _shape(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool]:
     """The shape key of ``e``, its operands in emission order, and whether it may draw."""
     key: list = []
     operands: list = []
@@ -96,7 +96,7 @@ def _shape(e: Expr, registry: FunctionRegistry | None) -> tuple[tuple, list, boo
     return tuple(key), operands, draws
 
 
-def _walk(e: Expr, registry: FunctionRegistry | None, token, operand) -> bool:
+def _walk(e: Expr, registry: FunctionRegistry, token, operand) -> bool:
     """Emit the key tokens and operands of ``e``; True if it calls a stochastic or unknown function."""
     cls = type(e)
     if cls not in _NODE_CLASSES:  # a subclass, in a hand-built AST
@@ -118,13 +118,10 @@ def _walk(e: Expr, registry: FunctionRegistry | None, token, operand) -> bool:
         operand(e.span)
         return _walk(e.lhs, registry, token, operand) | _walk(e.rhs, registry, token, operand)
     if cls is Call:
-        entry = registry.lookup(e.name) if registry is not None else None
         args = e.args
-        if entry is None:
-            return _fail(token, operand, e.span, f"unknown function {e.name!r}", True)
-        if not entry.arity.accepts(len(args)):
-            message = f"{e.name} expects {entry.arity.describe()} argument(s), got {len(args)}"
-            return _fail(token, operand, e.span, message, entry.stochastic)
+        entry, problem = registry.resolve(e.name, len(args))
+        if problem is not None:
+            return _fail(token, operand, e.span, problem, entry is None or entry.stochastic)
         token("s" if entry.stochastic else "c")
         token(len(args))
         operand(e.span)

@@ -12,16 +12,16 @@ Grammar (also published in docs/grammar.md):
     atom    := literal | ident | ident "(" [expr {"," expr}] ")"
              | "[" [expr {"," expr}] "]" | "(" expr ")"
 
-The front end builds no object per token.  ``_scan`` applies one compiled
-regular expression at each position and records each token as a plain
-``(kind, text, span, value)`` tuple; numbers are ASCII digits only, and a
-literal outside the 64-bit integer range or too large for a finite float is
-a LexError.  ``_Parser`` reads the tokens as four parallel tuples at an int
-position.  It descends only for if-else, prefix operators and atoms: the
-five binary levels are one precedence-climbing loop (Pratt, "Top down
-operator precedence", 1973) over ``_BIN_LEVEL``, the table the printer also
-uses to decide where parentheses go.  It fills the slots of the nodes it
-builds directly, skipping the frozen ``__init__``.
+``parse`` is the one entry, and it builds no object per token.  ``_scan``
+applies one compiled regular expression at each position and records each
+token as a plain ``(kind, text, span, value)`` tuple; numbers are ASCII
+digits only, and a literal outside the 64-bit integer range or too large for
+a finite float is a LexError.  ``_Parser`` reads the tokens as four parallel
+tuples at an int position.  It descends only for if-else, prefix operators
+and atoms: the five binary levels are one precedence-climbing loop (Pratt,
+"Top down operator precedence", 1973) over ``_BIN_LEVEL``, the table the
+printer also uses to decide where parentheses go.  It fills the slots of the
+nodes it builds directly, skipping the frozen ``__init__``.
 """
 
 from __future__ import annotations
@@ -30,18 +30,27 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import LexError, NestingError, ParseError
 from .values import Value
 
 __all__ = [
-    "Token", "tokenize", "Expr", "Lit", "Ref", "Call", "Unary", "Binary",
-    "IfElse", "ListLit", "parse_expr", "parse", "preorder",
-    "pretty_print", "KEYWORDS", "MAX_DEPTH",
+    "Expr", "Lit", "Ref", "Call", "Unary", "Binary", "IfElse", "ListLit",
+    "parse", "preorder", "pretty_print", "KEYWORDS", "MAX_DEPTH",
 ]
 
 KEYWORDS = frozenset({"if", "then", "else", "and", "or", "not"})
+
+# what the scanner reads as an identifier; node and function names must be one
+_IDENT = re.compile("[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _name_problem(name) -> str | None:
+    """Why ``name`` cannot name a node or a function, or None if it can."""
+    if not isinstance(name, str) or not _IDENT.fullmatch(name):
+        return "is not a valid identifier"
+    return "is a reserved word" if name in KEYWORDS else None
+
 
 # The deepest expression tree that parses.  The compiler, the evaluator and
 # the printer recurse once or twice per level and the parser four times per
@@ -60,17 +69,10 @@ _BIN_LEVEL = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">="
 _CMP, _UNARY, _ATOM = 3, 6, 7
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int-lit | float-lit | str-lit | punct | operator | eof
-    text: str
-    span: tuple[int, int]
-    value: object = None  # decoded payload for literals
-
-
 # Leading whitespace, then one token; the group that matched names its kind.
 # A '"' that starts no complete string literal matches no group.
 _TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    (?P<ident>""" + _IDENT.pattern + r""")
   | (?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
   | (?P<int>[0-9]+)
   | (?P<string>"(?:[^"\\]|\\.)*")
@@ -91,7 +93,7 @@ def _unescape(body: str, offset: int) -> str:
 
 
 def _scan(src: str) -> list[tuple[str, str, tuple[int, int], object]]:
-    """The fields of each :class:`Token` of ``src`` as a plain tuple."""
+    """The ``(kind, text, span, value)`` of each token of ``src``, eof last."""
     tokens = []
     add, match = tokens.append, _TOKEN_RE.match
     pos, n = 0, len(src)
@@ -131,11 +133,6 @@ def _scan(src: str) -> list[tuple[str, str, tuple[int, int], object]]:
         add((kind, text, span, value))
     add(("eof", "", (n, n), None))
     return tokens
-
-
-def tokenize(src: str) -> list[Token]:
-    """Split source into tokens; spans cover everything but whitespace."""
-    return list(map(Token._make, _scan(src)))
 
 
 # --- AST ---------------------------------------------------------------
@@ -335,12 +332,13 @@ class _Parser:
         return tuple(items), self.expect(closer)
 
 
-def parse_expr(tokens: list[Token]) -> Expr:
-    """Parse a token list (ending with eof) into a single expression.
+def parse(src: str) -> Expr:
+    """Scan and parse source text into a single expression.
 
     A tree deeper than MAX_DEPTH is a NestingError, as is nesting that
     exhausts the parser's own stack first, such as ~330 parentheses.
     """
+    tokens = _scan(src)
     # four parallel tuples: every token's kind, every token's text, ...
     p = _Parser(*zip(*tokens))
     try:
@@ -363,11 +361,6 @@ def _depth(e: Expr) -> int:
         deepest = max(deepest, depth)
         stack.extend((child, depth + 1) for child in node.children())
     return deepest
-
-
-def parse(src: str) -> Expr:
-    """Tokenize and parse source text."""
-    return parse_expr(_scan(src))
 
 
 def preorder(e: Expr) -> Iterator[Expr]:

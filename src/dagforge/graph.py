@@ -28,7 +28,6 @@ class CompiledModel:
     topo_order: list[str]
     selection: str | None
     stratify: str | None
-    missing_map: dict[str, str]  # underlying name -> missing node name
     by_name: dict[str, "NodeDecl"] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -28,9 +28,11 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .errors import CycleError, LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
-from .expr import Call, Expr, KEYWORDS, Ref, parse, preorder
+from .expr import Call, Expr, Ref, _name_problem, parse, preorder
 from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
+from .rng import _MASK as _UINT64_MAX
+from .values import _brief
 
 __all__ = [
     "NodeDecl", "SimInstructions", "ModelSpec", "SpecWarning",
@@ -39,9 +41,10 @@ __all__ = [
 
 NODE_KINDS = ("standard", "selection", "missing", "stratify")
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-_UINT64_MAX = 2**64 - 1
+# The deepest a document may nest mappings and lists.  Both YAML loaders
+# build a document recursively, libyaml's in C, where a deep enough one
+# crashes the interpreter; a model needs three levels.
+_MAX_NESTING = 100
 
 
 class SpecWarning(UserWarning):
@@ -72,9 +75,17 @@ class ModelSpec:
     instructions: SimInstructions
 
 
-def _require_map(obj, path: str) -> dict:
+def _require_map(obj, path: str, allowed: tuple[str, ...] | None = None) -> dict:
+    """``obj``, which must be a mapping, with keys only from ``allowed`` if given."""
     if not isinstance(obj, dict):
         raise SpecError(path, f"expected a mapping, got {type(obj).__name__}")
+    unknown = set(obj).difference(allowed) if allowed is not None else None
+    if unknown:
+        try:
+            unknown = sorted(unknown)
+        except TypeError:  # keys of types that do not compare, such as 1 and "a"
+            unknown = sorted(unknown, key=repr)
+        raise SpecError(path, f"unknown key(s): {_brief(unknown)}")
     return obj
 
 
@@ -83,15 +94,15 @@ def _as_bool(value, path: str) -> bool:
         return value
     if isinstance(value, str) and value.lower() in ("true", "false"):
         return value.lower() == "true"
-    raise SpecError(path, f"expected a boolean, got {value!r}")
+    raise SpecError(path, f"expected a boolean, got {_brief(value)}")
 
 
 def _as_expr(value, path: str) -> Expr:
     if isinstance(value, bool) or value is None:
-        raise SpecError(path, f"expected an expression string, got {value!r}")
+        raise SpecError(path, f"expected an expression string, got {_brief(value)}")
     if isinstance(value, float) and not math.isfinite(value):
         # repr would give ``inf`` or ``nan``, which parse as references
-        raise SpecError(path, f"expected a finite number, got {value!r}")
+        raise SpecError(path, f"expected a finite number, got {_brief(value)}")
     if isinstance(value, (int, float)):
         value = repr(value)
     if not isinstance(value, str):
@@ -99,7 +110,7 @@ def _as_expr(value, path: str) -> Expr:
     try:
         return parse(value)
     except (LexError, ParseError) as err:
-        raise SpecError(path, f"bad expression {value!r}: {err}") from err
+        raise SpecError(path, f"bad expression {_brief(value)}: {err}") from err
     except NestingError as err:
         raise SpecError(path, str(err)) from err
 
@@ -116,7 +127,7 @@ def _strict_mapping(loader, node, deep=False):
             ) from None
         if duplicate:
             raise yaml.constructor.ConstructorError(
-                None, None, f"duplicate key {key!r}", key_node.start_mark
+                None, None, f"duplicate key {_brief(key)}", key_node.start_mark
             )
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
@@ -139,34 +150,74 @@ _PyStrictLoader = _strict_loader(yaml.SafeLoader)
 _StrictLoader = _strict_loader(yaml.CSafeLoader) if hasattr(yaml, "CSafeLoader") else _PyStrictLoader
 
 
+# A flow collection opens with a bracket.  A block collection starts a line
+# or follows the "- ", "? " or ": " of its parent's entry, and every second
+# level is at least one column further right, so the line where one k levels
+# deep starts begins with at least (k - 2) / 2 of these characters.  A
+# document nesting deeper than _MAX_NESTING thus holds more than half that
+# many brackets or a line beginning with a quarter of it.
+_DEEP_LINE_RE = re.compile(r"\n[ \t?:-]{%d}" % (_MAX_NESTING // 4))
+
+
+def _may_nest_deeply(text: str) -> bool:
+    """False only if ``text`` nests no deeper than _MAX_NESTING; cheap."""
+    if any(brk in text for brk in "\r\x85\u2028\u2029"):  # line breaks _DEEP_LINE_RE misses
+        return True
+    if ("[" in text or "{" in text) and text.count("[") + text.count("{") > _MAX_NESTING // 2:
+        return True
+    return _DEEP_LINE_RE.search("\n" + text.lstrip("\ufeff")) is not None
+
+
+def _check_nesting(text: str, loader: type) -> None:
+    """Raise SpecError if the document that ``loader`` builds nests deeper than _MAX_NESTING.
+
+    It parses only a document that _may_nest_deeply, and both parsers are
+    iterative.  A YAML error ends the check: the loader meets it at the same
+    event, so it builds nothing deeper either.
+    """
+    if not _may_nest_deeply(text):
+        return
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_NESTING:
+                    raise SpecError("document", f"nested more than {_MAX_NESTING} levels deep")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+            elif isinstance(event, yaml.DocumentEndEvent):
+                return  # a loader reads one document
+    except yaml.YAMLError:
+        pass
+
+
 def _load_yaml(text: str):
     if _StrictLoader is not _PyStrictLoader and "\t" not in text and "\ufeff" not in text:
         try:
+            _check_nesting(text, _StrictLoader)
             return yaml.load(text, Loader=_StrictLoader)
         except yaml.YAMLError:
             pass  # reject it exactly as the pure-Python loader does
+    _check_nesting(text, _PyStrictLoader)
     return yaml.load(text, Loader=_PyStrictLoader)
 
 
 def _parse_node(name, raw, path: str) -> NodeDecl:
-    if not isinstance(name, str) or not _IDENT_RE.match(name):
-        raise SpecError(path, f"node name {name!r} is not a valid identifier")
-    if name in KEYWORDS:
-        raise SpecError(path, f"node name {name!r} is a reserved word")
+    problem = _name_problem(name)
+    if problem is not None:
+        raise SpecError(path, f"node name {_brief(name)} {problem}")
 
     if not isinstance(raw, dict):
         return NodeDecl(name=name, expr=_as_expr(raw, path))
 
-    allowed = {"function", "observed", "size", "kind", "underlying"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise SpecError(path, f"unknown key(s): {sorted(unknown)}")
+    _require_map(raw, path, ("function", "observed", "size", "kind", "underlying"))
     if "function" not in raw:
         raise SpecError(path, "missing required key 'function'")
 
     kind = raw.get("kind", "standard")
     if kind not in NODE_KINDS:
-        raise SpecError(f"{path}.kind", f"bad kind {kind!r}; expected one of {list(NODE_KINDS)}")
+        raise SpecError(f"{path}.kind", f"bad kind {_brief(kind)}; expected one of {list(NODE_KINDS)}")
 
     observed = _as_bool(raw["observed"], f"{path}.observed") if "observed" in raw else True
     if kind == "selection":
@@ -176,7 +227,7 @@ def _parse_node(name, raw, path: str) -> NodeDecl:
     if "size" in raw:
         size = raw["size"]
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise SpecError(f"{path}.size", f"size must be a positive integer, got {size!r}")
+            raise SpecError(f"{path}.size", f"size must be a positive integer, got {_brief(size)}")
         if kind != "standard":
             raise SpecError(f"{path}.size", f"size is only allowed on standard nodes, not {kind}")
 
@@ -200,32 +251,27 @@ def _parse_node(name, raw, path: str) -> NodeDecl:
 def _parse_instructions(doc: dict) -> SimInstructions:
     if "instructions" not in doc:
         raise SpecError("instructions", "missing instructions block")
-    instructions = _require_map(doc["instructions"], "instructions")
-    unknown = set(instructions) - {"simulation"}
-    if unknown:
-        raise SpecError("instructions", f"unknown key(s): {sorted(unknown)}")
+    instructions = _require_map(doc["instructions"], "instructions", ("simulation",))
     if "simulation" not in instructions:
         raise SpecError("instructions.simulation", "missing simulation block")
-    sim = _require_map(instructions["simulation"], "instructions.simulation")
-    unknown = set(sim) - {"csv_name", "num_samples", "seed", "output_dir"}
-    if unknown:
-        raise SpecError("instructions.simulation", f"unknown key(s): {sorted(unknown)}")
+    sim = _require_map(instructions["simulation"], "instructions.simulation",
+                       ("csv_name", "num_samples", "seed", "output_dir"))
 
     csv_name = sim.get("csv_name")
     if not isinstance(csv_name, str) or not csv_name:
-        raise SpecError("instructions.simulation.csv_name", f"expected a non-empty string, got {csv_name!r}")
+        raise SpecError("instructions.simulation.csv_name", f"expected a non-empty string, got {_brief(csv_name)}")
 
     num_samples = sim.get("num_samples")
     if isinstance(num_samples, bool) or not isinstance(num_samples, int) or num_samples < 1:
-        raise SpecError("instructions.simulation.num_samples", f"expected a positive integer, got {num_samples!r}")
+        raise SpecError("instructions.simulation.num_samples", f"expected a positive integer, got {_brief(num_samples)}")
 
     seed = sim.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _UINT64_MAX):
-        raise SpecError("instructions.simulation.seed", f"expected an unsigned 64-bit integer, got {seed!r}")
+        raise SpecError("instructions.simulation.seed", f"expected an unsigned 64-bit integer, got {_brief(seed)}")
 
     output_dir = sim.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
-        raise SpecError("instructions.simulation.output_dir", f"expected a path string, got {output_dir!r}")
+        raise SpecError("instructions.simulation.output_dir", f"expected a path string, got {_brief(output_dir)}")
 
     return SimInstructions(csv_name=csv_name, num_samples=num_samples, seed=seed, output_dir=output_dir)
 
@@ -233,12 +279,14 @@ def _parse_instructions(doc: dict) -> SimInstructions:
 def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> ModelSpec:
     """Parse a model document; every way it can fail raises SpecError.
 
-    The registry argument is accepted for signature symmetry with
-    :func:`validate`, which performs all function-resolution checks.
+    ``registry`` is ignored, since :func:`validate` resolves functions; it
+    stays because callers, the benchmark's traced driver among them, pass one.
     """
     del registry
     try:
         doc = _load_yaml(yaml_text)
+    except RecursionError:  # within _MAX_NESTING, but called with the stack nearly full
+        raise SpecError("document", "nested too deeply to load") from None
     except yaml.constructor.ConstructorError as err:
         # duplicate mapping keys come from our strict loader: a schema
         # violation in well-formed YAML, not a syntax error
@@ -247,34 +295,22 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
     except yaml.YAMLError as err:
         raise YamlSyntaxError("", f"not valid YAML: {err}") from err
 
-    doc = _require_map(doc, "document")
-    unknown = set(doc) - {"graph", "instructions"}
-    if unknown:
-        raise SpecError("document", f"unknown key(s): {sorted(unknown)}")
+    doc = _require_map(doc, "document", ("graph", "instructions"))
     if "graph" not in doc:
         raise SpecError("graph", "missing graph block")
-    graph = _require_map(doc["graph"], "graph")
-    unknown = set(graph) - {"nodes", "python_file"}
-    if unknown:
-        raise SpecError("graph", f"unknown key(s): {sorted(unknown)}")
+    graph = _require_map(doc["graph"], "graph", ("nodes", "python_file"))
     if "python_file" in graph:
-        warnings.warn(f"ignoring python_file entry {graph['python_file']!r}", SpecWarning, stacklevel=2)
+        warnings.warn(f"ignoring python_file entry {_brief(graph['python_file'])}", SpecWarning, stacklevel=2)
     if "nodes" not in graph:
         raise SpecError("graph.nodes", "missing nodes block")
     raw_nodes = _require_map(graph["nodes"], "graph.nodes")
 
     nodes: list[NodeDecl] = []
-    seen: set[str] = set()
     for name, raw in raw_nodes.items():
         if name == "python_file":
-            warnings.warn(f"ignoring python_file entry {raw!r}", SpecWarning, stacklevel=2)
+            warnings.warn(f"ignoring python_file entry {_brief(raw)}", SpecWarning, stacklevel=2)
             continue
-        path = f"graph.nodes.{name}"
-        decl = _parse_node(name, raw, path)
-        if decl.name in seen:
-            raise SpecError(path, f"duplicate node name {decl.name!r}")
-        seen.add(decl.name)
-        nodes.append(decl)
+        nodes.append(_parse_node(name, raw, f"graph.nodes.{name}"))
     if not nodes:
         raise SpecError("graph.nodes", "model declares no nodes")
 
@@ -299,13 +335,9 @@ def _check_node(
         if isinstance(e, Ref):
             refs[e.name] = None
         elif registry is not None and isinstance(e, Call):
-            entry = registry.lookup(e.name)
-            if entry is None:
-                functions.append(f"node {n.name}: unknown function {e.name!r}")
-            elif not entry.arity.accepts(len(e.args)):
-                functions.append(
-                    f"node {n.name}: {e.name} expects {entry.arity.describe()} argument(s), got {len(e.args)}"
-                )
+            problem = registry.resolve(e.name, len(e.args))[1]
+            if problem is not None:
+                functions.append(f"node {n.name}: {problem}")
     parents = []
     for ref in refs:
         if ref in declared:
@@ -317,9 +349,7 @@ def _check_node(
     return parents
 
 
-def _link(
-    nodes: tuple[NodeDecl, ...], parents: dict[str, list[str]], missing_map: dict[str, str], problems: list[str]
-) -> CompiledModel:
+def _link(nodes: tuple[NodeDecl, ...], parents: dict[str, list[str]], problems: list[str]) -> CompiledModel:
     """Order the graph; add a cycle witness to ``problems`` and raise if there are any."""
     try:
         order = topo_sort([n.name for n in nodes], parents)
@@ -333,7 +363,6 @@ def _link(
         topo_order=order,
         selection=next((n.name for n in nodes if n.kind == "selection"), None),
         stratify=next((n.name for n in nodes if n.kind == "stratify"), None),
-        missing_map=missing_map,
     )
 
 
@@ -350,7 +379,7 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
     parents = {n.name: _check_node(n, declared, registry, unresolved, functions) for n in nodes}
     problems = unresolved + functions
 
-    missing_map: dict[str, str] = {}
+    targeted: dict[str, str] = {}  # underlying name -> missing node name
     for n in nodes:
         if n.kind != "missing":
             continue
@@ -361,12 +390,12 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
         target = next(d for d in nodes if d.name == u)
         if target.kind != "standard":
             problems.append(f"node {n.name}: underlying {u!r} must be a standard node, is {target.kind}")
-        if u in missing_map:
-            problems.append(f"node {n.name}: underlying {u!r} already targeted by {missing_map[u]}")
+        if u in targeted:
+            problems.append(f"node {n.name}: underlying {u!r} already targeted by {targeted[u]}")
         else:
-            missing_map[u] = n.name
+            targeted[u] = n.name
 
-    return _link(nodes, parents, missing_map, problems)
+    return _link(nodes, parents, problems)
 
 
 def apply_interventions(
@@ -403,7 +432,7 @@ def apply_interventions(
             n = replace(n, expr=interventions[n.name])
             parents[n.name] = _check_node(n, declared, registry, unresolved, functions)
         nodes.append(n)
-    return _link(tuple(nodes), parents, model.missing_map, unresolved + functions)
+    return _link(tuple(nodes), parents, unresolved + functions)
 
 
 def validate(spec: ModelSpec, registry: FunctionRegistry | None = None) -> CompiledModel:

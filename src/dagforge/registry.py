@@ -8,16 +8,14 @@ evaluating node's random stream first.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import RegistryError
+from .expr import _name_problem
 from .values import as_value
 
 __all__ = ["Arity", "FunctionEntry", "FunctionRegistry", "register_host_function"]
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 @dataclass(frozen=True)
@@ -36,22 +34,17 @@ class Arity:
         low, high = spec
         return cls(low, high)
 
-    @property
-    def fixed(self) -> int | None:
-        return self.low if self.low == self.high else None
-
     def accepts(self, n: int) -> bool:
         return n >= self.low and (self.high is None or n <= self.high)
 
     def describe(self) -> str:
-        if self.fixed is not None:
-            return str(self.fixed)
+        if self.low == self.high:
+            return str(self.low)
         return f"{self.low}+" if self.high is None else f"{self.low}..{self.high}"
 
 
 @dataclass(frozen=True)
 class FunctionEntry:
-    name: str
     arity: Arity
     stochastic: bool
     impl: Callable
@@ -65,18 +58,28 @@ class FunctionRegistry:
         self._entries: dict[str, FunctionEntry] = {}
 
     def _add(self, name: str, arity, stochastic: bool, impl: Callable, builtin: bool):
-        if not _IDENT_RE.match(name):
-            raise RegistryError(f"function name {name!r} is not a valid identifier")
+        problem = _name_problem(name)
+        if problem is not None:
+            raise RegistryError(f"function name {name!r} {problem}")
         if name in self._entries:
             kind = "built-in" if self._entries[name].builtin else "registered"
             raise RegistryError(f"function {name!r} is already {kind}")
-        self._entries[name] = FunctionEntry(name, Arity.of(arity), stochastic, impl, builtin)
+        self._entries[name] = FunctionEntry(Arity.of(arity), stochastic, impl, builtin)
 
     def add_builtin(self, name: str, arity, stochastic: bool, impl: Callable):
         self._add(name, arity, stochastic, impl, builtin=True)
 
     def lookup(self, name: str) -> FunctionEntry | None:
         return self._entries.get(name)
+
+    def resolve(self, name: str, nargs: int) -> tuple[FunctionEntry | None, str | None]:
+        """The entry a call of ``name`` with ``nargs`` arguments reaches, and what is wrong with the call."""
+        entry = self.lookup(name)
+        if entry is None:
+            return None, f"unknown function {name!r}"
+        if not entry.arity.accepts(nargs):
+            return entry, f"{name} expects {entry.arity.describe()} argument(s), got {nargs}"
+        return entry, None
 
     def names(self) -> list[str]:
         return sorted(self._entries)

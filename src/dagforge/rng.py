@@ -14,7 +14,7 @@ from functools import lru_cache
 
 __all__ = ["RandomStream", "node_stream_key", "sample_base"]
 
-_MASK = (1 << 64) - 1
+_MASK = (1 << 64) - 1  # also the largest seed
 _GOLDEN = 0x9E3779B97F4A7C15
 _SEED_TWEAK = 0xD6E8FEB86659FD93
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -97,17 +97,14 @@ def sample_base(seed: int, sample_index: int) -> int:
 class RandomStream:
     """One deterministic stream of raw 64-bit words and derived variates."""
 
-    __slots__ = ("seed", "sample_index", "node_key", "draw_counter", "_state")
+    __slots__ = ("draw_counter", "_state")
 
     def __init__(self, seed: int, sample_index: int = 0, node_key: int = 0, base: int | None = None):
         """``base``, when given, must be ``sample_base(seed, sample_index)``."""
-        self.seed = seed & _MASK
-        self.sample_index = sample_index & _MASK
-        self.node_key = node_key & _MASK
         self.draw_counter = 0
         if base is None:
             base = sample_base(seed, sample_index)
-        self._state = _finalize((base + self.node_key) & _MASK)
+        self._state = _finalize((base + node_key) & _MASK)
 
     def next_word(self) -> int:
         """Next raw draw: a uniform 64-bit word. Advances the counter by one."""

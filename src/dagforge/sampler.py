@@ -18,12 +18,10 @@ from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameEr
 from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
-from .rng import RandomStream, node_stream_key, sample_base
+from .rng import _MASK as _UINT64_MAX, RandomStream, node_stream_key, sample_base
 from .values import MISSING, Value, _brief, csv_cell, type_name
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
-
-_UINT64_MAX = 2**64 - 1
 
 # A stratum label becomes part of a file name, so it is limited to these.
 _SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")

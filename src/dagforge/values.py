@@ -102,10 +102,13 @@ def _brief(v: object) -> str:
     """``repr(v)`` for an error message, cut to 80 characters.
 
     An int past the interpreter's digit limit has no text, so it is given by
-    its size, or named when it sits inside a list.
+    its size, or named when it sits inside a list, as is a list nested too
+    deeply for ``repr``.
     """
     try:
         text = repr(v)
+    except RecursionError:
+        return f"a {type(v).__name__} nested too deeply to print"
     except ValueError:
         if isinstance(v, int):
             return f"an int of {v.bit_length()} bits"

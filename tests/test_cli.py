@@ -365,3 +365,54 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "8 nodes" in result.stdout
+
+
+SEEDLESS = model_yaml('    X: "1"\n')
+
+# Too deep to build within the interpreter's recursion limit
+_DEEP_DOCUMENTS = {
+    "flow mappings 600 deep": SEEDLESS + "    seed: " + "{a: " * 600 + "1" + "}" * 600 + "\n",
+    "flow lists 1000 deep with a tab": "# a\ttab\n" + SEEDLESS + "    seed: " + "[" * 1000 + "1" + "]" * 1000 + "\n",
+    "observed 1500 deep": model_yaml('    X:\n      function: "1"\n      observed: ' + "[" * 1500 + "1" + "]" * 1500 + "\n"),
+}
+# Deep enough to overflow the C stack in libyaml's composer, so run in a child process
+_CRASHING_DOCUMENTS = {
+    "flow lists 100k deep": SEEDLESS + "    seed: " + "[" * 100_000 + "1" + "]" * 100_000 + "\n",
+    "compact lists 30k deep": SEEDLESS + "    seed:\n      " + "- " * 30_000 + "1\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_DEEP_DOCUMENTS))
+def test_deeply_nested_document_exit_2(run_cli, tmp_path, name):
+    spec = tmp_path / "deep.yaml"
+    spec.write_text(_DEEP_DOCUMENTS[name])
+    code, _, err = run_cli("validate", spec)
+    assert (code, err) == (2, "dagforge: document: nested more than 100 levels deep\n")
+
+
+@pytest.mark.parametrize("name", list(_CRASHING_DOCUMENTS))
+def test_document_too_deep_for_the_yaml_composer_exit_2(tmp_path, name):
+    spec = tmp_path / "deep.yaml"
+    spec.write_text(_CRASHING_DOCUMENTS[name])
+    result = subprocess.run([sys.executable, "-m", "dagforge", "validate", str(spec)],
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (2, "dagforge: document: nested more than 100 levels deep\n")
+
+
+LONG_LIST = "[" + ", ".join(["12345"] * 20_000) + "]"
+
+
+@pytest.mark.parametrize("field, message", [
+    ("csv_name", "expected a non-empty string"),
+    ("num_samples", "expected a positive integer"),
+    ("seed", "expected an unsigned 64-bit integer"),
+    ("output_dir", "expected a path string"),
+])
+def test_schema_error_cuts_a_long_value_exit_2(run_cli, tmp_path, field, message):
+    fields = {"csv_name": "out", "num_samples": "10", field: LONG_LIST}
+    spec = tmp_path / "long.yaml"
+    spec.write_text('graph:\n  nodes:\n    X: "1"\ninstructions:\n  simulation:\n'
+                    + "".join(f"    {key}: {value}\n" for key, value in fields.items()))
+    code, _, err = run_cli("validate", spec)
+    assert code == 2
+    assert err == f"dagforge: instructions.simulation.{field}: {message}, got {repr([12345] * 20_000)[:77]}...\n"

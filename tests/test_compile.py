@@ -45,8 +45,10 @@ UINT64 = st.integers(0, 2**64 - 1)
 def test_sample_base_streams_match_full_construction(seed, index, key, k):
     full = RandomStream(seed, index, key)
     hoisted = RandomStream(seed, index, key, sample_base(seed, index))
-    assert [full.next_word() for _ in range(k)] == [hoisted.next_word() for _ in range(k)]
-    assert (hoisted.seed, hoisted.sample_index, hoisted.node_key) == (full.seed, full.sample_index, full.node_key)
+    wrapped = RandomStream(seed + 2**64, index - 2**64, key + 2**64)  # inputs count modulo 2**64
+    draws = [full.next_word() for _ in range(k)]
+    assert [hoisted.next_word() for _ in range(k)] == draws
+    assert [wrapped.next_word() for _ in range(k)] == draws
 
 
 class CountingRegistry(FunctionRegistry):

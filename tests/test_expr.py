@@ -7,11 +7,11 @@ import reference_expr
 from dagforge import expr, parse, pretty_print
 from dagforge.errors import LexError, NestingError, ParseError
 from dagforge.evaluator import compile_expr
-from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary, parse_expr, preorder, tokenize
+from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary, preorder
 
 
 def kinds_and_texts(src):
-    return [(t.kind, t.text) for t in tokenize(src)]
+    return [(kind, text) for kind, text, _, _ in expr._scan(src)]
 
 
 def test_tokenize_call():
@@ -29,22 +29,21 @@ def test_tokenize_arithmetic():
 
 def test_unclosed_call_lexes_but_does_not_parse():
     # lexing and parsing are separate stages
-    tokens = tokenize('binomial(1, "H"')
-    assert tokens[-1].kind == "eof"
+    assert expr._scan('binomial(1, "H"')[-1][0] == "eof"
     with pytest.raises(ParseError):
-        parse_expr(tokens)
+        parse('binomial(1, "H"')
 
 
 def test_lex_errors():
     with pytest.raises(LexError):
-        tokenize("1 @ 2")
+        parse("1 @ 2")
     with pytest.raises(LexError):
-        tokenize('"unterminated')
+        parse('"unterminated')
     with pytest.raises(LexError):
-        tokenize(r'"bad \q escape"')
+        parse(r'"bad \q escape"')
     with pytest.raises(LexError):
-        tokenize(str(2**63))  # one past the signed range
-    assert tokenize(str(2**63 - 1))[0].value == 2**63 - 1
+        parse(str(2**63))  # one past the signed range
+    assert parse(str(2**63 - 1)).value == 2**63 - 1
 
 
 @pytest.mark.parametrize("src, span", [
@@ -63,27 +62,26 @@ def test_non_finite_float_literal_is_a_lex_error():
     # it would print as ``inf``, which re-parses as a reference
     for src in ("1e999 + 1", "1.5e400", "17976931348623159" + "0" * 292 + ".0"):
         with pytest.raises(LexError, match="too large to be finite"):
-            tokenize(src)
-    assert tokenize("1e-999")[0].value == 0.0
-    assert tokenize("1.7976931348623157e308")[0].value == 1.7976931348623157e308
+            parse(src)
+    assert parse("1e-999").value == 0.0
+    assert parse("1.7976931348623157e308").value == 1.7976931348623157e308
 
 
 def test_integer_literal_past_the_conversion_digit_limit_is_a_lex_error():
     with pytest.raises(LexError, match="exceeds the 64-bit signed range"):
-        tokenize("1" * 5000)
-    assert tokenize("0" * 5000 + "7")[0].value == 7
+        parse("1" * 5000)
+    assert parse("0" * 5000 + "7").value == 7
 
 
 def test_string_escapes():
-    tok = tokenize(r'"a\"b\\c"')[0]
-    assert tok.kind == "str-lit"
-    assert tok.value == 'a"b\\c'
+    assert expr._scan(r'"a\"b\\c"')[0][0] == "str-lit"
+    assert parse(r'"a\"b\\c"').value == 'a"b\\c'
 
 
 def test_float_literals():
-    assert tokenize("0.5")[0].kind == "float-lit"
-    assert tokenize("1e3")[0].value == 1000.0
-    assert tokenize("2.5e-2")[0].value == 0.025
+    assert expr._scan("0.5")[0][0] == "float-lit"
+    assert parse("1e3").value == 1000.0
+    assert parse("2.5e-2").value == 0.025
 
 
 def test_parse_examples():
@@ -206,13 +204,14 @@ _LEX_ERROR_CASES = [
     ("9223372036854775808 @", "integer literal 9223372036854775808 exceeds the 64-bit signed range", (0, 19)),
     ("a = b", "unexpected character '='", (2, 3)),
     ("1.e5", "unexpected character '.'", (1, 2)),
+    ("1 + ) @", "unexpected character '@'", (6, 7)),  # the whole source is scanned before parsing
 ]
 
 
 @pytest.mark.parametrize("src, message, span", _LEX_ERROR_CASES)
 def test_lex_error_table(src, message, span):
     with pytest.raises(LexError) as exc:
-        tokenize(src)
+        parse(src)
     assert (exc.value.message, exc.value.span) == (message, span)
 
 
@@ -232,10 +231,8 @@ def test_free_refs_excludes_string_literals():
 
 def test_spans_cover_source_except_whitespace():
     src = 'if x > 0 then f(1.5, "a b") else [y, 2]'
-    tokens = tokenize(src)
     last = 0
-    for t in tokens:
-        start, end = t.span
+    for _, _, (start, end), _ in expr._scan(src):
         assert start >= last
         assert src[last:start].strip() == ""
         last = end
@@ -275,10 +272,8 @@ def test_pretty_print_round_trip(e):
 @given(_exprs)
 def test_printed_source_spans_cover(e):
     src = pretty_print(e)
-    tokens = tokenize(src)
     last = 0
-    for t in tokens:
-        start, end = t.span
+    for _, _, (start, end), _ in expr._scan(src):
         assert start >= last
         assert src[last:start].strip() == ""
         last = end
@@ -345,23 +340,6 @@ def test_parse_agrees_with_the_reference_front_end(src):
 
 # a source with every kind of node
 _ALL_NODES = 'if f(-x, [1.5, "s"]) < 2 then (a + b) * c else not d'
-
-
-def test_parse_builds_no_token(monkeypatch):
-    want = parse(_ALL_NODES)
-
-    class NoTokens:
-        def __call__(self, *args):
-            raise AssertionError("parse built a Token")
-
-        def __getattr__(self, name):
-            raise AssertionError("parse used Token")
-
-    monkeypatch.setattr(expr, "Token", NoTokens())
-    got = parse(_ALL_NODES)
-    assert got == want and [n.span for n in preorder(got)] == [n.span for n in preorder(want)]
-    monkeypatch.undo()
-    assert all(type(t) is expr.Token for t in tokenize(_ALL_NODES))
 
 
 def _rebuilt(e):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dagforge import detect_cycle, parse_model, to_dot, validate
 from dagforge.errors import SpecError, ValidationError, YamlSyntaxError
 from dagforge.expr import Ref, preorder
-from dagforge.modelspec import SpecWarning
+from dagforge.modelspec import _MAX_NESTING, SpecWarning, _may_nest_deeply
 
 from conftest import DATA, MODELS, model_yaml
 
@@ -60,6 +62,7 @@ def test_declaration_order_preserved(registry):
 
 @pytest.mark.parametrize("nodes_block,fragment", [
     ('    X:\n      function: "1"\n      whatever: 2\n', "unknown key"),
+    ('    X:\n      function: "1"\n      1: 2\n      whatever: 2\n', r"unknown key\(s\): \['whatever', 1\]$"),
     ('    X:\n      function: "1"\n      kind: wild\n', "bad kind"),
     ('    X: "1 +"\n', "bad expression"),
     ('    X: "@@"\n', "bad expression"),
@@ -228,7 +231,7 @@ def test_missing_node_depends_on_underlying(registry):
     )
     model = validate(parse_model(text, registry), registry)
     assert model.parents["M"] == ["X"]
-    assert model.missing_map == {"X": "M"}
+    assert model.by_name["M"].underlying == "X"
     assert model.topo_order.index("X") < model.topo_order.index("M")
 
 
@@ -335,3 +338,67 @@ def test_parse_model_never_crashes_on_mutations(registry):
         except SpecError:
             outcomes["spec_error"] += 1
     assert outcomes["spec_error"] > 0
+
+
+def _nested_seed(style: str, k: int, tab: bool = False) -> str:
+    """A model whose seed is a value nested ``k`` levels deep, so the document nests ``k + 3``.
+
+    With ``tab``, a tab in a comment sends the document through the pure-Python loader.
+    """
+    if style == "flow list":
+        seed = " " + "[" * k + "1" + "]" * k + "\n"
+    elif style == "flow mapping":
+        seed = " " + "{a: " * k + "1" + "}" * k + "\n"
+    elif style == "block mapping":
+        seed = "\n" + "".join(" " * (6 + i) + "a:" + (" 1" if i == k - 1 else "") + "\n" for i in range(k))
+    elif style == "compact list":
+        seed = "\n      " + "- " * k + "1\n"
+    else:  # mappings holding indentless lists: two levels per column
+        lines, col = [], 6
+        for level in range(k):
+            lines.append(" " * col + ("a:" if level % 2 == 0 else "-"))
+            col += level % 2
+        seed = "\n" + "\n".join(lines) + "\n" + " " * (col + k % 2) + "1\n"
+    return model_yaml('    X: "1"\n') + ("# a\ttab\n" if tab else "") + "    seed:" + seed
+
+
+_NESTING_STYLES = ["flow list", "flow mapping", "block mapping", "compact list", "indentless"]
+
+
+@pytest.mark.parametrize("tab", [False, True], ids=["libyaml", "pure-Python"])
+@pytest.mark.parametrize("style", _NESTING_STYLES)
+def test_document_nesting_is_bounded(style, tab):
+    # at the limit the document loads, and only the seed is wrong
+    with pytest.raises(SpecError) as exc:
+        parse_model(_nested_seed(style, _MAX_NESTING - 3, tab))
+    assert exc.value.path == "instructions.simulation.seed"
+    assert exc.value.message.startswith("expected an unsigned 64-bit integer, got ")
+    with pytest.raises(SpecError) as exc:
+        parse_model(_nested_seed(style, _MAX_NESTING - 2, tab))
+    assert str(exc.value) == f"document: nested more than {_MAX_NESTING} levels deep"
+
+
+@pytest.mark.parametrize("style", _NESTING_STYLES)
+def test_nesting_scan_runs_only_when_a_document_might_be_too_deep(style):
+    for model in MODELS.glob("*.yaml"):
+        assert not _may_nest_deeply(model.read_text())
+    # documents only as deep as the known models need no scan either
+    assert not _may_nest_deeply(_nested_seed(style, 2))
+    assert _may_nest_deeply(_nested_seed(style, _MAX_NESTING - 2))
+
+
+def test_recursion_error_while_loading_is_a_spec_error():
+    # a document within the bound, loaded with the stack nearly full
+    script = (
+        "import sys\n"
+        "from dagforge import parse_model\n"
+        "from dagforge.errors import SpecError\n"
+        f"text = {_nested_seed('flow mapping', 40)!r}\n"
+        "sys.setrecursionlimit(70)\n"
+        "try:\n"
+        "    parse_model(text)\n"
+        "except SpecError as err:\n"
+        "    print(err)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "document: nested too deeply to load\n", "")

@@ -14,6 +14,7 @@ from dagforge import (
 )
 from dagforge.errors import DomainError, RegistryError
 from dagforge.evaluator import compile_expr
+from dagforge.expr import KEYWORDS
 from dagforge.rng import _LANES
 from dagforge.stdlib import (
     _binomial,
@@ -510,6 +511,23 @@ def test_registry_rejects_duplicates_and_bad_names():
         register_host_function(reg, "9bad", 1, False, lambda x: x)
     with pytest.raises(RegistryError):
         register_host_function(reg, "no-dash", 1, False, lambda x: x)
+
+
+@pytest.mark.parametrize("name", sorted(KEYWORDS))
+def test_registry_rejects_reserved_words(name):
+    # a keyword always parses as an operator, so a function of that name could never be called
+    reg = build_registry()
+    with pytest.raises(RegistryError, match=f"^function name '{name}' is a reserved word$"):
+        register_host_function(reg, name, 1, False, lambda x: x)
+    assert reg.lookup(name) is None
+
+
+def test_resolve_reports_what_is_wrong_with_a_call():
+    reg = build_registry()
+    uniform = reg.lookup("uniform")
+    assert reg.resolve("uniform", 2) == (uniform, None)
+    assert reg.resolve("uniform", 3) == (uniform, "uniform expects 2 argument(s), got 3")
+    assert reg.resolve("nosuch", 0) == (None, "unknown function 'nosuch'")
 
 
 def test_pure_function_called_exactly_once_per_evaluation():

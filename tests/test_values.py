@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dagforge import MISSING, Tensor, csv_cell, parse_cell, type_name, values_equal
 from dagforge.errors import DomainError
-from dagforge.values import as_value
+from dagforge.values import _brief, as_value
 
 
 def test_type_name_tags():
@@ -303,3 +303,12 @@ def test_as_value_returns_plain_scalar_lists_as_they_are():
     assert type(as_value([_Level.HIGH])[0]) is int
     with pytest.raises(TypeError):
         as_value([1, [2, None]])
+
+
+def test_brief_describes_a_value_nested_too_deeply_for_repr():
+    deep = [1]
+    for _ in range(100_000):
+        deep = [deep]
+    assert _brief(deep) == "a list nested too deeply to print"
+    assert _brief([[1]] * 40) == repr([[1]] * 40)[:77] + "..."
+    assert _brief([[1]]) == "[[1]]"
