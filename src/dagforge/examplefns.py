@@ -15,9 +15,8 @@ from .rng import RandomStream
 from .stdlib import (
     _binomial,
     _float,
-    _implant,
     _kmer_counts,
-    _random_seq,
+    _low_byte_chars,
     _sigmoid,
     _tensor_fill_rect,
     _tensor_zeros,
@@ -42,6 +41,9 @@ _DISEASE_MOTIF = "GGGG"     # implanted with prob 0.8 when diseased
 _AGE_MOTIF = "AAAA"         # implanted with prob age/200 (age-dependent mark)
 _PROTOCOL_MOTIF = "TT"      # 5'-end bias introduced by protocol "B"
 _KMER_K = 2
+_DISEASE_POSITIONS = _SEQ_LEN - len(_DISEASE_MOTIF) + 1
+# the most draws one create_airr call can take: per sequence, its words and three more
+_AIRR_DRAWS = _N_SEQUENCES * (_SEQ_LEN + 3)
 
 
 def _flag01(x, what: str) -> int:
@@ -111,6 +113,11 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
     Disease implants _DISEASE_MOTIF per-sequence with prob 0.8 at a random
     position; age implants _AGE_MOTIF with prob age/200; protocol "B"
     stamps _PROTOCOL_MOTIF at the 5' end of every sequence.
+
+    Draws, per sequence in order: _SEQ_LEN words for its characters, then
+    when diseased one float for the disease motif and, when that float is
+    below 0.8, one word for its position, then one float for the age motif.
+    That is 8 x 16 sequence words plus 8 to 24 more: 136 to 152 in all.
     """
     d = _flag01(disease, "create_airr disease")
     if isinstance(age, bool) or not isinstance(age, int):
@@ -118,17 +125,29 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
     if protocol not in ("A", "B"):
         raise DomainError(f"create_airr protocol must be 'A' or 'B', got {_brief(protocol)}")
     p_age = _float(age, "create_airr age") / 200.0
+    # every draw comes from one look-ahead over the largest budget; a float
+    # is (word >> 11) * 2**-53, as in RandomStream.next_float
+    words, low = rng._ahead(_AIRR_DRAWS)
+    chars = _low_byte_chars(low, _ALPHABET)
+    stamp = protocol == "B"
     seqs = []
+    i = 0
     for _ in range(_N_SEQUENCES):
-        s = _random_seq(rng, _ALPHABET, _SEQ_LEN)
-        if d and rng.next_float() < 0.8:
-            pos = rng.next_word() % (_SEQ_LEN - len(_DISEASE_MOTIF) + 1)
-            s = _implant(s, _DISEASE_MOTIF, pos)
-        if rng.next_float() < p_age:
-            s = _implant(s, _AGE_MOTIF, _SEQ_LEN - len(_AGE_MOTIF))
-        if protocol == "B":
-            s = _implant(s, _PROTOCOL_MOTIF, 0)
+        s = chars[i:i + _SEQ_LEN]
+        i += _SEQ_LEN
+        if d:
+            i += 1
+            if (words[i - 1] >> 11) * 2.0**-53 < 0.8:
+                pos = words[i] % _DISEASE_POSITIONS
+                i += 1
+                s = s[:pos] + _DISEASE_MOTIF + s[pos + len(_DISEASE_MOTIF):]
+        if (words[i] >> 11) * 2.0**-53 < p_age:
+            s = s[:_SEQ_LEN - len(_AGE_MOTIF)] + _AGE_MOTIF
+        i += 1
+        if stamp:
+            s = _PROTOCOL_MOTIF + s[len(_PROTOCOL_MOTIF):]
         seqs.append(s)
+    rng._advance(i)
     return seqs
 
 

@@ -32,7 +32,7 @@ from .expr import Call, Expr, Ref, _name_problem, parse, preorder
 from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
 from .rng import _MASK as _UINT64_MAX
-from .values import _brief
+from .values import _brief, _cut
 
 __all__ = [
     "NodeDecl", "SimInstructions", "ModelSpec", "SpecWarning",
@@ -203,10 +203,11 @@ def _load_yaml(text: str):
     return yaml.load(text, Loader=_PyStrictLoader)
 
 
-def _parse_node(name, raw, path: str) -> NodeDecl:
+def _parse_node(name, raw) -> NodeDecl:
     problem = _name_problem(name)
     if problem is not None:
-        raise SpecError(path, f"node name {_brief(name)} {problem}")
+        raise SpecError("graph.nodes", f"node name {_brief(name)} {problem}")
+    path = f"graph.nodes.{_cut(name)}"  # a name is as long as its YAML key
 
     if not isinstance(raw, dict):
         return NodeDecl(name=name, expr=_as_expr(raw, path))
@@ -310,7 +311,7 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
         if name == "python_file":
             warnings.warn(f"ignoring python_file entry {_brief(raw)}", SpecWarning, stacklevel=2)
             continue
-        nodes.append(_parse_node(name, raw, f"graph.nodes.{name}"))
+        nodes.append(_parse_node(name, raw))
     if not nodes:
         raise SpecError("graph.nodes", "model declares no nodes")
 

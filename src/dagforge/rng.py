@@ -126,6 +126,18 @@ class RandomStream:
         """The low byte of each of the next ``n`` words; advances the counter by ``n``."""
         return b"".join([lanes[::16] for lanes, _ in _mixed_chunks(self._state, self._advance(n), n)])
 
+    def _ahead(self, n: int) -> tuple[tuple[int, ...], bytes]:
+        """The next ``n`` words and the low byte of each, mixed in one pass; the counter stays.
+
+        For a caller whose draw count depends on the words but has a known
+        bound: it looks ahead by that bound and commits the words it used
+        with :meth:`_advance`.  ``n`` outside ``1 .. _LANES`` is a ``ValueError``.
+        """
+        if not 1 <= n <= _LANES:
+            raise ValueError(f"_ahead needs 1 <= n <= {_LANES}, got {n}")
+        lanes, low_halves = next(_mixed_chunks(self._state, self.draw_counter + 1, n))
+        return low_halves.unpack(lanes), lanes[::16]
+
     def _advance(self, n: int) -> int:
         """Take ``n`` draws: the counter of the first of them; ``n < 0`` is a ``ValueError``."""
         if n < 0:

@@ -171,8 +171,15 @@ def _random_seq(rng: RandomStream, alphabet, length):
     k = len(alphabet)
     if 256 % k:
         return "".join([alphabet[w % k] for w in rng._iter_words(length)])
-    # k divides 256, so w % k == (w & 0xFF) % k: the low byte of each word is enough
-    return rng._low_bytes(length).decode("latin-1").translate(_byte_table(alphabet))
+    return _low_byte_chars(rng._low_bytes(length), alphabet)
+
+
+def _low_byte_chars(low: bytes, alphabet: str) -> str:
+    """``alphabet[w % k]`` for each word ``w`` with these low bytes, where ``k = len(alphabet)`` divides 256.
+
+    Since k divides 256, ``w % k == (w & 0xFF) % k``: the low byte of a word is enough.
+    """
+    return low.decode("latin-1").translate(_byte_table(alphabet))
 
 
 @functools.lru_cache(maxsize=64)

@@ -113,6 +113,11 @@ def _brief(v: object) -> str:
         if isinstance(v, int):
             return f"an int of {v.bit_length()} bits"
         return f"a {type(v).__name__} holding an int too long to print"
+    return _cut(text)
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to 80 characters for an error message."""
     return text if len(text) <= 80 else text[:77] + "..."
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dagforge.expr import MAX_DEPTH
 
-from conftest import MODELS, model_yaml
+from conftest import MINIMAL_INSTRUCTIONS, MODELS, model_yaml
 
 
 def read_csv(path):
@@ -140,6 +140,20 @@ def test_deep_flat_chain_exit_2_in_validate_run_and_intervene(run_cli, tmp_path)
     assert code == 2
     assert "--intervene H: expression is nested too deeply" in err
     assert list(tmp_path.iterdir()) == [spec]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("x" * 100_000 + "-y", "normal(0, 1)", "graph.nodes: node name 'xxx"),
+    ("x" * 100_000, "\n      function: normal(0, 1)\n      kind: wild", "graph.nodes.xxx"),
+], ids=["bad_name", "long_name"])
+def test_long_node_key_gets_a_short_one_line_schema_error(run_cli, tmp_path, key, value, message):
+    # an explicit key is not held to PyYAML's 1024-character limit for implicit keys
+    spec = tmp_path / "long.yaml"
+    spec.write_text(f"graph:\n  nodes:\n    ? {key}\n    : {value}\n" + MINIMAL_INSTRUCTIONS.format(num_samples=1))
+    code, _, err = run_cli("validate", spec)
+    assert code == 2
+    assert err.count("\n") == 1 and len(err) < 300
+    assert message in err
 
 
 def test_chain_at_depth_limit_runs(run_cli, tmp_path):

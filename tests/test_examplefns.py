@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_airr
 from dagforge import RandomStream, csv_cell, values_equal
 from dagforge.errors import DomainError
 from dagforge.examplefns import (
@@ -105,6 +107,52 @@ def test_disease_motif_enrichment():
     healthy = [create_airr(stream(i), 0, 20, "A") for i in range(100)]
     count = lambda reps: sum(s.count("GGGG") for rep in reps for s in rep)
     assert count(diseased) > 2 * count(healthy)
+
+
+_u64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disease=st.sampled_from([0, 1, True, False]),
+       age=st.one_of(st.sampled_from([0, 200, 400]), st.integers(-10**6, -1), st.integers(0, 400)),
+       protocol=st.sampled_from("AB"), seed=_u64, index=_u64, key=_u64, before=st.integers(0, 3))
+@example(disease=True, age=400, protocol="B", seed=0, index=0, key=0, before=0)
+@example(disease=False, age=-1, protocol="A", seed=1, index=2, key=3, before=3)
+def test_create_airr_equals_scalar_reference(disease, age, protocol, seed, index, key, before):
+    fast, scalar = RandomStream(seed, index, key), RandomStream(seed, index, key)
+    for _ in range(before):
+        assert fast.next_word() == scalar.next_word()
+    assert create_airr(fast, disease, age, protocol) == reference_airr.create_airr(scalar, disease, age, protocol)
+    assert fast.draw_counter == scalar.draw_counter
+    assert fast.next_word() == scalar.next_word()
+
+
+def test_create_airr_draw_count_is_the_documented_formula():
+    # 8 x 16 sequence words, and per sequence one age float, one disease
+    # float when diseased and one position word when that float is below 0.8
+    counts = set()
+    for i in range(200):
+        for d in (0, 1):
+            rng, twin = stream(i), stream(i)
+            create_airr(rng, d, 40, "A")
+            positions = 0
+            for _ in range(8):
+                twin.next_words(16)
+                if d and twin.next_float() < 0.8:
+                    twin.next_word()
+                    positions += 1
+                twin.next_float()
+            assert rng.draw_counter == 8 * 16 + 8 + 8 * d + positions
+            counts.add(rng.draw_counter)
+    assert min(counts) == 136 and max(counts) == 152
+
+
+def test_create_airr_rejects_bad_arguments_before_drawing():
+    for args in [(2, 40, "A"), (1, 40.0, "A"), (1, True, "A"), (1, 40, "C"), (1, 10**400, "A")]:
+        rng = stream()
+        with pytest.raises(DomainError):
+            create_airr(rng, *args)
+        assert rng.draw_counter == 0
 
 
 def test_encode_kmers_matches_library_vector():

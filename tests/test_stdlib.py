@@ -218,6 +218,29 @@ def test_next_words_equals_next_word_calls(seed, index, key, counter, n):
     assert batched.draw_counter == scalar.draw_counter == counter + n
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=_u64, index=_u64, key=_u64, counter=st.integers(0, 2**70),
+       n=st.one_of(st.integers(1, 200), st.sampled_from([1, _LANES - 1, _LANES])))
+@example(seed=1, index=2, key=3, counter=0, n=_LANES)
+def test_ahead_shows_the_next_words_without_taking_them(seed, index, key, counter, n):
+    ahead, batched = _twin_streams(seed, index, key, counter)
+    words, low = ahead._ahead(n)
+    assert ahead.draw_counter == counter
+    assert list(words) == batched.next_words(n)
+    _, bytewise = _twin_streams(seed, index, key, counter)
+    assert low == bytewise._low_bytes(n)
+    assert ahead._ahead(n) == (words, low)
+
+
+@pytest.mark.parametrize("n", [0, -1, _LANES + 1, 3 * _LANES])
+def test_ahead_rejects_a_window_outside_one_pass(n):
+    rng = RandomStream(1, 2, 3)
+    rng.next_word()
+    with pytest.raises(ValueError, match="_ahead needs"):
+        rng._ahead(n)
+    assert rng.draw_counter == 1
+
+
 # sizes that divide 256 take the low-byte path, the others the word path
 _LOW_BYTE_SIZES = [1, 2, 4, 8]
 _WORD_SIZES = [3, 5, 20]
