@@ -1,8 +1,9 @@
 """Command-line front end: ``dagforge validate|run|graph``.
 
-Exit codes: 0 ok, 1 io/yaml-syntax error, 3 selection starvation,
-2 anything that makes the model or flags invalid.  Diagnostics go to
-stderr; data and DOT text go to stdout or files only.
+Exit codes: 0 ok; 1 unreadable file, YAML syntax error, failed write or a
+DAGFORGE_SEED that is not an integer; 2 anything that makes the model or
+flags invalid; 3 selection starvation.  :func:`main` alone picks them.
+Diagnostics go to stderr; data and DOT text go to stdout or files only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     NestingError,
     ParseError,
     SelectionStarvation,
-    SpecError,
     ValidationError,
     YamlSyntaxError,
 )
@@ -29,6 +29,7 @@ from .output import write_csv, write_manifest
 from .registry import FunctionRegistry
 from .sampler import KeptRows, RunConfig
 from .stdlib import build_registry
+from .values import _brief, _cut
 
 __all__ = ["main"]
 
@@ -52,23 +53,21 @@ def _default_registry() -> FunctionRegistry:
 
 def _load(path: str) -> tuple[FunctionRegistry, ModelSpec]:
     """The default registry and the parsed document at ``path``."""
-    registry = _default_registry()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise _Exit(EXIT_IO, f"cannot read {path}: {err}") from err
-    try:
-        return registry, parse_model(text)
-    except YamlSyntaxError as err:
-        raise _Exit(EXIT_IO, str(err)) from err
-    except SpecError as err:
-        raise _Exit(EXIT_INVALID, str(err)) from err
+        raise _Exit(EXIT_IO, f"cannot read {_cut(path)}: {_os_error_text(err)}") from err
+    return _default_registry(), parse_model(text)
 
 
 class _Exit(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
+    """``_Exit(code, message)``: an unreadable file, a bad DAGFORGE_SEED or a bad --intervene."""
+
+
+def _os_error_text(err: OSError) -> str:
+    """``str(err)`` with the file names in it cut for a message."""
+    names = [_brief(name) for name in (err.filename, err.filename2) if name is not None]
+    return f"[Errno {err.errno}] {err.strerror}: {' -> '.join(names)}" if names else str(err)
 
 
 def _resolve_seed(flag_seed: int | None, spec_seed: int | None) -> int:
@@ -77,13 +76,11 @@ def _resolve_seed(flag_seed: int | None, spec_seed: int | None) -> int:
         return flag_seed
     if spec_seed is not None:
         return spec_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _Exit(EXIT_IO, f"{SEED_ENV_VAR} is not an integer: {env!r}") from None
-    return 0
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise _Exit(EXIT_IO, f"{SEED_ENV_VAR} is not an integer: {_brief(env)}") from None
 
 
 def cmd_validate(args) -> int:
@@ -97,8 +94,7 @@ def cmd_validate(args) -> int:
 
 def cmd_graph(args) -> int:
     registry, spec = _load(args.spec)
-    model = validate(spec, registry)
-    sys.stdout.write(to_dot(model))
+    sys.stdout.write(to_dot(validate(spec, registry)))
     return EXIT_OK
 
 
@@ -107,13 +103,13 @@ def _parse_interventions(pairs: list[str]) -> dict:
     for item in pairs:
         node, eq, text = item.partition("=")
         if not eq or not node:
-            raise _Exit(EXIT_INVALID, f"--intervene expects NODE=EXPR, got {item!r}")
+            raise _Exit(EXIT_INVALID, f"--intervene expects NODE=EXPR, got {_brief(item)}")
         if node in interventions:
-            raise _Exit(EXIT_INVALID, f"--intervene {node}: given more than once")
+            raise _Exit(EXIT_INVALID, f"--intervene {_cut(node)}: given more than once")
         try:
             interventions[node] = parse_expression(text)
         except (LexError, NestingError, ParseError) as err:
-            raise _Exit(EXIT_INVALID, f"--intervene {node}: {err}") from err
+            raise _Exit(EXIT_INVALID, f"--intervene {_cut(node)}: {err}") from err
     return interventions
 
 
@@ -131,19 +127,8 @@ def cmd_run(args) -> int:
     out_dir = args.out if args.out is not None else (instructions.output_dir or ".")
 
     rows = KeptRows(effective, config, registry)
-    try:
-        paths = write_csv(rows, effective, instructions, out_dir)
-        manifest = write_manifest(rows, config, paths, effective, instructions, out_dir)
-    except SelectionStarvation as err:
-        _err(str(err))
-        return EXIT_STARVED
-    except OSError as err:
-        _err(f"write failed: {err}")
-        return EXIT_IO
-    except DagforgeError as err:
-        _err(str(err))
-        return EXIT_INVALID
-
+    paths = write_csv(rows, effective, instructions, out_dir)
+    manifest = write_manifest(rows, config, paths, effective, instructions, out_dir)
     _err(f"kept {rows.kept} rows from {rows.attempts} attempts (seed {config.seed})")
     for p in [*paths, manifest]:
         _err(f"wrote {p}")
@@ -182,13 +167,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _Exit as stop:
-        _err(stop.message)
-        return stop.code
+        code, message = stop.args
+        _err(message)
+        return code
+    except YamlSyntaxError as err:
+        _err(str(err))
+        return EXIT_IO
+    except OSError as err:
+        _err(f"write failed: {_os_error_text(err)}")
+        return EXIT_IO
+    except SelectionStarvation as err:
+        _err(str(err))
+        return EXIT_STARVED
     except ValidationError as err:
         for problem in err.problems:
             _err(problem)
         return EXIT_INVALID
-    except ValueError as err:
+    except (DagforgeError, ValueError) as err:
         _err(str(err))
         return EXIT_INVALID
 

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 
+def _cut(text: str) -> str:
+    """``text`` cut to 80 characters for an error message."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class DagforgeError(Exception):
     """Base class for all engine errors."""
 
@@ -49,7 +54,7 @@ class EvalError(DslError):
     def __init__(self, span: tuple[int, int] | None, message: str, node: str | None = None):
         self.node = node
         if node is not None:
-            message = f"node {node}: {message}"
+            message = f"node {_cut(node)}: {message}"
         super().__init__(span, message)
 
 
@@ -90,7 +95,7 @@ class CycleError(DagforgeError):
 
     def __init__(self, cycle: list[str]):
         self.cycle = cycle
-        super().__init__(f"graph contains a cycle: {' -> '.join(cycle)}")
+        super().__init__(f"graph contains a cycle: {' -> '.join(map(_cut, cycle))}")
 
 
 class CoercionError(DagforgeError):

@@ -1,4 +1,4 @@
-"""Directed-graph core: cycle detection, deterministic topological order."""
+"""Directed-graph core: deterministic topological order, which names a cycle when there is one."""
 
 from __future__ import annotations
 
@@ -35,40 +35,14 @@ class CompiledModel:
 
 
 def detect_cycle(edges: dict[str, list[str]]) -> list[str] | None:
-    """Return None if the parent map is acyclic, else one witness cycle.
+    """Return None if the parent map is acyclic, else ``topo_sort``'s witness cycle.
 
-    The witness follows parent links and is rotated to start at its
-    lexicographically smallest member, keeping messages stable.  Iterative
-    DFS, so arbitrarily deep graphs cannot exhaust the call stack.
+    Parents that are not keys of ``edges`` are ignored.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in edges}
-    for root in edges:
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]
-        stack = [(root, iter(edges.get(root, ())))]
-        while stack:
-            node, remaining = stack[-1]
-            descended = False
-            for p in remaining:
-                if p not in color:
-                    continue
-                if color[p] == GRAY:
-                    cycle = path[path.index(p):]
-                    low = min(range(len(cycle)), key=lambda i: cycle[i])
-                    return cycle[low:] + cycle[:low]
-                if color[p] == WHITE:
-                    color[p] = GRAY
-                    path.append(p)
-                    stack.append((p, iter(edges.get(p, ()))))
-                    descended = True
-                    break
-            if not descended:
-                stack.pop()
-                path.pop()
-                color[node] = BLACK
+    try:
+        topo_sort(list(edges), {c: [p for p in ps if p in edges] for c, ps in edges.items()})
+    except CycleError as err:
+        return err.cycle
     return None
 
 
@@ -77,8 +51,9 @@ def topo_sort(names: list[str], edges: dict[str, list[str]]) -> list[str]:
 
     When several nodes are ready, the one earliest in ``names`` (declaration
     order) is emitted first, so the order is a deterministic function of the
-    model alone.  A graph Kahn cannot finish is a CycleError carrying
-    ``detect_cycle``'s witness, so an acyclic graph is searched only once.
+    model alone.  A graph Kahn cannot finish is a CycleError whose witness
+    is a closed walk along parent links, rotated to start at its smallest
+    member so messages are stable.
     """
     decl_index = {name: i for i, name in enumerate(names)}
     children: dict[str, list[str]] = {name: [] for name in names}
@@ -99,5 +74,14 @@ def topo_sort(names: list[str], edges: dict[str, list[str]]) -> list[str]:
             if indegree[child] == 0:
                 heapq.heappush(ready, decl_index[child])
     if len(order) != len(names):
-        raise CycleError(detect_cycle(edges))
+        # Every node left over has a parent that is left over too, so following
+        # first such parents from the first leftover must come back on itself.
+        node = next(n for n in names if indegree[n])
+        walk: dict[str, int] = {}  # node -> step at which the walk reached it
+        while node not in walk:
+            walk[node] = len(walk)
+            node = next(p for p in edges[node] if indegree[p])
+        cycle = list(walk)[walk[node]:]
+        low = cycle.index(min(cycle))
+        raise CycleError(cycle[low:] + cycle[:low])
     return order

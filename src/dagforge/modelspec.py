@@ -324,7 +324,7 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
 
 
 def _check_node(
-    n: NodeDecl, declared: set[str], registry: FunctionRegistry | None, unresolved: list[str], functions: list[str]
+    n: NodeDecl, declared: dict[str, NodeDecl], registry: FunctionRegistry | None, unresolved: list[str], functions: list[str]
 ) -> list[str]:
     """Walk ``n.expr`` once and return its parents in first-mention order.
 
@@ -338,13 +338,13 @@ def _check_node(
         elif registry is not None and isinstance(e, Call):
             problem = registry.resolve(e.name, len(e.args))[1]
             if problem is not None:
-                functions.append(f"node {n.name}: {problem}")
+                functions.append(f"node {_cut(n.name)}: {problem}")
     parents = []
     for ref in refs:
         if ref in declared:
             parents.append(ref)
         else:
-            unresolved.append(f"node {n.name}: unresolved reference {ref!r}")
+            unresolved.append(f"node {_cut(n.name)}: unresolved reference {_brief(ref)}")
     if n.kind == "missing" and n.underlying in declared and n.underlying not in parents:
         parents.append(n.underlying)
     return parents
@@ -355,7 +355,7 @@ def _link(nodes: tuple[NodeDecl, ...], parents: dict[str, list[str]], problems: 
     try:
         order = topo_sort([n.name for n in nodes], parents)
     except CycleError as err:
-        problems.append(f"cycle: {' -> '.join(err.cycle)}")
+        problems.append(f"cycle: {' -> '.join(map(_cut, err.cycle))}")
     if problems:
         raise ValidationError(problems)
     return CompiledModel(
@@ -374,7 +374,7 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
     missing-node problems, then the cycle.
     """
     nodes = tuple(nodes)
-    declared = {n.name for n in nodes}
+    declared = {n.name: n for n in nodes}
     unresolved: list[str] = []
     functions: list[str] = []
     parents = {n.name: _check_node(n, declared, registry, unresolved, functions) for n in nodes}
@@ -384,15 +384,15 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
     for n in nodes:
         if n.kind != "missing":
             continue
-        u = n.underlying
+        u, name = n.underlying, _cut(n.name)
         if u not in declared:
-            problems.append(f"node {n.name}: underlying {u!r} is not a declared node")
+            problems.append(f"node {name}: underlying {_brief(u)} is not a declared node")
             continue
-        target = next(d for d in nodes if d.name == u)
+        target = declared[u]
         if target.kind != "standard":
-            problems.append(f"node {n.name}: underlying {u!r} must be a standard node, is {target.kind}")
+            problems.append(f"node {name}: underlying {_brief(u)} must be a standard node, is {target.kind}")
         if u in targeted:
-            problems.append(f"node {n.name}: underlying {u!r} already targeted by {targeted[u]}")
+            problems.append(f"node {name}: underlying {_brief(u)} already targeted by {_cut(targeted[u])}")
         else:
             targeted[u] = n.name
 
@@ -417,13 +417,12 @@ def apply_interventions(
     for target in interventions:
         decl = model.by_name.get(target)
         if decl is None:
-            problems.append(f"intervention target {target!r} is not a declared node")
+            problems.append(f"intervention target {_brief(target)} is not a declared node")
         elif decl.kind != "standard":
-            problems.append(f"intervention target {target!r} is a {decl.kind} node; only standard nodes can be intervened on")
+            problems.append(f"intervention target {_brief(target)} is a {decl.kind} node; only standard nodes can be intervened on")
     if problems:
         raise ValidationError(problems)
 
-    declared = set(model.by_name)
     unresolved: list[str] = []
     functions: list[str] = []
     parents = dict(model.parents)
@@ -431,7 +430,7 @@ def apply_interventions(
     for n in model.nodes:
         if n.name in interventions:
             n = replace(n, expr=interventions[n.name])
-            parents[n.name] = _check_node(n, declared, registry, unresolved, functions)
+            parents[n.name] = _check_node(n, model.by_name, registry, unresolved, functions)
         nodes.append(n)
     return _link(tuple(nodes), parents, unresolved + functions)
 

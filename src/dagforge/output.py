@@ -20,7 +20,7 @@ from .expr import pretty_print
 from .graph import CompiledModel
 from .modelspec import SimInstructions
 from .sampler import Dataset, KeptRows, RunConfig, check_stratum_label
-from .values import Tensor, Value, csv_cell
+from .values import Tensor, Value, _cut, csv_cell
 
 __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
 
@@ -128,7 +128,7 @@ def _cell_error(values: dict[str, Value], columns: list[str]) -> CoercionError |
         try:
             csv_cell(values[c])
         except ValueError as err:
-            return CoercionError(f"column {c}: cannot write the value: {err}")
+            return CoercionError(f"column {_cut(c)}: cannot write the value: {err}")
     return None
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .errors import RegistryError
 from .expr import _name_problem
-from .values import as_value
+from .values import _brief, _cut, as_value
 
 __all__ = ["Arity", "FunctionEntry", "FunctionRegistry", "register_host_function"]
 
@@ -76,9 +76,9 @@ class FunctionRegistry:
         """The entry a call of ``name`` with ``nargs`` arguments reaches, and what is wrong with the call."""
         entry = self.lookup(name)
         if entry is None:
-            return None, f"unknown function {name!r}"
+            return None, f"unknown function {_brief(name)}"
         if not entry.arity.accepts(nargs):
-            return entry, f"{name} expects {entry.arity.describe()} argument(s), got {nargs}"
+            return entry, f"{_cut(name)} expects {entry.arity.describe()} argument(s), got {nargs}"
         return entry, None
 
     def names(self) -> list[str]:

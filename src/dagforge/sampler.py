@@ -19,7 +19,7 @@ from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
 from .rng import _MASK as _UINT64_MAX, RandomStream, node_stream_key, sample_base
-from .values import MISSING, Value, _brief, csv_cell, type_name
+from .values import MISSING, Value, _brief, _cut, csv_cell, type_name
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
 
@@ -67,7 +67,7 @@ def _as_flag(v: Value, node: str, what: str) -> bool:
         return v
     if isinstance(v, int) and v in (0, 1):
         return bool(v)
-    raise CoercionError(f"node {node}: {what} must be a boolean or 0/1, got {type_name(v)} {_brief(v)}")
+    raise CoercionError(f"node {_cut(node)}: {what} must be a boolean or 0/1, got {type_name(v)} {_brief(v)}")
 
 
 def _as_label(v: Value, node: str) -> str:
@@ -75,15 +75,15 @@ def _as_label(v: Value, node: str) -> str:
         try:
             return v if isinstance(v, str) else csv_cell(v)
         except ValueError as err:  # an int past the interpreter's digit limit
-            raise CoercionError(f"node {node}: stratum label cannot be written: {err}") from None
-    raise CoercionError(f"node {node}: stratum label must be a scalar, got {type_name(v)}")
+            raise CoercionError(f"node {_cut(node)}: stratum label cannot be written: {err}") from None
+    raise CoercionError(f"node {_cut(node)}: stratum label must be a scalar, got {type_name(v)}")
 
 
 def check_stratum_label(label: str | None) -> str:
     """Return ``label`` if it can name a stratum's CSV file, else raise StratumNameError."""
     if label is None or not _SAFE_STRATUM.match(label):
         raise StratumNameError(
-            f"stratum label {label!r} is not usable in a file name "
+            f"stratum label {_brief(label)} is not usable in a file name "
             "(allowed: non-empty [A-Za-z0-9_-])"
         )
     return label

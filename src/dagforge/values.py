@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _cut
 
 __all__ = ["Tensor", "MISSING", "Value", "type_name", "values_equal", "csv_cell", "parse_cell", "as_value"]
 
@@ -114,11 +114,6 @@ def _brief(v: object) -> str:
             return f"an int of {v.bit_length()} bits"
         return f"a {type(v).__name__} holding an int too long to print"
     return _cut(text)
-
-
-def _cut(text: str) -> str:
-    """``text`` cut to 80 characters for an error message."""
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 Value = bool | int | float | str | list | _Missing | Tensor

@@ -37,6 +37,12 @@ def test_validate_missing_file_exit_1(run_cli, tmp_path):
     assert "cannot read" in err
 
 
+def test_unreadable_long_path_gets_a_short_line_exit_1(run_cli, tmp_path):
+    code, _, err = run_cli("validate", tmp_path / ("p" * 5000))
+    assert code == 1
+    assert err.startswith("dagforge: cannot read ") and err.count("\n") == 1 and len(err) < 300
+
+
 def test_validate_yaml_syntax_exit_1(run_cli, tmp_path):
     spec = tmp_path / "broken.yaml"
     spec.write_text("graph: [未closed\n")
@@ -154,6 +160,41 @@ def test_long_node_key_gets_a_short_one_line_schema_error(run_cli, tmp_path, key
     assert code == 2
     assert err.count("\n") == 1 and len(err) < 300
     assert message in err
+
+
+LONG_NAME = "x" * 100_000
+
+
+@pytest.mark.parametrize("command, nodes, flags, code, message", [
+    ("validate", f"    ? {LONG_NAME}\n    : normal(0, nope)\n", [], 2, "unresolved reference 'nope'"),
+    ("run", f"    ? {LONG_NAME}\n    : normal(0, nope)\n", [], 2, "unresolved reference 'nope'"),
+    ("run", f"    ? {LONG_NAME}\n    : normal(0, -1)\n", [], 2, "...: normal requires sigma >= 0"),
+    ("run", f"""    X:\n      function: '"{'a/' * 50_000}"'\n      kind: stratify\n""", [], 2,
+     "not usable in a file name"),
+    ("run", f"""    X:\n      function: '"{'a' * 100_000}"'\n      kind: stratify\n""", [], 1,
+     "write failed: [Errno 36] File name too long: '"),
+    ("run", None, ["--intervene", "Q" * 100_000 + "=1"], 2, "is not a declared node"),
+], ids=["validate_unresolved", "run_unresolved", "eval_error", "unsafe_label", "long_label", "intervene_target"])
+def test_long_names_give_short_lines_with_the_same_exit_code(run_cli, tmp_path, command, nodes, flags, code, message):
+    spec = MODELS / "images.yaml"
+    if nodes is not None:
+        spec = tmp_path / "long.yaml"
+        spec.write_text(model_yaml(nodes, num_samples=1))
+    args = ["--out", tmp_path / "out", *flags] if command == "run" else []
+    got, _, err = run_cli(command, spec, *args)
+    assert got == code
+    assert message in err
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
+def test_run_into_a_regular_file_is_a_write_failure_exit_1(run_cli, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--out", taken, "--num-samples", "2")
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("dagforge: write failed:")
+    assert taken.read_bytes() == b"not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_chain_at_depth_limit_runs(run_cli, tmp_path):

@@ -86,6 +86,9 @@ def test_random_graphs_match_brute_force_oracle():
             assert witness[0] == min(witness)
             for i, v in enumerate(witness):
                 assert witness[(i + 1) % len(witness)] in edges[v]
+            with pytest.raises(CycleError) as exc:
+                topo_sort(names, edges)
+            assert exc.value.cycle == witness
         else:
             checked_acyclic += 1
             order = topo_sort(names, edges)
@@ -95,6 +98,21 @@ def test_random_graphs_match_brute_force_oracle():
                 for parent in parents:
                     assert position[parent] < position[child]
     assert checked_cyclic and checked_acyclic
+
+
+def test_the_named_cycle_is_reached_from_the_first_node_left_unordered():
+    edges = {"D": ["Y"], "B": ["A"], "A": ["B"], "Y": ["X"], "X": ["Y"]}
+    with pytest.raises(CycleError) as exc:
+        topo_sort(["D", "B", "A", "Y", "X"], edges)
+    assert exc.value.cycle == ["X", "Y"]  # D is left first and its parent Y is on the X-Y cycle
+    with pytest.raises(CycleError) as exc:
+        topo_sort(["B", "D", "A", "Y", "X"], edges)
+    assert exc.value.cycle == ["A", "B"]
+
+
+def test_detect_cycle_ignores_parents_that_are_not_keys():
+    assert detect_cycle({"A": ["Z"]}) is None
+    assert detect_cycle({"A": ["B", "Z"], "B": ["A"]}) == ["A", "B"]
 
 
 def test_topo_sort_deterministic():

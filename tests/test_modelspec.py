@@ -5,10 +5,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagforge import detect_cycle, parse_model, to_dot, validate
+from dagforge import parse_model, to_dot, validate
 from dagforge.errors import SpecError, ValidationError, YamlSyntaxError
-from dagforge.expr import Ref, preorder
-from dagforge.modelspec import _MAX_NESTING, SpecWarning, _may_nest_deeply
+from dagforge.expr import Ref, parse, preorder
+from dagforge.modelspec import _MAX_NESTING, NodeDecl, SpecWarning, _may_nest_deeply, compile_nodes
 
 from conftest import DATA, MODELS, model_yaml
 
@@ -168,16 +168,11 @@ def test_validate_cycle(registry):
         assert any("X -> Y" in p or "X -> " in p for p in err.problems)
 
 
-def test_validate_searches_for_a_cycle_only_when_the_graph_cannot_be_ordered(registry, monkeypatch):
-    calls = []
-    monkeypatch.setattr("dagforge.graph.detect_cycle", lambda edges: calls.append(1) or detect_cycle(edges))
-    validate(parse_model(load(MODELS / "bioseq.yaml"), registry), registry)
-    assert calls == []
+def test_cycle_is_reported_after_the_other_problems(registry):
     spec = parse_model(model_yaml('    X: "sigmoid(Y)"\n    Y: "sigmoid(X)"\n    Z: "Ghost"\n'), registry)
     with pytest.raises(ValidationError) as exc:
         validate(spec, registry)
     assert exc.value.problems == ["node Z: unresolved reference 'Ghost'", "cycle: X -> Y"]
-    assert calls == [1]
 
 
 def test_validate_unknown_function(registry):
@@ -233,6 +228,32 @@ def test_missing_node_depends_on_underlying(registry):
     assert model.parents["M"] == ["X"]
     assert model.by_name["M"].underlying == "X"
     assert model.topo_order.index("X") < model.topo_order.index("M")
+
+
+class _CountedName(str):
+    """A node name that counts the equality tests made on it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        _CountedName.comparisons += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_missing_nodes_find_their_targets_in_linear_comparisons():
+    # a scan of the node list per missing node would make ~n**2 / 2 comparisons
+    n = 400
+    targets = [NodeDecl(_CountedName(f"X{i}"), parse("uniform(0, 1)")) for i in range(n)]
+    missing = [
+        NodeDecl(_CountedName(f"M{i}"), parse("binomial(1, 0.5)"), kind="missing", underlying=_CountedName(f"X{i}"))
+        for i in range(n)
+    ]
+    _CountedName.comparisons = 0
+    model = compile_nodes(tuple(targets + missing), None)
+    assert model.parents[f"M{n - 1}"] == [f"X{n - 1}"]
+    assert _CountedName.comparisons < 10 * n
 
 
 def _dot_edges(dot_text):
