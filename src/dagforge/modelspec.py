@@ -16,12 +16,15 @@ Schema (full reference in SCHEMA.md):
 
 ``python_file`` entries are accepted and ignored with a warning so that
 legacy documents load unchanged.
+
+A document is read by one iterative walk over the YAML parser's events
+(:mod:`dagforge.yamlwalk`), which builds its dicts and lists on an explicit
+stack and checks nesting depth and duplicate keys as it goes.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -33,6 +36,7 @@ from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
 from .rng import _MASK as _UINT64_MAX
 from .values import _brief, _cut
+from .yamlwalk import walk
 
 __all__ = [
     "NodeDecl", "SimInstructions", "ModelSpec", "SpecWarning",
@@ -40,11 +44,6 @@ __all__ = [
 ]
 
 NODE_KINDS = ("standard", "selection", "missing", "stratify")
-
-# The deepest a document may nest mappings and lists.  Both YAML loaders
-# build a document recursively, libyaml's in C, where a deep enough one
-# crashes the interpreter; a model needs three levels.
-_MAX_NESTING = 100
 
 
 class SpecWarning(UserWarning):
@@ -115,92 +114,23 @@ def _as_expr(value, path: str) -> Expr:
         raise SpecError(path, str(err)) from err
 
 
-def _strict_mapping(loader, node, deep=False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        try:
-            duplicate = key in mapping
-        except TypeError:
-            raise yaml.constructor.ConstructorError(
-                None, None, f"unhashable mapping key", key_node.start_mark
-            ) from None
-        if duplicate:
-            raise yaml.constructor.ConstructorError(
-                None, None, f"duplicate key {_brief(key)}", key_node.start_mark
-            )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
-
-
-def _strict_loader(base: type) -> type:
-    """A subclass of the safe loader ``base`` that rejects duplicate mapping keys."""
-    loader = type("_StrictLoader", (base,), {})
-    loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
-    return loader
-
-
 # PyYAML's pure-Python scanner decides which documents are accepted.  When
 # PyYAML was built with libyaml, its scanner loads documents several times
 # faster, but it also accepts tabs inside plain scalars and byte-order marks
 # that the pure-Python one rejects, and words some errors differently.  So
 # documents holding either character, and every document libyaml rejects, go
 # through the pure-Python loader.
-_PyStrictLoader = _strict_loader(yaml.SafeLoader)
-_StrictLoader = _strict_loader(yaml.CSafeLoader) if hasattr(yaml, "CSafeLoader") else _PyStrictLoader
-
-
-# A flow collection opens with a bracket.  A block collection starts a line
-# or follows the "- ", "? " or ": " of its parent's entry, and every second
-# level is at least one column further right, so the line where one k levels
-# deep starts begins with at least (k - 2) / 2 of these characters.  A
-# document nesting deeper than _MAX_NESTING thus holds more than half that
-# many brackets or a line beginning with a quarter of it.
-_DEEP_LINE_RE = re.compile(r"\n[ \t?:-]{%d}" % (_MAX_NESTING // 4))
-
-
-def _may_nest_deeply(text: str) -> bool:
-    """False only if ``text`` nests no deeper than _MAX_NESTING; cheap."""
-    if any(brk in text for brk in "\r\x85\u2028\u2029"):  # line breaks _DEEP_LINE_RE misses
-        return True
-    if ("[" in text or "{" in text) and text.count("[") + text.count("{") > _MAX_NESTING // 2:
-        return True
-    return _DEEP_LINE_RE.search("\n" + text.lstrip("\ufeff")) is not None
-
-
-def _check_nesting(text: str, loader: type) -> None:
-    """Raise SpecError if the document that ``loader`` builds nests deeper than _MAX_NESTING.
-
-    It parses only a document that _may_nest_deeply, and both parsers are
-    iterative.  A YAML error ends the check: the loader meets it at the same
-    event, so it builds nothing deeper either.
-    """
-    if not _may_nest_deeply(text):
-        return
-    depth = 0
-    try:
-        for event in yaml.parse(text, Loader=loader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_NESTING:
-                    raise SpecError("document", f"nested more than {_MAX_NESTING} levels deep")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-            elif isinstance(event, yaml.DocumentEndEvent):
-                return  # a loader reads one document
-    except yaml.YAMLError:
-        pass
+_PyStrictLoader = yaml.SafeLoader
+_StrictLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_yaml(text: str):
     if _StrictLoader is not _PyStrictLoader and "\t" not in text and "\ufeff" not in text:
         try:
-            _check_nesting(text, _StrictLoader)
-            return yaml.load(text, Loader=_StrictLoader)
+            return walk(_StrictLoader(text))
         except yaml.YAMLError:
             pass  # reject it exactly as the pure-Python loader does
-    _check_nesting(text, _PyStrictLoader)
-    return yaml.load(text, Loader=_PyStrictLoader)
+    return walk(_PyStrictLoader(text))
 
 
 def _parse_node(name, raw) -> NodeDecl:
@@ -286,10 +216,8 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
     del registry
     try:
         doc = _load_yaml(yaml_text)
-    except RecursionError:  # within _MAX_NESTING, but called with the stack nearly full
-        raise SpecError("document", "nested too deeply to load") from None
     except yaml.constructor.ConstructorError as err:
-        # duplicate mapping keys come from our strict loader: a schema
+        # duplicate mapping keys come from the strict walk: a schema
         # violation in well-formed YAML, not a syntax error
         where = f" (line {err.problem_mark.line + 1})" if err.problem_mark else ""
         raise SpecError("document", f"{err.problem}{where}") from err

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, _cut
@@ -101,12 +102,16 @@ def _element(x) -> float:
 def _brief(v: object) -> str:
     """``repr(v)`` for an error message, cut to 80 characters.
 
-    An int past the interpreter's digit limit has no text, so it is given by
-    its size, or named when it sits inside a list, as is a list nested too
-    deeply for ``repr``.
+    Only the first 80 characters are made: lists, tuples, dicts and sets are
+    written piece by piece, and the walk stops once the text is longer, so a
+    list that YAML aliases share many times costs no more than a short one.
+    Anything else is its ``repr``.  An int past the interpreter's digit limit
+    has no text, so it is given by its size, or named when it is reached
+    inside a container, as is a container whose first element is nested
+    deeper than the recursion limit.
     """
     try:
-        text = repr(v)
+        text = _repr_prefix(v, 80)
     except RecursionError:
         return f"a {type(v).__name__} nested too deeply to print"
     except ValueError:
@@ -114,6 +119,57 @@ def _brief(v: object) -> str:
             return f"an int of {v.bit_length()} bits"
         return f"a {type(v).__name__} holding an int too long to print"
     return _cut(text)
+
+
+_BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), dict: ("{", "}"), set: ("{", "}")}
+
+
+def _pieces(x):
+    """``repr(x)`` of a non-empty list, tuple, dict or set: text as str, each element as a 1-tuple."""
+    opening, closing = _BRACKETS[type(x)]
+    yield opening
+    for k, item in enumerate(x.items() if type(x) is dict else x):
+        if k:
+            yield ", "
+        if type(x) is dict:
+            yield item[:1]
+            yield ": "
+            yield item[1:]
+        else:
+            yield (item,)
+    yield ",)" if type(x) is tuple and len(x) == 1 else closing
+
+
+def _repr_prefix(v: object, limit: int) -> str:
+    """``repr(v)``, or a prefix of it longer than ``limit`` characters that runs past its first leaf."""
+    parts, size, leaf = [], 0, False
+    stack, open_ids = [iter([(v,)])], []
+    while stack:
+        piece = next(stack[-1], None)
+        if piece is None:
+            stack.pop()
+            if open_ids:
+                open_ids.pop()
+            continue
+        if type(piece) is tuple:
+            x = piece[0]
+            if type(x) in _BRACKETS and x:
+                if id(x) in open_ids:  # a container inside itself, which repr marks
+                    piece = "...".join(_BRACKETS[type(x)])
+                else:
+                    if len(stack) > sys.getrecursionlimit():
+                        raise RecursionError
+                    stack.append(_pieces(x))
+                    open_ids.append(id(x))
+                    continue
+            else:
+                piece = repr(x)
+            leaf = True
+        parts.append(piece)
+        size += len(piece)
+        if size > limit and leaf:
+            break
+    return "".join(parts)
 
 
 Value = bool | int | float | str | list | _Missing | Tensor

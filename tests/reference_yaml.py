@@ -1,0 +1,114 @@
+"""The YAML loader that ``modelspec`` used before its one-pass event walk, kept as a test oracle.
+
+PyYAML composes the whole document into a node graph and its safe
+constructor builds the objects, with a mapping constructor that rejects
+duplicate and unhashable keys.  libyaml loads a document unless it holds a
+tab or a byte-order mark or libyaml rejects it; the pure-Python loader loads
+the rest.  A document nesting deeper than ``MAX_NESTING`` is rejected by an
+event scan first, because both composers recurse.
+
+``outcome`` turns what a loader does with a text into a value that compares
+equal across loaders: the document's shape, or the exception's class and
+message as ``parse_model`` would report it.
+"""
+
+import math
+
+import yaml
+
+from dagforge.errors import SpecError
+from dagforge.values import _brief
+
+MAX_NESTING = 100
+
+
+def _strict_mapping(loader, node, deep=False):
+    mapping = {}
+    for key_node, value_node in node.value:
+        key = loader.construct_object(key_node, deep=deep)
+        try:
+            duplicate = key in mapping
+        except TypeError:
+            raise yaml.constructor.ConstructorError(None, None, "unhashable mapping key", key_node.start_mark) from None
+        if duplicate:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"duplicate key {_brief(key)}", key_node.start_mark)
+        mapping[key] = loader.construct_object(value_node, deep=deep)
+    return mapping
+
+
+def _strict_loader(base):
+    loader = type("_StrictLoader", (base,), {})
+    loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
+    return loader
+
+
+PyStrictLoader = _strict_loader(yaml.SafeLoader)
+StrictLoader = _strict_loader(yaml.CSafeLoader) if hasattr(yaml, "CSafeLoader") else PyStrictLoader
+
+
+def _check_nesting(text, loader):
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise SpecError("document", f"nested more than {MAX_NESTING} levels deep")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+            elif isinstance(event, yaml.DocumentEndEvent):
+                return
+    except yaml.YAMLError:
+        pass
+
+
+def load(text, libyaml=StrictLoader):
+    """The document ``text`` holds, as the composer-based loader builds it."""
+    if libyaml is not PyStrictLoader and "\t" not in text and "\ufeff" not in text:
+        try:
+            _check_nesting(text, libyaml)
+            return yaml.load(text, Loader=libyaml)
+        except yaml.YAMLError:
+            pass
+    _check_nesting(text, PyStrictLoader)
+    return yaml.load(text, Loader=PyStrictLoader)
+
+
+def shape(doc):
+    """``doc`` as a flat list of tokens: equal lists mean equal documents with the same sharing.
+
+    A container met before is a back-reference to its first index, so
+    aliases and self-references must match; a float is its ``repr``, so
+    ``nan`` equals ``nan`` and ``-0.0`` differs from ``0.0``.
+    """
+    out, seen, todo = [], {}, [doc]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (list, dict, set, tuple)):
+            if id(v) in seen:
+                out.append(("ref", seen[id(v)]))
+                continue
+            if not isinstance(v, tuple):  # dict items are tuples made and freed as it goes
+                seen[id(v)] = len(out)
+            items = list(v.items()) if isinstance(v, dict) else list(v)
+            out.append((type(v).__name__, len(items)))
+            todo.extend(reversed(items))
+        elif isinstance(v, float) and math.isnan(v):
+            out.append(("float", "nan"))
+        else:
+            out.append((type(v).__name__, repr(v)))
+    return out
+
+
+def outcome(load_fn, text):
+    """What ``load_fn(text)`` does, as ``parse_model`` reports it."""
+    try:
+        return ("ok", shape(load_fn(text)))
+    except yaml.constructor.ConstructorError as err:
+        where = f" (line {err.problem_mark.line + 1})" if err.problem_mark else ""
+        return ("SpecError", f"{err.problem}{where}")
+    except yaml.YAMLError as err:
+        return ("YamlSyntaxError", str(err))
+    except Exception as err:  # noqa: BLE001 - the class and text are the outcome
+        return (type(err).__name__, str(err))

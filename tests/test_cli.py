@@ -471,3 +471,23 @@ def test_schema_error_cuts_a_long_value_exit_2(run_cli, tmp_path, field, message
     code, _, err = run_cli("validate", spec)
     assert code == 2
     assert err == f"dagforge: instructions.simulation.{field}: {message}, got {repr([12345] * 20_000)[:77]}...\n"
+
+
+def _shared_levels(levels: int) -> str:
+    """A flow list of ``levels`` lists, each holding nine aliases of the one before."""
+    lists = ["&a0 [" + ", ".join(["x"] * 9) + "]"]
+    lists += [f"&a{k} [" + ", ".join([f"*a{k - 1}"] * 9) + "]" for k in range(1, levels)]
+    return "[" + ", ".join(lists) + "]"
+
+
+def test_schema_error_on_a_value_sharing_aliases_exit_2(run_cli, tmp_path):
+    # the value holds 9**7 leaves, so its whole repr would be about 40 MB of text
+    spec = tmp_path / "aliases.yaml"
+    spec.write_text('graph:\n  nodes:\n    X: "1"\ninstructions:\n  simulation:\n'
+                    f"    csv_name: out\n    num_samples: {_shared_levels(7)}\n")
+    assert len(spec.read_bytes()) < 500
+    code, _, err = run_cli("validate", spec)
+    assert code == 2
+    first = repr([["x"] * 9, [["x"] * 9] * 9])[:77]  # the first two of the seven lists
+    assert err == f"dagforge: instructions.simulation.num_samples: expected a positive integer, got {first}...\n"
+

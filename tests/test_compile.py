@@ -34,6 +34,7 @@ from dagforge.rng import sample_base
 from dagforge.values import MISSING, Tensor
 
 import reference_eval
+import reference_yaml
 from conftest import DATA, MODELS, model_yaml
 from test_modelspec import _mutate
 
@@ -320,13 +321,13 @@ DOCUMENTS = sorted(MODELS.glob("*.yaml")) + sorted(DATA.glob("*.yaml"))
 
 
 def test_strict_loader_uses_libyaml_when_installed():
-    expected = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    assert modelspec._StrictLoader.__mro__[1] is expected
+    assert modelspec._StrictLoader is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert modelspec._PyStrictLoader is yaml.SafeLoader
 
 
 @pytest.fixture(params=LOADER_BASES, ids=lambda base: base.__name__)
 def loader_base(request, monkeypatch):
-    monkeypatch.setattr(modelspec, "_StrictLoader", modelspec._strict_loader(request.param))
+    monkeypatch.setattr(modelspec, "_StrictLoader", request.param)
     return request.param
 
 
@@ -342,7 +343,11 @@ def test_loader_bases_load_identical_documents(loader_base, registry):
     assert len(DOCUMENTS) >= 4
     for path in DOCUMENTS:
         text = path.read_text(encoding="utf-8")
-        assert yaml.load(text, Loader=modelspec._StrictLoader) == yaml.load(text, Loader=reference)
+        got = modelspec._load_yaml(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modelspec, "_StrictLoader", reference)
+            assert got == modelspec._load_yaml(text)
+        assert got == reference_yaml.load(text)
     # mutated documents are accepted or rejected alike
     rng = random.Random(7)
     base = (MODELS / "images.yaml").read_text(encoding="utf-8")

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dagforge import parse_model, to_dot, validate
 from dagforge.errors import SpecError, ValidationError, YamlSyntaxError
 from dagforge.expr import Ref, parse, preorder
-from dagforge.modelspec import _MAX_NESTING, NodeDecl, SpecWarning, _may_nest_deeply, compile_nodes
+from dagforge.modelspec import NodeDecl, SpecWarning, compile_nodes
+from dagforge.yamlwalk import MAX_NESTING
 
 from conftest import DATA, MODELS, model_yaml
 
@@ -391,35 +392,28 @@ _NESTING_STYLES = ["flow list", "flow mapping", "block mapping", "compact list",
 def test_document_nesting_is_bounded(style, tab):
     # at the limit the document loads, and only the seed is wrong
     with pytest.raises(SpecError) as exc:
-        parse_model(_nested_seed(style, _MAX_NESTING - 3, tab))
+        parse_model(_nested_seed(style, MAX_NESTING - 3, tab))
     assert exc.value.path == "instructions.simulation.seed"
     assert exc.value.message.startswith("expected an unsigned 64-bit integer, got ")
     with pytest.raises(SpecError) as exc:
-        parse_model(_nested_seed(style, _MAX_NESTING - 2, tab))
-    assert str(exc.value) == f"document: nested more than {_MAX_NESTING} levels deep"
+        parse_model(_nested_seed(style, MAX_NESTING - 2, tab))
+    assert str(exc.value) == f"document: nested more than {MAX_NESTING} levels deep"
 
 
-@pytest.mark.parametrize("style", _NESTING_STYLES)
-def test_nesting_scan_runs_only_when_a_document_might_be_too_deep(style):
-    for model in MODELS.glob("*.yaml"):
-        assert not _may_nest_deeply(model.read_text())
-    # documents only as deep as the known models need no scan either
-    assert not _may_nest_deeply(_nested_seed(style, 2))
-    assert _may_nest_deeply(_nested_seed(style, _MAX_NESTING - 2))
-
-
-def test_recursion_error_while_loading_is_a_spec_error():
-    # a document within the bound, loaded with the stack nearly full
+def test_a_document_within_the_bound_loads_with_the_stack_nearly_full():
+    # the walk over the parser's events does not recurse, so the stack depth
+    # at the call does not matter; both loaders are tried
     script = (
         "import sys\n"
         "from dagforge import parse_model\n"
         "from dagforge.errors import SpecError\n"
-        f"text = {_nested_seed('flow mapping', 40)!r}\n"
+        f"texts = {_nested_seed('flow mapping', 40)!r}, {_nested_seed('flow mapping', 40, tab=True)!r}\n"
         "sys.setrecursionlimit(70)\n"
-        "try:\n"
-        "    parse_model(text)\n"
-        "except SpecError as err:\n"
-        "    print(err)\n"
+        "for text in texts:\n"
+        "    try:\n"
+        "        parse_model(text)\n"
+        "    except SpecError as err:\n"
+        "        print(err.path)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "document: nested too deeply to load\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "instructions.simulation.seed\n" * 2, "")

@@ -312,3 +312,37 @@ def test_brief_describes_a_value_nested_too_deeply_for_repr():
     assert _brief(deep) == "a list nested too deeply to print"
     assert _brief([[1]] * 40) == repr([[1]] * 40)[:77] + "..."
     assert _brief([[1]]) == "[[1]]"
+
+
+def test_brief_makes_only_the_text_it_prints():
+    calls = []
+
+    class Leaf:
+        def __repr__(self):
+            calls.append(1)
+            return "x"
+
+    shared = [Leaf()] * 9
+    for _ in range(3):  # four levels that share one list each: repr calls the leaf 9**4 times
+        shared = [shared] * 9
+    expected = repr(shared)[:77] + "..."
+    calls.clear()
+    assert _brief(shared) == expected
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("value", [
+    (), (1,), ((1,),), set(), {1}, {}, {"a": (1,)}, [[], {}, set(), ()], "x" * 80, list(range(27)),
+    [-0.0, float("nan"), None, True, b"\x00", MISSING, Tensor((1,), (1.0,))],
+])
+def test_brief_is_repr_up_to_80_characters(value):
+    assert _brief(value) == (repr(value) if len(repr(value)) <= 80 else repr(value)[:77] + "...")
+
+
+def test_brief_marks_a_container_inside_itself_as_repr_does():
+    loop = [1]
+    loop.append(loop)
+    table = {"a": loop}
+    table["b"] = table
+    assert (_brief(loop), _brief(table)) == (repr(loop), repr(table))
+
