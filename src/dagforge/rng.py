@@ -4,6 +4,11 @@ Every draw is a pure function of ``(seed, sample_index, node_key,
 draw_counter)``, so distinct samples (and distinct nodes within a sample)
 own independent streams that can be consumed in any order, on any thread,
 with bit-identical results on every platform.
+
+Because no word depends on another, many words are mixed at once as the
+lanes of one int: :class:`KeyLanes` mixes the state and first two words of
+every node stream of a sample in one lane pass, and ``next_words`` mixes
+longer runs of one stream the same way.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ import struct
 from collections.abc import Iterator
 from functools import lru_cache
 
-__all__ = ["RandomStream", "node_stream_key", "sample_base"]
+__all__ = ["KeyLanes", "RandomStream", "node_stream_key", "sample_base"]
 
 _MASK = (1 << 64) - 1  # also the largest seed
 _GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN2 = (2 * _GOLDEN) & _MASK  # a stream's second word is mixed from state + _GOLDEN2
 _SEED_TWEAK = 0xD6E8FEB86659FD93
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -31,19 +37,32 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _lanes(words: list[int]) -> int:
+    """``words`` modulo 2**64 as the 128-bit lanes of one int, word i in the low
+    half of lane i; the high half takes the carries of a 64 x 64-bit product."""
+    return int.from_bytes(b"".join([(w & _MASK).to_bytes(8, "little") + bytes(8) for w in words]), "little")
+
+
+def _mix_lanes(x: int, mask: int) -> int:
+    """splitmix64's output function on every lane of ``x`` at once.
+
+    ``x`` has zero high halves and ``mask`` is the low-half mask of as many
+    lanes.  The result's high halves hold bits shifted in from the next lane,
+    above bit 96 of each lane, so adding a 64-bit word to each lane carries
+    into no other lane, and masking the sum gives each lane's sum mod 2**64.
+    """
+    x = (((x ^ (x >> 30)) & mask) * _MIX1) & mask
+    x = (((x ^ (x >> 27)) & mask) * _MIX2) & mask
+    return x ^ (x >> 31)
+
+
 @lru_cache(maxsize=32)
 def _lane_constants(n: int) -> tuple[int, int, int, struct.Struct]:
-    """Constants for mixing ``n`` words as the 128-bit lanes of one int.
-
-    Lane i holds bits ``[128 i, 128 i + 128)``; a word sits in the low half
-    and the high half takes the carries of a 64 x 64-bit product.  Returns
-    (1 in every lane, the low-half mask of every lane, ``i * _GOLDEN`` in
-    lane i, a little-endian reader of the low halves).
-    """
-    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
-    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
-    steps = b"".join(((i * _GOLDEN) & _MASK).to_bytes(8, "little") + bytes(8) for i in range(n))
-    return ones, mask, int.from_bytes(steps, "little"), struct.Struct("<" + "Q8x" * n)
+    """Constants for mixing ``n`` consecutive words of one stream: (1 in every
+    lane, the low-half mask of every lane, ``i * _GOLDEN`` in lane i, a
+    little-endian reader of the low halves)."""
+    reader = struct.Struct("<" + "Q8x" * n)
+    return _lanes([1] * n), _lanes([_MASK] * n), _lanes([i * _GOLDEN for i in range(n)]), reader
 
 
 def _mixed_chunks(state: int, first: int, n: int) -> Iterator[tuple[bytes, struct.Struct]]:
@@ -58,11 +77,7 @@ def _mixed_chunks(state: int, first: int, n: int) -> Iterator[tuple[bytes, struc
         size = min(_LANES, first + n - chunk)
         ones, mask, steps, low_halves = _lane_constants(size)
         x = (((state + chunk * _GOLDEN) & _MASK) * ones + steps) & mask
-        x = (((x ^ (x >> 30)) & mask) * _MIX1) & mask
-        x = (((x ^ (x >> 27)) & mask) * _MIX2) & mask
-        # the high halves now hold bits shifted in from the next lane; never read
-        x ^= x >> 31
-        yield x.to_bytes(16 * size, "little"), low_halves
+        yield _mix_lanes(x, mask).to_bytes(16 * size, "little"), low_halves
 
 
 def _mix_words(state: int, first: int, n: int) -> Iterator[int]:
@@ -95,21 +110,34 @@ def sample_base(seed: int, sample_index: int) -> int:
 
 
 class RandomStream:
-    """One deterministic stream of raw 64-bit words and derived variates."""
+    """One deterministic stream of raw 64-bit words and derived variates.
 
-    __slots__ = ("draw_counter", "_state")
+    Word c (c = 1, 2, ...) is splitmix64's output for ``state + c * _GOLDEN``,
+    a pure function of the stream's state and its counter.  Every stream is
+    made with its first two words already mixed, which are all that most
+    nodes draw.
+    """
+
+    __slots__ = ("draw_counter", "_state", "_word1", "_word2")
 
     def __init__(self, seed: int, sample_index: int = 0, node_key: int = 0, base: int | None = None):
         """``base``, when given, must be ``sample_base(seed, sample_index)``."""
-        self.draw_counter = 0
         if base is None:
             base = sample_base(seed, sample_index)
-        self._state = _finalize((base + node_key) & _MASK)
+        state = _finalize((base + node_key) & _MASK)
+        self.draw_counter = 0
+        self._state = state
+        self._word1 = _finalize((state + _GOLDEN) & _MASK)
+        self._word2 = _finalize((state + _GOLDEN2) & _MASK)
 
     def next_word(self) -> int:
         """Next raw draw: a uniform 64-bit word. Advances the counter by one."""
-        self.draw_counter += 1
-        return _finalize((self._state + self.draw_counter * _GOLDEN) & _MASK)
+        c = self.draw_counter = self.draw_counter + 1
+        if c == 1:
+            return self._word1
+        if c == 2:
+            return self._word2
+        return _finalize((self._state + c * _GOLDEN) & _MASK)
 
     def next_words(self, n: int) -> list[int]:
         """The next ``n`` raw draws: the words of ``n`` calls to :meth:`next_word`.
@@ -148,5 +176,53 @@ class RandomStream:
 
     def next_float(self) -> float:
         """Uniform float in [0, 1) with 53 random bits. One raw draw."""
-        self.draw_counter += 1
-        return (_finalize((self._state + self.draw_counter * _GOLDEN) & _MASK) >> 11) * 2.0**-53
+        return (self.next_word() >> 11) * 2.0**-53
+
+
+def _stream(state: int, word1: int, word2: int, _new=object.__new__) -> RandomStream:
+    """The stream with ``state`` whose first two words are ``word1`` and
+    ``word2``, as :meth:`KeyLanes.first_words` gives them."""
+    rng = _new(RandomStream)
+    rng.draw_counter = 0
+    rng._state = state
+    rng._word1 = word1
+    rng._word2 = word2
+    return rng
+
+
+class KeyLanes:
+    """The stream keys of one model's drawing nodes, packed as lanes once.
+
+    :meth:`first_words` then mixes what every node stream of one sample
+    starts from in one lane pass, instead of one stream at a time.
+    """
+
+    __slots__ = ("_size", "_ones", "_mask", "_keys", "_steps1", "_steps2", "_reader")
+
+    def __init__(self, keys: list[int]):
+        n = len(keys)
+        self._size = 16 * n
+        self._ones = _lanes([1] * n)
+        self._mask = self._ones * _MASK
+        self._keys = _lanes(keys)
+        self._steps1 = self._ones * _GOLDEN
+        self._steps2 = self._ones * _GOLDEN2
+        self._reader = struct.Struct("<" + "Q8x" * n)
+
+    def first_words(self, base: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The state, word 1 and word 2 of each key's stream, in key order, for
+        the sample whose ``sample_base`` is ``base``.
+
+        ``_stream(states[j], words1[j], words2[j])`` equals
+        ``RandomStream(seed, i, keys[j], base)``.  Every state is mixed first,
+        then words 1 and 2 of every stream, straight from the state lanes.
+        """
+        size, mask, read = self._size, self._mask, self._reader.unpack
+        states = _mix_lanes((base * self._ones + self._keys) & mask, mask)
+        words1 = _mix_lanes((states + self._steps1) & mask, mask)
+        words2 = _mix_lanes((states + self._steps2) & mask, mask)
+        return (
+            read(states.to_bytes(size, "little")),
+            read(words1.to_bytes(size, "little")),
+            read(words2.to_bytes(size, "little")),
+        )

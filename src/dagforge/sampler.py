@@ -5,7 +5,10 @@ Each node draws from its own random sub-stream keyed by ``(seed,
 sample_index, hash(node name))``.  Because the key depends only on the
 node's name, structural edits elsewhere (adding, deleting, or intervening
 on other nodes) can never shift this node's draws, and samples with
-distinct indices may be evaluated in any order.
+distinct indices may be evaluated in any order.  Every drawing node has a
+lane slot: before a sample's first node runs, one lane pass
+(:class:`~dagforge.rng.KeyLanes`) mixes the state and first two words of
+every node stream of that sample.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameEr
 from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
-from .rng import _MASK as _UINT64_MAX, RandomStream, node_stream_key, sample_base
+from .rng import _MASK as _UINT64_MAX, KeyLanes, _stream, node_stream_key, sample_base
 from .values import MISSING, Value, _brief, _cut, csv_cell, type_name
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
@@ -89,26 +92,29 @@ def check_stratum_label(label: str | None) -> str:
     return label
 
 
-def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> list[tuple]:
-    """One step per node in topological order: (name, stream key or None for a
+def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[list[tuple], KeyLanes]:
+    """One step per node in topological order: (name, lane slot or None for a
     node that never draws, kind, plate size, underlying node, compiled
-    expression)."""
-    steps = []
+    expression); and the stream keys of the drawing nodes, slot by slot."""
+    steps, keys = [], []
     for name in model.topo_order:
         decl = model.by_name[name]
         program, draws = compile_node(decl.expr, registry)
-        key = node_stream_key(name) if draws else None
-        steps.append((name, key, decl.kind, decl.size, decl.underlying, program))
-    return steps
+        slot = None
+        if draws:
+            slot = len(keys)
+            keys.append(node_stream_key(name))
+        steps.append((name, slot, decl.kind, decl.size, decl.underlying, program))
+    return steps, KeyLanes(keys)
 
 
-def _run_steps(steps: list[tuple], sample_index: int, seed: int) -> tuple[dict[str, Value], bool]:
+def _run_steps(steps: list[tuple], lanes: KeyLanes, sample_index: int, seed: int) -> tuple[dict[str, Value], bool]:
     """Every node's value at one sample index, and whether selection kept it."""
-    base = sample_base(seed, sample_index)
+    states, words1, words2 = lanes.first_words(sample_base(seed, sample_index))
     bindings: dict[str, Value] = {}
     selected = True
-    for name, key, kind, size, underlying, program in steps:
-        rng = None if key is None else RandomStream(seed, sample_index, key, base)
+    for name, slot, kind, size, underlying, program in steps:
+        rng = None if slot is None else _stream(states[slot], words1[slot], words2[slot])
         try:
             if kind == "standard":
                 if size is None:
@@ -142,7 +148,7 @@ def sample_one(
     selection predicate accepted it.  Plate nodes (``size: k``) evaluate
     their expression k times into a list.
     """
-    bindings, selected = _run_steps(_compile_steps(model, registry), sample_index, seed)
+    bindings, selected = _run_steps(*_compile_steps(model, registry), sample_index, seed)
     bindings.pop(model.selection, None)
     return bindings, selected
 
@@ -174,16 +180,17 @@ class KeptRows:
         self.kept = 0
         self.attempts = 0
         self._stratify = model.stratify
-        self._steps = _compile_steps(model, registry)
+        self._steps, self._lanes = _compile_steps(model, registry)
         self._config = config
 
     def __iter__(self) -> Iterator[SampleRow]:
-        steps, seed, stratify, columns = self._steps, self._config.seed, self._stratify, self.column_order
+        steps, lanes, seed = self._steps, self._lanes, self._config.seed
+        stratify, columns = self._stratify, self.column_order
         needed = self._config.num_samples
         limit = needed * self._config.max_rejection_factor
         self.kept = self.attempts = 0
         for i in range(limit):
-            bindings, selected = _run_steps(steps, i, seed)
+            bindings, selected = _run_steps(steps, lanes, i, seed)
             if not selected:
                 continue
             stratum = check_stratum_label(bindings[stratify]) if stratify else None

@@ -23,6 +23,10 @@ from .values import Tensor, Value, _brief, type_name
 
 __all__ = ["build_registry"]
 
+# Size limits, checked before anything is allocated (docs/stdlib.md)
+MAX_KMER_TABLE = 1 << 20  # counters in one kmer_counts vector, len(alphabet) ** k
+MAX_TENSOR_ELEMENTS = 1 << 20  # elements of one tensor_zeros tensor, the product of its dims
+
 
 # --- argument checks -----------------------------------------------------
 
@@ -296,6 +300,10 @@ def _kmer_counts(seqs, k, alphabet):
         raise DomainError("kmer_counts alphabet must be non-empty without repeats")
     index = {c: i for i, c in enumerate(alphabet)}
     base = len(alphabet)
+    # from this k on even 2**k passes the limit, so a huge k is never used as an exponent
+    if base > 1 and (k >= MAX_KMER_TABLE.bit_length() or base**k > MAX_KMER_TABLE):
+        raise DomainError(
+            f"kmer_counts table of {base}**{_brief(k)} counters is larger than the limit of {MAX_KMER_TABLE}")
     size = base**k
     counts = [0] * size
     for s in seqs:
@@ -305,7 +313,7 @@ def _kmer_counts(seqs, k, alphabet):
         chars = iter(s)
         code = 0
         try:
-            for c in itertools.islice(chars, k - 1):
+            for c in itertools.islice(chars, min(k - 1, len(s))):
                 code = code * base + index[c]
             for c in chars:
                 code = (code * base + index[c]) % size
@@ -320,7 +328,13 @@ def _tensor_zeros(shape):
     dims = [_int(d, "tensor_zeros dimension") for d in _list(shape, "tensor_zeros shape")]
     if not dims or any(d < 1 for d in dims):
         raise DomainError(f"tensor_zeros dimensions must be >= 1, got {_brief(dims)}")
-    return Tensor._trusted(tuple(dims), (0.0,) * math.prod(dims))
+    size = 1
+    for d in dims:  # stops at the first partial product past the limit, however many dims follow
+        size *= d
+        if size > MAX_TENSOR_ELEMENTS:
+            raise DomainError(
+                f"tensor_zeros shape {_brief(dims)} has more elements than the limit of {MAX_TENSOR_ELEMENTS}")
+    return Tensor._trusted(tuple(dims), (0.0,) * size)
 
 
 def _tensor_fill_rect(t, r0, c0, r1, c1, v):

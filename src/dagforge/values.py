@@ -105,6 +105,8 @@ def _brief(v: object) -> str:
     Only the first 80 characters are made: lists, tuples, dicts and sets are
     written piece by piece, and the walk stops once the text is longer, so a
     list that YAML aliases share many times costs no more than a short one.
+    A set's members are written sorted by their ``repr``, whatever the hash
+    seed, so each set the walk reaches costs the ``repr`` of every member.
     Anything else is its ``repr``.  An int past the interpreter's digit limit
     has no text, so it is given by its size, or named when it is reached
     inside a container, as is a container whose first element is nested
@@ -125,10 +127,12 @@ _BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), dict: ("{", "}"), set: ("{", "
 
 
 def _pieces(x):
-    """``repr(x)`` of a non-empty list, tuple, dict or set: text as str, each element as a 1-tuple."""
+    """``repr(x)`` of a non-empty list, tuple, dict or set (members sorted by ``repr``):
+    text as str, each element as a 1-tuple."""
     opening, closing = _BRACKETS[type(x)]
     yield opening
-    for k, item in enumerate(x.items() if type(x) is dict else x):
+    items = x.items() if type(x) is dict else sorted(x, key=repr) if type(x) is set else x
+    for k, item in enumerate(items):
         if k:
             yield ", "
         if type(x) is dict:

@@ -8,7 +8,9 @@ more than ``MAX_NESTING`` levels is a :class:`SpecError`.  A plain scalar is
 resolved with the loader's own resolver, once per distinct text; only a scalar
 that is not a string runs PyYAML's constructor for its tag.
 
-Every failure is the one ``yaml.load`` raises.  A parse error, an undefined
+Every failure is the one ``yaml.load`` raises, except that a constructor's
+plain Python error (``IndexError`` for ``!!int ''``) is raised as a
+construction error at its node.  A parse error, an undefined
 alias or a duplicate anchor ends the walk, after a scan for nesting too deep,
 which PyYAML's loader met first.  A construction error does not end it:
 PyYAML constructs only a fully composed document, and it fills lists and sets
@@ -78,6 +80,22 @@ def _duplicate_anchor(first: _Node, ev) -> yaml.YAMLError:
         f"found duplicate anchor {ev.anchor!r}; first occurrence", first.mark, "second occurrence", ev.start_mark)
 
 
+def _yaml_error(exc: Exception, node) -> yaml.YAMLError:
+    """``exc``, raised by a constructor for ``node``, as a YAML error.
+
+    PyYAML's scalar constructors fail on some texts with plain Python errors
+    (``!!int ''`` with an ``IndexError``, ``!!timestamp abc`` with an
+    ``AttributeError``); each becomes a construction error at the node, as a
+    duplicate key is.  A ``ValueError`` keeps its message, which is meant to
+    be read (``month must be in 1..12``); the others' messages are not.
+    """
+    if isinstance(exc, yaml.YAMLError):
+        return exc
+    detail = f": {exc}" if isinstance(exc, ValueError) else ""
+    problem = f"cannot construct {node.tag.replace(_T, '!!')} from {_brief(node.value)}{detail}"
+    return _Error(None, None, problem, node.start_mark)
+
+
 def walk(loader):
     """The object of the first document in ``loader``'s events; ``loader`` is disposed of."""
     get, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
@@ -103,11 +121,11 @@ def walk(loader):
                         for _ in data:
                             pass
                     except Exception as exc:
-                        fail(exc, pos, top.path + (pos,))
+                        fail(_yaml_error(exc, node), pos, top.path + (pos,))
                     return obj
                 return data
             except Exception as exc:  # kept, and raised at the end if PyYAML would have raised it first
-                fail(exc, pos)
+                fail(_yaml_error(exc, node), pos)
 
         def finish(node):
             if node.err < len(errors):

@@ -7,6 +7,12 @@ tab or a byte-order mark or libyaml rejects it; the pure-Python loader loads
 the rest.  A document nesting deeper than ``MAX_NESTING`` is rejected by an
 event scan first, because both composers recurse.
 
+One change is made on purpose, in both loaders: a constructor that fails
+with an error that is not a YAML error (``!!int ''`` raises ``IndexError``)
+raises a construction error at its node instead, with the text
+``cannot construct <tag> from <value>``, followed by the message of a
+``ValueError``.
+
 ``outcome`` turns what a loader does with a text into a value that compares
 equal across loaders: the document's shape, or the exception's class and
 message as ``parse_model`` would report it.
@@ -37,9 +43,26 @@ def _strict_mapping(loader, node, deep=False):
     return mapping
 
 
+def _at_node(constructor):
+    def construct(loader, node):
+        try:
+            return constructor(loader, node)
+        except yaml.YAMLError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - reported at the node, as the walk does
+            detail = f": {exc}" if isinstance(exc, ValueError) else ""
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot construct {tag} from {_brief(node.value)}{detail}", node.start_mark) from exc
+
+    return construct
+
+
 def _strict_loader(base):
     loader = type("_StrictLoader", (base,), {})
     loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
+    for tag, constructor in list(loader.yaml_constructors.items()):
+        loader.add_constructor(tag, _at_node(constructor))
     return loader
 
 

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 
@@ -294,6 +295,23 @@ def test_int_too_long_for_text_in_an_error_message_exit_2(run_cli, tmp_path, sou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, message", [
+    ('kmer_counts(["ACGT"], 11, "ACGT")', "kmer_counts table of 4**11 counters is larger than the limit of 1048576"),
+    # 4 ** k would never finish; the limit is checked without it
+    ('kmer_counts(["ACGT"], 9223372036854775807, "ACGT")',
+     "kmer_counts table of 4**9223372036854775807 counters is larger than the limit of 1048576"),
+    ("tensor_zeros([1024, 1025])", "tensor_zeros shape [1024, 1025] has more elements than the limit of 1048576"),
+], ids=["kmer_counts", "kmer_counts huge k", "tensor_zeros"])
+def test_a_value_past_a_size_limit_exit_2(run_cli, tmp_path, source, message):
+    spec = tmp_path / "big.yaml"
+    spec.write_text(model_yaml(f"    X: '{source}'\n"))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("node, kind, expected", [
     ("Y", "standard", "dagforge: column Y: cannot write the value"),
     ("G", "stratify", "dagforge: node G: stratum label cannot be written"),
@@ -452,6 +470,32 @@ def test_document_too_deep_for_the_yaml_composer_exit_2(tmp_path, name):
     result = subprocess.run([sys.executable, "-m", "dagforge", "validate", str(spec)],
                             capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stderr) == (2, "dagforge: document: nested more than 100 levels deep\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    # PyYAML's constructors fail on these with an IndexError and an AttributeError
+    ("!!int ''", "cannot construct !!int from ''"),
+    ("!!timestamp abc", "cannot construct !!timestamp from 'abc'"),
+])
+def test_a_scalar_the_yaml_constructor_cannot_read_exit_2(run_cli, tmp_path, value, message):
+    spec = tmp_path / "scalar.yaml"
+    spec.write_text(f"X: {value}\n")
+    code, _, err = run_cli("validate", spec)
+    assert (code, err) == (2, f"dagforge: document: {message} (line 1)\n")
+
+
+def test_a_set_in_a_message_does_not_depend_on_the_hash_seed(tmp_path):
+    spec = tmp_path / "set.yaml"
+    spec.write_text(SEEDLESS + "    seed: !!set {alpha, beta, gamma, delta}\n")
+    runs = [
+        subprocess.run([sys.executable, "-m", "dagforge", "validate", str(spec)], capture_output=True, text=True,
+                       timeout=60, env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        for hash_seed in ("1", "2")
+    ]
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr == (
+        "dagforge: instructions.simulation.seed: expected an unsigned 64-bit integer, "
+        "got {'alpha', 'beta', 'delta', 'gamma'}\n")
 
 
 LONG_LIST = "[" + ", ".join(["12345"] * 20_000) + "]"

@@ -87,6 +87,10 @@ EDGE_CASES = {
     # and a syntax error anywhere comes before any construction error
     "syntax after duplicate": ("a: 1\na: 2\nb: [\n", "YamlSyntaxError"),
     "undefined alias": ("a: *x\n", "YamlSyntaxError"),
+    "int from nothing": ("a: !!int ''\n", ("SpecError", "cannot construct !!int from '' (line 1)")),
+    "timestamp from text": ("a: !!timestamp abc\n", ("SpecError", "cannot construct !!timestamp from 'abc' (line 1)")),
+    "bad date": ("a: 1\nb: 2001-13-45\n",
+                 ("SpecError", "cannot construct !!timestamp from '2001-13-45': month must be in 1..12 (line 2)")),
     "empty": ("", None),
     "comment only": ("# nothing\n", None),
 }

@@ -61,14 +61,14 @@ def test_sample_one_bioseq_row(registry):
 def test_nodes_that_never_draw_get_no_stream(registry, monkeypatch):
     # bioseq's kmerVec calls only the pure encode_kmers: 4 streams a row, not 5
     made = []
+    stream = sampler._stream
 
-    class CountingStream(sampler.RandomStream):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
+    def counting_stream(*args):
+        made.append(args)
+        return stream(*args)
 
     model = compile_text((MODELS / "bioseq.yaml").read_text(), registry)
-    monkeypatch.setattr(sampler, "RandomStream", CountingStream)
+    monkeypatch.setattr(sampler, "_stream", counting_stream)
     ds = simulate(model, RunConfig(num_samples=20, seed=3), registry)
     assert ds.attempts == 20
     assert len(made) == (len(model.topo_order) - 1) * 20
@@ -82,7 +82,8 @@ def test_only_pure_calls_mean_no_stream(registry):
         '    D: "if A then 1 else 2"\n'
     )
     model = validate(parse_model(text, registry), None)
-    keys = {step[0]: step[1] for step in sampler._compile_steps(model, registry)}
+    steps, _ = sampler._compile_steps(model, registry)
+    keys = {step[0]: step[1] for step in steps}
     assert keys["A"] is None and keys["D"] is None
     assert keys["B"] is not None and keys["C"] is not None
 

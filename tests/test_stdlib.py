@@ -17,6 +17,8 @@ from dagforge.evaluator import compile_expr
 from dagforge.expr import KEYWORDS
 from dagforge.rng import _LANES
 from dagforge.stdlib import (
+    MAX_KMER_TABLE,
+    MAX_TENSOR_ELEMENTS,
     _binomial,
     _categorical,
     _choice,
@@ -380,6 +382,21 @@ def test_tensor_zeros():
     assert len(_tensor_zeros([3, 4]).data) == 12
     with pytest.raises(DomainError):
         _tensor_zeros([2, 0])
+
+
+def test_kmer_counts_table_size_is_limited():
+    assert len(_kmer_counts(["ACGT"], 10, "ACGT")) == MAX_KMER_TABLE == 4**10
+    assert _kmer_counts(["AAA"], 2**70, "A") == [0]  # one counter, whatever k is
+    for k in (11, 2**62, 2**6000):
+        with pytest.raises(DomainError, match="larger than the limit of 1048576"):
+            _kmer_counts([], k, "ACGT")
+
+
+def test_tensor_zeros_element_count_is_limited():
+    assert len(_tensor_zeros([1024, 1024]).data) == MAX_TENSOR_ELEMENTS
+    for dims in ([1024, 1025], [2] * 100_000, [2**6000, 1]):
+        with pytest.raises(DomainError, match="more elements than the limit of 1048576"):
+            _tensor_zeros(dims)
 
 
 def test_tensor_fill_rect():
