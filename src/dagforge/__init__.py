@@ -8,49 +8,45 @@ Typical library use:
     spec = parse_model(yaml_text)
     model = validate(spec, registry)
     dataset = simulate(model, RunConfig(num_samples=100, seed=0), registry)
+
+Each name below loads its submodule on first use (PEP 562), so ``import
+dagforge`` alone loads none of them.
 """
 
-from .errors import (
-    CoercionError,
-    CycleError,
-    DagforgeError,
-    DomainError,
-    EvalError,
-    LexError,
-    ParseError,
-    RegistryError,
-    SelectionStarvation,
-    SpecError,
-    StratumNameError,
-    ValidationError,
-    YamlSyntaxError,
-)
-from .examplefns import register_example_functions
-from .expr import Expr, parse, pretty_print
-from .graph import CompiledModel, detect_cycle, topo_sort
-from .modelspec import ModelSpec, NodeDecl, SimInstructions, SpecWarning, apply_interventions, parse_model, to_dot, validate
-from .output import ENGINE_VERSION, model_hash, write_csv, write_manifest
-from .registry import FunctionRegistry, register_host_function
-from .rng import RandomStream, node_stream_key
-from .sampler import Dataset, RunConfig, SampleRow, sample_one, simulate
-from .stdlib import build_registry
-from .values import MISSING, Tensor, Value, csv_cell, parse_cell, type_name, values_equal
+import importlib
 
-__version__ = ENGINE_VERSION
+# every public name, in __all__ order, and the submodule that defines it;
+# __version__ is output.ENGINE_VERSION
+_HOME = {
+    name: module
+    for module, names in {
+        "errors": "CoercionError CycleError DagforgeError DomainError EvalError LexError ParseError RegistryError "
+                  "SelectionStarvation SpecError StratumNameError ValidationError YamlSyntaxError",
+        "examplefns": "register_example_functions",
+        "expr": "Expr parse pretty_print",
+        "graph": "CompiledModel detect_cycle topo_sort",
+        "modelspec": "ModelSpec NodeDecl SimInstructions SpecWarning apply_interventions parse_model to_dot validate",
+        "output": "ENGINE_VERSION model_hash write_csv write_manifest",
+        "registry": "FunctionRegistry register_host_function",
+        "rng": "RandomStream node_stream_key",
+        "sampler": "Dataset RunConfig SampleRow sample_one simulate",
+        "stdlib": "build_registry",
+        "values": "MISSING Tensor Value csv_cell parse_cell type_name values_equal",
+    }.items()
+    for name in names.split()
+}
+_HOME["__version__"] = "output"
 
-__all__ = [
-    "CoercionError", "CycleError", "DagforgeError", "DomainError", "EvalError",
-    "LexError", "ParseError", "RegistryError", "SelectionStarvation", "SpecError",
-    "StratumNameError", "ValidationError", "YamlSyntaxError",
-    "register_example_functions",
-    "Expr", "parse", "pretty_print",
-    "CompiledModel", "detect_cycle", "topo_sort",
-    "ModelSpec", "NodeDecl", "SimInstructions", "SpecWarning", "apply_interventions", "parse_model", "to_dot", "validate",
-    "ENGINE_VERSION", "model_hash", "write_csv", "write_manifest",
-    "FunctionRegistry", "register_host_function",
-    "RandomStream", "node_stream_key",
-    "Dataset", "RunConfig", "SampleRow", "sample_one", "simulate",
-    "build_registry",
-    "MISSING", "Tensor", "Value", "csv_cell", "parse_cell", "type_name", "values_equal",
-    "__version__",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = getattr(module, "ENGINE_VERSION" if name == "__version__" else name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

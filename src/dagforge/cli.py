@@ -8,7 +8,6 @@ Diagnostics go to stderr; data and DOT text go to stdout or files only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
@@ -25,9 +24,7 @@ from .errors import (
 from .examplefns import register_example_functions
 from .expr import parse as parse_expression
 from .modelspec import ModelSpec, apply_interventions, parse_model, to_dot, validate
-from .output import write_csv, write_manifest
 from .registry import FunctionRegistry
-from .sampler import KeptRows, RunConfig
 from .stdlib import build_registry
 from .values import _brief, _cut
 
@@ -114,6 +111,11 @@ def _parse_interventions(pairs: list[str]) -> dict:
 
 
 def cmd_run(args) -> int:
+    # only `run` samples and writes, so only it loads the sampler, evaluator and writer;
+    # sampler first, as a run compiled from source peaked lower in this order
+    from .sampler import KeptRows, RunConfig
+    from .output import write_csv, write_manifest
+
     registry, spec = _load(args.spec)
     interventions = _parse_interventions(args.intervene or [])
     effective = apply_interventions(validate(spec, registry), interventions, registry)
@@ -136,6 +138,8 @@ def cmd_run(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # after the package modules: imported before them, it raised a run's peak RSS
+
     parser = argparse.ArgumentParser(prog="dagforge", description="Simulate datasets from DAG model documents.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,10 +8,10 @@ package's choices and are documented here, next to the code that uses them.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .registry import FunctionRegistry, register_host_function
-from .rng import RandomStream
 from .stdlib import (
     _binomial,
     _float,
@@ -22,6 +22,9 @@ from .stdlib import (
     _tensor_zeros,
 )
 from .values import Tensor, _brief
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .rng import RandomStream
 
 __all__ = ["register_example_functions"]
 

@@ -34,7 +34,6 @@ from .errors import CycleError, LexError, NestingError, ParseError, SpecError, V
 from .expr import Call, Expr, Ref, _name_problem, parse, preorder
 from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
-from .rng import _MASK as _UINT64_MAX
 from .values import _brief, _cut
 from .yamlwalk import walk
 
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 NODE_KINDS = ("standard", "selection", "missing", "stratify")
+MAX_PLATE_SIZE = 1 << 20  # replicates in one plate, the `size:` of a node (SCHEMA.md)
 
 
 class SpecWarning(UserWarning):
@@ -159,6 +159,8 @@ def _parse_node(name, raw) -> NodeDecl:
         size = raw["size"]
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise SpecError(f"{path}.size", f"size must be a positive integer, got {_brief(size)}")
+        if size > MAX_PLATE_SIZE:
+            raise SpecError(f"{path}.size", f"size {_brief(size)} is larger than the limit of {MAX_PLATE_SIZE}")
         if kind != "standard":
             raise SpecError(f"{path}.size", f"size is only allowed on standard nodes, not {kind}")
 
@@ -197,8 +199,12 @@ def _parse_instructions(doc: dict) -> SimInstructions:
         raise SpecError("instructions.simulation.num_samples", f"expected a positive integer, got {_brief(num_samples)}")
 
     seed = sim.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _UINT64_MAX):
-        raise SpecError("instructions.simulation.seed", f"expected an unsigned 64-bit integer, got {_brief(seed)}")
+    if seed is not None:
+        # the bound is the RNG's word mask; imported here, a document without a seed never loads the RNG
+        from .rng import _MASK as _UINT64_MAX
+
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _UINT64_MAX:
+            raise SpecError("instructions.simulation.seed", f"expected an unsigned 64-bit integer, got {_brief(seed)}")
 
     output_dir = sim.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

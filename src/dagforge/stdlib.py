@@ -15,15 +15,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .registry import FunctionRegistry
-from .rng import RandomStream
 from .values import Tensor, Value, _brief, type_name
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .rng import RandomStream
 
 __all__ = ["build_registry"]
 
-# Size limits, checked before anything is allocated (docs/stdlib.md)
+# Cost and size limits, checked before the first draw or allocation (docs/stdlib.md)
+MAX_BINOMIAL_TRIALS = 1 << 20  # n of one binomial draw, which takes n words
+MAX_POISSON_RATE = 1 << 20  # lam of one poisson draw, whose cost grows with lam
+MAX_SEQ_LENGTH = 1 << 20  # characters of one random_seq string, one word each
+MAX_CONCAT_LENGTH = 1 << 20  # characters or items of one concat result
 MAX_KMER_TABLE = 1 << 20  # counters in one kmer_counts vector, len(alphabet) ** k
 MAX_TENSOR_ELEMENTS = 1 << 20  # elements of one tensor_zeros tensor, the product of its dims
 
@@ -96,8 +103,10 @@ def _uniform(rng: RandomStream, a, b):
 def _binomial(rng: RandomStream, n, p):
     n = _int(n, "binomial trial count")
     p = _float(p, "binomial probability")
-    if n < 0:
-        raise DomainError(f"binomial requires n >= 0, got {_brief(n)}")
+    if not 0 <= n <= MAX_BINOMIAL_TRIALS:
+        if n < 0:
+            raise DomainError(f"binomial requires n >= 0, got {_brief(n)}")
+        raise DomainError(f"binomial trial count {_brief(n)} is larger than the limit of {MAX_BINOMIAL_TRIALS}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial requires 0 <= p <= 1, got {p}")
     return sum(1 for _ in range(n) if rng.next_float() < p)
@@ -124,6 +133,8 @@ def _poisson(rng: RandomStream, lam):
     lam = _float(lam, "poisson rate")
     if not 0 <= lam < math.inf:
         raise DomainError(f"poisson requires a finite lam >= 0, got {lam}")
+    if lam > MAX_POISSON_RATE:
+        raise DomainError(f"poisson rate {lam} is larger than the limit of {MAX_POISSON_RATE}")
     # split into chunks of rate <= 500 (Poisson additivity) so exp() never
     # underflows; draw count is max(1, ceil(lam/500))
     chunks = max(1, math.ceil(lam / 500.0))
@@ -172,6 +183,8 @@ def _random_seq(rng: RandomStream, alphabet, length):
         raise DomainError("random_seq alphabet must be non-empty")
     if length < 0:
         raise DomainError(f"random_seq length must be >= 0, got {_brief(length)}")
+    if length > MAX_SEQ_LENGTH:
+        raise DomainError(f"random_seq length {_brief(length)} is larger than the limit of {MAX_SEQ_LENGTH}")
     k = len(alphabet)
     if 256 % k:
         return "".join([alphabet[w % k] for w in rng._iter_words(length)])
@@ -269,11 +282,12 @@ def _len(x):
 
 
 def _concat(a, b):
-    if isinstance(a, str) and isinstance(b, str):
-        return a + b
-    if isinstance(a, list) and isinstance(b, list):
-        return a + b
-    raise DomainError(f"concat requires two strings or two lists, got {type_name(a)} and {type_name(b)}")
+    if not (isinstance(a, str) and isinstance(b, str) or isinstance(a, list) and isinstance(b, list)):
+        raise DomainError(f"concat requires two strings or two lists, got {type_name(a)} and {type_name(b)}")
+    if len(a) + len(b) > MAX_CONCAT_LENGTH:
+        raise DomainError(f"concat result of {len(a) + len(b)} {'characters' if isinstance(a, str) else 'items'} "
+                          f"is longer than the limit of {MAX_CONCAT_LENGTH}")
+    return a + b
 
 
 # --- sequence / tensor helpers ---------------------------------------------

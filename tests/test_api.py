@@ -1,16 +1,19 @@
 """The public names stay importable: every ``__all__`` entry resolves, so
 ``from dagforge import *`` works, and so does every name the benchmark's
-traced driver takes from dagforge."""
+traced driver takes from dagforge.  The package loads a submodule only when
+one of its names is first used, so a command loads only what it runs."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import dagforge
 
-from conftest import REPO
+from conftest import MODELS, REPO
 
 # __main__ runs the CLI when imported
 MODULES = ["dagforge"] + [f"dagforge.{m.name}" for m in pkgutil.iter_modules(dagforge.__path__) if m.name != "__main__"]
@@ -44,3 +47,44 @@ def test_traced_driver_imports_resolve():
     for module_name, name in uses:
         module = importlib.import_module(module_name)
         assert name is None or hasattr(module, name), f"{module_name}.{name}"
+
+
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter, so nothing this session imported counts."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+# what only `dagforge run` needs for a document without a seed: sampling, node
+# programs, the random streams and the writer
+RUN_ONLY = ("dagforge.sampler", "dagforge.evaluator", "dagforge.rng", "dagforge.output", "hashlib")
+
+
+@pytest.mark.parametrize("command", ["validate", "graph"])
+def test_validate_and_graph_never_load_the_sampler_or_the_writer(command):
+    loaded = _fresh(f"""
+import contextlib, io, sys
+from dagforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main([{command!r}, {str(MODELS / "images.yaml")!r}]) == 0
+print(sorted(set({RUN_ONLY!r}) & set(sys.modules)))
+""")
+    assert loaded == "[]\n"
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _fresh("import sys, dagforge; print(sorted(m for m in sys.modules if m.startswith('dagforge.')))") == "[]\n"
+
+
+def test_lazy_names_are_listed_resolved_and_checked():
+    out = _fresh("""
+import dagforge
+print(set(dagforge.__all__) <= set(dir(dagforge)))
+names = {}
+exec("from dagforge import *", names)
+print(all(names[n] is getattr(dagforge, n) for n in dagforge.__all__), dagforge.__version__ == dagforge.ENGINE_VERSION)
+try:
+    dagforge.nope
+except AttributeError as err:
+    print(err)
+""")
+    assert out == "True\nTrue True\nmodule 'dagforge' has no attribute 'nope'\n"

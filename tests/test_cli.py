@@ -301,7 +301,11 @@ def test_int_too_long_for_text_in_an_error_message_exit_2(run_cli, tmp_path, sou
     ('kmer_counts(["ACGT"], 9223372036854775807, "ACGT")',
      "kmer_counts table of 4**9223372036854775807 counters is larger than the limit of 1048576"),
     ("tensor_zeros([1024, 1025])", "tensor_zeros shape [1024, 1025] has more elements than the limit of 1048576"),
-], ids=["kmer_counts", "kmer_counts huge k", "tensor_zeros"])
+    # one past each draw-cost limit; a hundred times past it, each used to run for longer than 5 s
+    ("binomial(1048577, 0.5)", "binomial trial count 1048577 is larger than the limit of 1048576"),
+    ("poisson(1048577.0)", "poisson rate 1048577.0 is larger than the limit of 1048576"),
+    ('random_seq("ACGT", 1048577)', "random_seq length 1048577 is larger than the limit of 1048576"),
+], ids=["kmer_counts", "kmer_counts huge k", "tensor_zeros", "binomial", "poisson", "random_seq"])
 def test_a_value_past_a_size_limit_exit_2(run_cli, tmp_path, source, message):
     spec = tmp_path / "big.yaml"
     spec.write_text(model_yaml(f"    X: '{source}'\n"))
@@ -309,6 +313,18 @@ def test_a_value_past_a_size_limit_exit_2(run_cli, tmp_path, source, message):
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
     assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}"
+    assert not out.exists()
+
+
+def test_a_concat_chain_stops_at_the_length_limit_exit_2(run_cli, tmp_path):
+    # X0 has 4 characters and each node doubles it: X18 holds 1048576, X19 would hold twice that
+    chain = "".join(f'    X{i}: "concat(X{i - 1}, X{i - 1})"\n' for i in range(1, 21))
+    spec = tmp_path / "doubling.yaml"
+    spec.write_text(model_yaml("    X0: '\"abcd\"'\n" + chain, num_samples=1))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    assert err.rstrip() == "dagforge: node X19: concat result of 2097152 characters is longer than the limit of 1048576 at 0..16"
     assert not out.exists()
 
 

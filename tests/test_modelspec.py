@@ -74,6 +74,8 @@ def test_declaration_order_preserved(registry):
     ('    X:\n      function: "1"\n      kind: selection\n      size: 2\n', "standard"),
     ('    X:\n      function: "1"\n      underlying: Y\n', "missing nodes"),
     ('    X:\n      function: "binomial(1, 0.5)"\n      kind: missing\n', "underlying"),
+    ('    X:\n      function: "1"\n      size: 1048577\n',
+     r"^graph\.nodes\.X\.size: size 1048577 is larger than the limit of 1048576$"),
 ])
 def test_spec_errors(registry, nodes_block, fragment):
     with pytest.raises(SpecError, match=fragment):

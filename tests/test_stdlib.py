@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,11 @@ from dagforge.evaluator import compile_expr
 from dagforge.expr import KEYWORDS
 from dagforge.rng import _LANES
 from dagforge.stdlib import (
+    MAX_BINOMIAL_TRIALS,
+    MAX_CONCAT_LENGTH,
     MAX_KMER_TABLE,
+    MAX_POISSON_RATE,
+    MAX_SEQ_LENGTH,
     MAX_TENSOR_ELEMENTS,
     _binomial,
     _categorical,
@@ -390,6 +395,41 @@ def test_kmer_counts_table_size_is_limited():
     for k in (11, 2**62, 2**6000):
         with pytest.raises(DomainError, match="larger than the limit of 1048576"):
             _kmer_counts([], k, "ACGT")
+
+
+# next_float always 0.0, so a call at a limit runs its whole loop quickly
+ZERO_FLOATS = types.SimpleNamespace(next_float=float)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: _binomial(rng, MAX_BINOMIAL_TRIALS + 1, 0.5), "binomial trial count 1048577 "),
+    (lambda rng: _binomial(rng, 2**6000, 0.5), "binomial trial count 1513470582304"),
+    (lambda rng: _poisson(rng, MAX_POISSON_RATE + 0.5), "poisson rate 1048576.5 "),
+    (lambda rng: _random_seq(rng, "ACGT", MAX_SEQ_LENGTH + 1), "random_seq length 1048577 "),
+    (lambda rng: _random_seq(rng, "ACG", 2**6000), "random_seq length 1513470582304"),
+], ids=["binomial", "binomial huge n", "poisson", "random_seq", "random_seq huge length"])
+def test_draw_cost_is_limited_before_the_first_draw(call, message):
+    rng = fresh()
+    with pytest.raises(DomainError) as stop:
+        call(rng)
+    assert str(stop.value).startswith(message) and str(stop.value).endswith(" is larger than the limit of 1048576")
+    assert rng.draw_counter == 0
+
+
+def test_draw_cost_limits_are_inclusive():
+    assert MAX_BINOMIAL_TRIALS == MAX_POISSON_RATE == MAX_SEQ_LENGTH == 1 << 20
+    assert _binomial(ZERO_FLOATS, MAX_BINOMIAL_TRIALS, 0.5) == MAX_BINOMIAL_TRIALS
+    assert _poisson(ZERO_FLOATS, float(MAX_POISSON_RATE)) == 0
+    assert len(_random_seq(fresh(), "ACGT", MAX_SEQ_LENGTH)) == MAX_SEQ_LENGTH
+
+
+def test_concat_result_length_is_limited():
+    half = MAX_CONCAT_LENGTH // 2
+    assert len(_concat("a" * half, "b" * half)) == len(_concat([0] * half, [1] * half)) == MAX_CONCAT_LENGTH
+    with pytest.raises(DomainError, match="^concat result of 1048577 characters is longer than the limit of 1048576$"):
+        _concat("a" * half, "b" * (half + 1))
+    with pytest.raises(DomainError, match="^concat result of 1048577 items is longer than the limit of 1048576$"):
+        _concat([0], [1] * MAX_CONCAT_LENGTH)
 
 
 def test_tensor_zeros_element_count_is_limited():
