@@ -48,6 +48,9 @@ _BINARY = _ORDERING | _ARITHMETIC | {"==", "!=", "and", "or"}
 # the node classes, most frequent first; dict keys keep the order
 _NODE_CLASSES = dict.fromkeys((Ref, Lit, Binary, Call, IfElse, Unary, ListLit))
 
+# the most bits an int product may have; only '*' can grow an int this fast
+MAX_INT_BITS = 1 << 20
+
 # Python allows 100 levels of indentation.  A nested block (and, or, if) that
 # would start deeper than this becomes a function of its own.
 _MAX_INDENT = 40
@@ -166,7 +169,7 @@ def _type_error(span, template: str, *values: Value) -> EvalError:
 # every name generated code reads besides builtins, its operands and its temporaries
 _GLOBALS = {
     "EvalError": EvalError, "DomainError": DomainError, "values_equal": values_equal,
-    "is_number": _is_number, "type_error": _type_error,
+    "is_number": _is_number, "type_error": _type_error, "MAX_INT_BITS": MAX_INT_BITS,
 }
 
 # Statement templates for str.format, in which {{ and }} stand for braces.  The
@@ -185,6 +188,9 @@ _ARITHMETIC_STEP = """try:
     {t} = {x} {op} {y}
 except OverflowError as err:
     raise EvalError({span}, f"arithmetic '{op}' overflows: {{err}}") from err"""
+_PRODUCT_SIZE = """if type({t}) is int and {t}.bit_length() > MAX_INT_BITS:
+    raise EvalError({span}, f"arithmetic '*' result of {{{t}.bit_length()}} bits "
+                            f"is larger than the limit of {{MAX_INT_BITS}}")"""
 _NONZERO = """if {y} == 0:
     raise EvalError({span}, '{what} by zero')"""
 _BOOLEAN = """if {x} is not True and {x} is not False:
@@ -307,6 +313,8 @@ class _Generator:
         if token in ("/", "%"):
             _put(out, depth, _NONZERO, y=y, span=span, what="division" if token == "/" else "modulo")
         _put(out, depth, _ARITHMETIC_STEP, t=t, x=x, op=token, y=y, span=span)
+        if token == "*":
+            _put(out, depth, _PRODUCT_SIZE, t=t, span=span)
         return t, "num"
 
     def _logic(self, op: str, span: str, t: str, out: list[str], depth: int) -> tuple[str, str]:

@@ -50,6 +50,8 @@ _AIRR_DRAWS = _N_SEQUENCES * (_SEQ_LEN + 3)
 
 
 def _flag01(x, what: str) -> int:
+    if type(x) is int and (x == 0 or x == 1):
+        return x
     if isinstance(x, bool):
         return int(x)
     if isinstance(x, int) and x in (0, 1):
@@ -86,7 +88,9 @@ def draw_image(h, v, r, c) -> Tensor:
     16 possible images are built once each and then shared (tensors are
     immutable).
     """
-    return _image(*(_flag01(x, f"draw_image input {i}") for i, x in enumerate((h, v, r, c))))
+    # in argument order, so the first bad input is the one named
+    return _image(_flag01(h, "draw_image input 0"), _flag01(v, "draw_image input 1"),
+                  _flag01(r, "draw_image input 2"), _flag01(c, "draw_image input 3"))
 
 
 @functools.lru_cache(maxsize=16)

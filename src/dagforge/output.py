@@ -27,8 +27,6 @@ __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
 ENGINE_VERSION = "0.1.0"
 
 _NEEDS_QUOTE = re.compile(r'[",\r\n]')
-# the cell text of these types never holds a quote, comma or line break
-_UNQUOTED = frozenset({bool, int, float})
 
 
 def _field(text: str) -> str:
@@ -67,10 +65,16 @@ def write_csv(
     # quoted once.  The cache holds the last 16 cells of this call only.
     tensor_field = functools.lru_cache(maxsize=16)(_field)
 
+    # The cell text of a number or a bool never holds a quote, comma or line
+    # break.  Exact floats and ints are written here with csv_cell's text.
     def cell_field(v: Value) -> str:
-        text = csv_cell(v)
         kind = type(v)
-        if kind in _UNQUOTED:
+        if kind is float:
+            return repr(v)
+        if kind is int:
+            return str(v)
+        text = csv_cell(v)
+        if kind is bool:
             return text
         return tensor_field(text) if kind is Tensor else _field(text)
 

@@ -109,7 +109,11 @@ def _binomial(rng: RandomStream, n, p):
         raise DomainError(f"binomial trial count {_brief(n)} is larger than the limit of {MAX_BINOMIAL_TRIALS}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial requires 0 <= p <= 1, got {p}")
-    return sum(1 for _ in range(n) if rng.next_float() < p)
+    k = 0
+    for _ in range(n):
+        if rng.next_float() < p:
+            k += 1
+    return k
 
 
 def _randint(rng: RandomStream, lo, hi):
@@ -196,14 +200,21 @@ def _low_byte_chars(low: bytes, alphabet: str) -> str:
 
     Since k divides 256, ``w % k == (w & 0xFF) % k``: the low byte of a word is enough.
     """
-    return low.decode("latin-1").translate(_byte_table(alphabet))
+    table = _byte_table(alphabet)
+    if type(table) is bytes:
+        return low.translate(table).decode("latin-1")
+    return low.decode("latin-1").translate(table)
 
 
 @functools.lru_cache(maxsize=64)
-def _byte_table(alphabet: str) -> str:
-    """``str.translate`` table from a word's low byte (as a Latin-1 code point) to its character."""
+def _byte_table(alphabet: str) -> bytes | str:
+    """Table from a word's low byte to its character: ``bytes`` for a Latin-1 alphabet, else ``str``."""
     k = len(alphabet)
-    return "".join([alphabet[b % k] for b in range(256)])
+    chars = "".join([alphabet[b % k] for b in range(256)])
+    try:
+        return chars.encode("latin-1")
+    except UnicodeEncodeError:
+        return chars
 
 
 # --- pure math ------------------------------------------------------------

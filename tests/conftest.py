@@ -1,8 +1,10 @@
 import contextlib
 import io
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dagforge import build_registry, register_example_functions
 from dagforge.cli import main as cli_main
@@ -10,6 +12,12 @@ from dagforge.cli import main as cli_main
 REPO = Path(__file__).resolve().parent.parent
 MODELS = REPO / "models"
 DATA = Path(__file__).resolve().parent / "data"
+
+# ten times the examples for every test that does not fix its own count, such
+# as the fuzz of the built-ins; loaded only when asked for
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 MINIMAL_INSTRUCTIONS = """
 instructions:

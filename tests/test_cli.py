@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -325,6 +326,20 @@ def test_a_concat_chain_stops_at_the_length_limit_exit_2(run_cli, tmp_path):
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
     assert err.rstrip() == "dagforge: node X19: concat result of 2097152 characters is longer than the limit of 1048576 at 0..16"
+    assert not out.exists()
+
+
+def test_an_int_squaring_chain_stops_at_the_bit_limit_exit_2(run_cli, tmp_path):
+    # X0 is 2 or 3 and each node squares it: X19 has at most 831,028 bits, X20 at least 1,048,577
+    chain = "".join(f'    X{i}: "X{i - 1} * X{i - 1}"\n' for i in range(1, 21))
+    spec = tmp_path / "squaring.yaml"
+    spec.write_text(model_yaml('    X0: "randint(2, 4)"\n' + chain, num_samples=1))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2
+    stop = re.fullmatch(
+        r"dagforge: node X20: arithmetic '\*' result of (\d+) bits is larger than the limit of 1048576 at 0\.\.9\n", err)
+    assert stop and int(stop[1]) > 1 << 20
     assert not out.exists()
 
 

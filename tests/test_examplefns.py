@@ -8,6 +8,7 @@ from dagforge import RandomStream, csv_cell, values_equal
 from dagforge.errors import DomainError
 from dagforge.examplefns import (
     IMAGE_SIZE,
+    _flag01,
     _image,
     assign_protocol,
     complement_binomial,
@@ -69,7 +70,7 @@ def test_draw_image_memo_matches_uncached_builder(flags):
     assert draw_image(*flags) is draw_image(*(bool(f) for f in flags))
 
 
-@pytest.mark.parametrize("bad", [2, 0.5, "1", None, -1])
+@pytest.mark.parametrize("bad", [2, 0.5, 1.0, "1", None, -1])
 def test_draw_image_rejects_bad_input_with_warm_memo(bad):
     for flags in itertools.product((0, 1), repeat=4):
         draw_image(*flags)
@@ -78,6 +79,25 @@ def test_draw_image_rejects_bad_input_with_warm_memo(bad):
         args[pos] = bad
         with pytest.raises(DomainError, match=f"draw_image input {pos} must be 0 or 1"):
             draw_image(*args)
+
+
+@pytest.mark.parametrize("flag", [0, 1, True, False])
+def test_flags_accept_0_1_and_bools_as_ints(flag):
+    assert _flag01(flag, "flag") == flag
+    assert type(_flag01(flag, "flag")) is int
+
+
+@pytest.mark.parametrize("bad, shown", [(2, "2"), (-1, "-1"), (1.0, "1.0"), ("1", "'1'")])
+def test_flags_reject_other_values_naming_the_first_bad_input(bad, shown):
+    with pytest.raises(DomainError) as err:
+        _flag01(bad, "the flag")
+    assert str(err.value) == f"the flag must be 0 or 1, got {shown}"
+    with pytest.raises(DomainError) as err:
+        draw_image(1, bad, 0, bad)
+    assert str(err.value) == f"draw_image input 1 must be 0 or 1, got {shown}"
+    with pytest.raises(DomainError) as err:
+        sigmoid_binomial(stream(), True, bad, "H")
+    assert str(err.value) == f"sigmoid_binomial second input must be 0 or 1, got {shown}"
 
 
 def test_assign_protocol_values_and_bias():

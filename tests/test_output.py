@@ -1,10 +1,13 @@
 import csv as csv_module
+import math
 
 import pytest
 
 from dagforge import (
     MISSING,
     RunConfig,
+    Tensor,
+    csv_cell,
     model_hash,
     parse_model,
     register_host_function,
@@ -14,6 +17,7 @@ from dagforge import (
     write_manifest,
 )
 from dagforge.errors import StratumNameError
+from dagforge.output import _field
 from dagforge.sampler import Dataset, SampleRow
 
 from conftest import model_yaml
@@ -86,6 +90,23 @@ def test_rfc4180_quoting_and_strict_reparse(tmp_path, registry):
     assert parsed[3][0] == "line1\nline2"
     assert parsed[4][0] == ""
     assert parsed[5][0] == '[1,"x,y"]'
+
+
+CELL_VALUES = [
+    -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1, 2.5,
+    0, -7, -(2**70), 2**63,
+    True, False, "a,b", 'say "hi"', "", "plain", [1, "x,y", [2.0]], [], MISSING,
+    Tensor((1, 2), (0.5, -0.0)),
+]
+
+
+def test_each_cell_is_the_quoted_csv_cell_text(tmp_path, registry):
+    ds = Dataset(rows=[SampleRow(values={"X": v, "Y": v}) for v in CELL_VALUES], column_order=["X", "Y"],
+                 attempts=len(CELL_VALUES))
+    spec, model = compile_text(model_yaml('    X: "1"\n    Y: "2"\n'), registry)
+    paths = write_csv(ds, model, spec.instructions, tmp_path)
+    cells = [_field(csv_cell(v)) for v in CELL_VALUES]
+    assert paths[0].read_text(encoding="utf-8") == "X,Y\n" + "".join(f"{c},{c}\n" for c in cells)
 
 
 def test_lf_line_endings_and_no_bom(registry, tmp_path):

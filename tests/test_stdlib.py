@@ -31,8 +31,10 @@ from dagforge.stdlib import (
     _concat,
     _floor,
     _get,
+    _byte_table,
     _implant,
     _kmer_counts,
+    _low_byte_chars,
     _len,
     _normal,
     _poisson,
@@ -283,14 +285,32 @@ def test_random_seq_equals_scalar_definition(counter, alphabet, length):
 
 
 @settings(max_examples=60, deadline=None)
-@given(counter=st.integers(0, 2**64), p=st.floats(0.0, 1.0),
-       n=st.one_of(st.integers(2, 40), st.sampled_from(_CHUNK_SIZES)))
+@given(counter=st.integers(0, 2**64), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       n=st.one_of(st.integers(0, 64), st.sampled_from(_CHUNK_SIZES)))
 @example(counter=0, p=RandomStream(3, 5, 7).next_float(), n=4)  # a draw equal to p is a failure
+@example(counter=0, p=0.0, n=64)
+@example(counter=9, p=1.0, n=64)
+@example(counter=1, p=0.5, n=0)
+@example(counter=2, p=0.5, n=1)
 def test_binomial_equals_scalar_definition(counter, p, n):
     batched, scalar = _twin_streams(3, 5, 7, counter)
     expected = sum(1 for _ in range(n) if scalar.next_float() < p)
     assert _binomial(batched, n, p) == expected
     assert batched.draw_counter == scalar.draw_counter
+
+
+@pytest.mark.parametrize("alphabet, table", [
+    ("ACGT", bytes),
+    ("\u00e9\u00ff", bytes),  # Latin-1 beyond ASCII
+    ("\u03b1\u03b2\u03b3\u03b4", str),
+    ("A\u4e2d", str),
+])
+def test_low_byte_chars_equals_word_definition_for_either_table(alphabet, table):
+    assert type(_byte_table(alphabet)) is table
+    k = len(alphabet)
+    assert _low_byte_chars(bytes(range(256)), alphabet) == "".join(alphabet[b % k] for b in range(256))
+    words = RandomStream(3, 5, 7).next_words(200)
+    assert _low_byte_chars(bytes(w & 0xFF for w in words), alphabet) == "".join(alphabet[w % k] for w in words)
 
 
 def test_next_words_rejects_negative_n():
