@@ -7,8 +7,12 @@ with bit-identical results on every platform.
 
 Because no word depends on another, many words are mixed at once as the
 lanes of one int: :class:`KeyLanes` mixes the state and first two words of
-every node stream of a sample in one lane pass, and ``next_words`` mixes
-longer runs of one stream the same way.
+every node stream of a block of consecutive samples in one lane pass, and
+``next_words`` mixes longer runs of one stream the same way.  A block fills
+about ``_LANES`` lanes: a model with n drawing nodes starts
+``max(1, _LANES // n)`` samples a pass, so a small model amortises the
+pass's fixed cost over many samples and a model of more than
+``_LANES // 2`` drawing nodes starts one sample a pass.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ _SEED_TWEAK = 0xD6E8FEB86659FD93
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# next_words mixes up to _LANES words at once
+# next_words mixes up to _LANES words at once, and KeyLanes fills about as many lanes a pass
 _LANES = 1024
 
 
@@ -99,14 +103,18 @@ def node_stream_key(name: str) -> int:
     return h
 
 
+def _seed_state(seed: int) -> int:
+    """The part of every sample base fixed by the seed alone."""
+    return _finalize(((seed & _MASK) ^ _SEED_TWEAK) & _MASK)
+
+
 def sample_base(seed: int, sample_index: int) -> int:
     """The part of a stream's state fixed by ``(seed, sample_index)`` alone.
 
-    Every node stream of one sample shares it, so a sampler computes it once
-    per sample and each node stream adds only its own key.
+    Every node stream of one sample shares it, so each node stream adds
+    only its own key.
     """
-    s = _finalize(((seed & _MASK) ^ _SEED_TWEAK) & _MASK)
-    return _finalize((s + (sample_index & _MASK)) & _MASK)
+    return _finalize((_seed_state(seed) + (sample_index & _MASK)) & _MASK)
 
 
 class RandomStream:
@@ -191,34 +199,54 @@ def _stream(state: int, word1: int, word2: int, _new=object.__new__) -> RandomSt
 
 
 class KeyLanes:
-    """The stream keys of one model's drawing nodes, packed as lanes once.
+    """The stream keys of one model's drawing nodes, packed as lanes once for
+    blocks of ``count`` consecutive sample indices.
 
-    :meth:`first_words` then mixes what every node stream of one sample
-    starts from in one lane pass, instead of one stream at a time.
+    :meth:`first_words` then mixes what every node stream of every sample of
+    a block starts from in one lane pass, instead of one stream at a time.
+    ``count`` defaults to as many samples as fill ``_LANES`` lanes, at least
+    one: ``max(1, _LANES // len(keys))``.
     """
 
-    __slots__ = ("_size", "_ones", "_mask", "_keys", "_steps1", "_steps2", "_reader")
+    __slots__ = (
+        "count", "_runs", "_size", "_mask", "_keys", "_steps1", "_steps2", "_reader",
+        "_base_ones", "_offsets", "_base_mask",
+    )
 
-    def __init__(self, keys: list[int]):
+    def __init__(self, keys: list[int], count: int | None = None):
         n = len(keys)
-        self._size = 16 * n
-        self._ones = _lanes([1] * n)
-        self._mask = self._ones * _MASK
-        self._keys = _lanes(keys)
-        self._steps1 = self._ones * _GOLDEN
-        self._steps2 = self._ones * _GOLDEN2
-        self._reader = struct.Struct("<" + "Q8x" * n)
+        if count is None:
+            count = max(1, _LANES // max(1, n))
+        self.count = count
+        self._runs = n
+        self._size = 16 * n * count
+        ones = _lanes([1] * (n * count))
+        self._mask = ones * _MASK
+        # key-major: slot j of sample b is lane j * count + b
+        self._keys = _lanes([key for key in keys for _ in range(count)])
+        self._steps1 = ones * _GOLDEN
+        self._steps2 = ones * _GOLDEN2
+        self._reader = struct.Struct("<" + "Q8x" * (n * count))
+        self._base_ones = _lanes([1] * count)
+        self._offsets = _lanes(list(range(count)))
+        self._base_mask = self._base_ones * _MASK
 
-    def first_words(self, base: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """The state, word 1 and word 2 of each key's stream, in key order, for
-        the sample whose ``sample_base`` is ``base``.
+    def first_words(self, seed: int, start: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The state, word 1 and word 2 of each key's stream at each of the
+        ``count`` sample indices ``start, start + 1, ...`` (modulo 2**64), as
+        three flat tuples: slot j of index ``start + b`` is at ``j * count + b``.
 
-        ``_stream(states[j], words1[j], words2[j])`` equals
-        ``RandomStream(seed, i, keys[j], base)``.  Every state is mixed first,
-        then words 1 and 2 of every stream, straight from the state lanes.
+        ``_stream(states[k], words1[k], words2[k])`` with ``k = j * count + b``
+        equals ``RandomStream(seed, start + b, keys[j])``.  The pass mixes the
+        ``count`` sample bases first and copies them into every key's run of
+        lanes; then it mixes every state, then words 1 and 2 of every stream
+        straight from the state lanes.
         """
-        size, mask, read = self._size, self._mask, self._reader.unpack
-        states = _mix_lanes((base * self._ones + self._keys) & mask, mask)
+        size, mask, base_mask, read = self._size, self._mask, self._base_mask, self._reader.unpack
+        first = (_seed_state(seed) + start) & _MASK
+        bases = _mix_lanes((first * self._base_ones + self._offsets) & base_mask, base_mask) & base_mask
+        runs = int.from_bytes(bases.to_bytes(16 * self.count, "little") * self._runs, "little")
+        states = _mix_lanes((runs + self._keys) & mask, mask)
         words1 = _mix_lanes((states + self._steps1) & mask, mask)
         words2 = _mix_lanes((states + self._steps2) & mask, mask)
         return (

@@ -6,9 +6,15 @@ sample_index, hash(node name))``.  Because the key depends only on the
 node's name, structural edits elsewhere (adding, deleting, or intervening
 on other nodes) can never shift this node's draws, and samples with
 distinct indices may be evaluated in any order.  Every drawing node has a
-lane slot: before a sample's first node runs, one lane pass
-(:class:`~dagforge.rng.KeyLanes`) mixes the state and first two words of
-every node stream of that sample.
+lane slot: one lane pass (:class:`~dagforge.rng.KeyLanes`) mixes the state
+and first two words of every node stream of a block of consecutive sample
+indices.  A run takes a new block whenever its index reaches a multiple of
+the block size, ``max(1, _LANES // n)`` for n drawing nodes; the nodes of
+a sample then read their words at the sample's place in the block.  Only
+words are mixed ahead: no node program or host function runs for an index
+before the run reaches it, and the words of indices it never reaches are
+dropped.  :func:`sample_one` takes a block of one, so replaying one index
+stays O(1).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameEr
 from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
-from .rng import _MASK as _UINT64_MAX, KeyLanes, _stream, node_stream_key, sample_base
+from .rng import _MASK as _UINT64_MAX, KeyLanes, _stream, node_stream_key
 from .values import MISSING, Value, _brief, _cut, csv_cell, type_name
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
@@ -92,7 +98,7 @@ def check_stratum_label(label: str | None) -> str:
     return label
 
 
-def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[list[tuple], KeyLanes]:
+def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[list[tuple], list[int]]:
     """One step per node in topological order: (name, lane slot or None for a
     node that never draws, kind, plate size, underlying node, compiled
     expression); and the stream keys of the drawing nodes, slot by slot."""
@@ -105,12 +111,13 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[li
             slot = len(keys)
             keys.append(node_stream_key(name))
         steps.append((name, slot, decl.kind, decl.size, decl.underlying, program))
-    return steps, KeyLanes(keys)
+    return steps, keys
 
 
-def _run_steps(steps: list[tuple], lanes: KeyLanes, sample_index: int, seed: int) -> tuple[dict[str, Value], bool]:
-    """Every node's value at one sample index, and whether selection kept it."""
-    states, words1, words2 = lanes.first_words(sample_base(seed, sample_index))
+def _run_steps(steps: list[tuple], states: tuple, words1: tuple, words2: tuple) -> tuple[dict[str, Value], bool]:
+    """Every node's value at one sample index, and whether selection kept it,
+    from the state, word 1 and word 2 of every node stream at that index,
+    slot by slot."""
     bindings: dict[str, Value] = {}
     selected = True
     for name, slot, kind, size, underlying, program in steps:
@@ -148,7 +155,8 @@ def sample_one(
     selection predicate accepted it.  Plate nodes (``size: k``) evaluate
     their expression k times into a list.
     """
-    bindings, selected = _run_steps(*_compile_steps(model, registry), sample_index, seed)
+    steps, keys = _compile_steps(model, registry)
+    bindings, selected = _run_steps(steps, *KeyLanes(keys, 1).first_words(seed, sample_index))
     bindings.pop(model.selection, None)
     return bindings, selected
 
@@ -164,7 +172,8 @@ class KeptRows:
     """The kept rows of one run, produced lazily in sample-index order.
 
     Sample indices are evaluated one at a time, as rows are taken, so
-    iterating holds one row at a time, whatever ``num_samples`` is.
+    iterating holds one row (and the stream words of one block of indices)
+    at a time, whatever ``num_samples`` is.
     Rejected indices stay consumed, so the kept rows depend only on the
     seed, never on the acceptance pattern; the keyed streams make every row
     independent of the order in which indices are evaluated.
@@ -180,7 +189,8 @@ class KeptRows:
         self.kept = 0
         self.attempts = 0
         self._stratify = model.stratify
-        self._steps, self._lanes = _compile_steps(model, registry)
+        self._steps, keys = _compile_steps(model, registry)
+        self._lanes = KeyLanes(keys)
         self._config = config
 
     def __iter__(self) -> Iterator[SampleRow]:
@@ -188,9 +198,17 @@ class KeptRows:
         stratify, columns = self._stratify, self.column_order
         needed = self._config.num_samples
         limit = needed * self._config.max_rejection_factor
+        count = lanes.count
         self.kept = self.attempts = 0
         for i in range(limit):
-            bindings, selected = _run_steps(steps, lanes, i, seed)
+            offset = i % count
+            if not offset:
+                states, words1, words2 = lanes.first_words(seed, i)
+            # slot j of the index at this offset is at j * count + offset
+            bindings, selected = _run_steps(steps, states[offset::count], words1[offset::count], words2[offset::count])
+            if offset == count - 1:
+                # a block goes before the next is mixed, so a one-sample block keeps no words between rows
+                states = words1 = words2 = ()
             if not selected:
                 continue
             stratum = check_stratum_label(bindings[stratify]) if stratify else None

@@ -85,8 +85,11 @@ def _probs(x: Value, what: str) -> list[float]:
         raise DomainError(f"{what} must be non-empty")
     if any(p < 0 for p in ps):
         raise DomainError(f"{what} entries must be non-negative")
-    if abs(sum(ps) - 1.0) > 1e-9:
-        raise DomainError(f"{what} must sum to 1 (got {sum(ps)!r})")
+    total = sum(ps)
+    if not abs(total - 1.0) <= 1e-9:  # so is a NaN or infinite entry, which makes the sum non-finite
+        if not math.isfinite(total):
+            raise DomainError(f"{what} entries must be finite reals")
+        raise DomainError(f"{what} must sum to 1 (got {total!r})")
     return ps
 
 
@@ -94,10 +97,13 @@ def _probs(x: Value, what: str) -> list[float]:
 
 def _uniform(rng: RandomStream, a, b):
     a, b = _float(a, "uniform lower bound"), _float(b, "uniform upper bound")
-    if a > b:
-        raise DomainError(f"uniform requires a <= b, got ({a}, {b})")
+    width = b - a
+    if not 0.0 <= width < math.inf:  # also a NaN or infinite bound, or a width past the float range
+        if a > b and math.isfinite(a) and math.isfinite(b):
+            raise DomainError(f"uniform requires a <= b, got ({a}, {b})")
+        raise DomainError(f"uniform requires finite bounds a <= b whose difference is finite, got ({a}, {b})")
     u = rng.next_float()
-    return a + (b - a) * u
+    return a + width * u
 
 
 def _binomial(rng: RandomStream, n, p):
@@ -130,7 +136,10 @@ def _normal(rng: RandomStream, mu, sigma):
     # Box-Muller cosine branch; exactly 2 raw draws, discarding none
     u1 = ((rng.next_word() >> 11) + 1) * 2.0**-53  # (0, 1]
     u2 = rng.next_float()
-    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    x = mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    if -math.inf < x < math.inf:  # not so for a NaN or infinite argument, or a result past the float range
+        return x
+    raise DomainError(f"normal requires finite mu and sigma and a finite result, got ({mu}, {sigma})")
 
 
 def _poisson(rng: RandomStream, lam):

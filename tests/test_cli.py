@@ -244,6 +244,27 @@ def test_non_finite_argument_exit_2_names_node_and_span(run_cli, tmp_path, call,
     assert not out.exists()
 
 
+NAN, INF = "(exp(709) * 10 - exp(709) * 10)", "exp(709) * 10"
+
+
+@pytest.mark.parametrize("source", [
+    f"uniform({NAN}, {NAN})", f"uniform(0, {INF})", f"uniform(-{INF}, 0)", "uniform(-1e308, 1e308)",
+    f"normal({NAN}, 1)", f"normal(0, {NAN})", f"normal({INF}, 1)", f"normal(0, {INF})",
+    f"categorical([{NAN}])", f"categorical([{NAN}, 1.0])", f"categorical([{INF}])",
+    f'choice(["a", "b"], [0.5, {NAN}])',
+], ids=lambda source: source.replace(NAN, "NAN").replace(INF, "INF"))
+def test_non_finite_distribution_argument_exit_2_names_node_and_span(run_cli, tmp_path, source):
+    spec = tmp_path / "nonfinite.yaml"
+    spec.write_text(model_yaml(f"    X: '{source}'\n"))
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", spec, "--out", out)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("dagforge: node X: ")
+    assert "finite" in err and err.rstrip().endswith(f" at 0..{len(source)}")
+    assert not out.exists()
+
+
 # an int past the float range: int literals are bounded, their products are not
 HUGE = "*".join(["4000000000000000000"] * 18)
 

@@ -82,3 +82,41 @@ def test_every_function_returns_a_value_or_raises_domain_error(name, data):
     except DomainError:
         return
     _check_value(result)
+    _check_finite(name, args, result)
+
+
+def _check_finite(name, args, result):
+    """A distribution never returns a non-finite float: uniform and normal
+    return finite floats, and categorical and choice pick only by finite
+    probabilities (choice may still pick a non-finite item)."""
+    if name in ("uniform", "normal"):
+        assert math.isfinite(result), (name, args, result)
+    elif name in ("categorical", "choice"):
+        assert all(math.isfinite(p) for p in args[-1]), (name, args, result)
+
+
+# finite and non-finite reals, and ones whose difference or product is past the float range
+_reals = st.one_of(_floats, st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([1e308, -1e308, 1.7e308]))
+# probabilities: entries of valid lists, NaN often (it used to pass every check), and any real
+_prob = st.sampled_from([0.0, 0.5, 1.0, math.inf]) | st.just(math.nan) | _reals
+_DISTRIBUTIONS = {
+    "uniform": st.tuples(_reals, _reals),
+    "normal": st.tuples(_reals, _reals),
+    "categorical": st.tuples(st.lists(_prob, min_size=1, max_size=3)),
+    "choice": st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.lists(_reals, min_size=n, max_size=n), st.lists(_prob, min_size=n, max_size=n))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DISTRIBUTIONS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_a_distribution_never_returns_a_non_finite_float(name, data):
+    args = data.draw(_DISTRIBUTIONS[name], label="arguments")
+    rng = RandomStream(*data.draw(st.tuples(*[st.integers(0, 2**64 - 1)] * 3), label="stream"))
+    try:
+        result = REGISTRY.lookup(name).impl(rng, *args)
+    except DomainError:
+        return
+    _check_finite(name, [rng, *args], result)

@@ -18,6 +18,7 @@ from dagforge import (
 from dagforge.errors import CoercionError, SelectionStarvation, ValidationError
 from dagforge.evaluator import compile_expr
 from dagforge.expr import Lit, Ref
+from dagforge.sampler import KeptRows
 
 from conftest import DATA, MODELS, model_yaml
 
@@ -275,6 +276,30 @@ def test_kept_rows_do_not_depend_on_index_order(registry, seed, data):
     for row, got in zip(kept, ds.rows):
         assert all(values_equal(row[c], got.values[c]) for c in ds.column_order)
         assert got.stratum == row[model.stratify]
+
+
+def _wide_model_text():
+    # 299 drawing nodes and a drawing selection node: blocks of 1024 // 300 = 3 indices
+    nodes = "".join(f'    N{i}: "normal({i % 5}, 1) + uniform(0, 1)"\n' for i in range(299))
+    return model_yaml(nodes + '    S:\n      function: "binomial(1, 0.7) == 1"\n      kind: selection\n')
+
+
+@pytest.mark.parametrize("text, block, num_samples", [
+    (_wide_model_text(), 3, 12),
+    ((MODELS / "images.yaml").read_text(), 146, 146 + 5),
+    (model_yaml('    X: "1 + 2"\n    Y: "X * 2"\n'), 1024, 2 * 1024 + 5),
+], ids=["wide", "images", "no_draws"])
+def test_kept_rows_equal_replays_across_blocks(registry, text, block, num_samples):
+    model = compile_text(text, registry)
+    rows = KeptRows(model, RunConfig(num_samples=num_samples, seed=21), registry)
+    assert rows._lanes.count == block
+    got = list(rows)
+    assert len(got) == num_samples and rows.attempts > block + 1
+    replayed = [sample_one(model, i, 21, registry) for i in range(rows.attempts)]
+    kept = [row for row, selected in replayed if selected]
+    assert len(kept) == num_samples
+    for row, taken in zip(kept, got):
+        assert all(values_equal(row[c], taken.values[c]) for c in rows.column_order)
 
 
 # --- interventions -----------------------------------------------------------
