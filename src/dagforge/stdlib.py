@@ -332,12 +332,29 @@ def _kmer_counts(seqs, k, alphabet):
         raise DomainError(f"kmer_counts requires k >= 1, got {_brief(k)}")
     if not alphabet or len(set(alphabet)) != len(alphabet):
         raise DomainError("kmer_counts alphabet must be non-empty without repeats")
-    index = {c: i for i, c in enumerate(alphabet)}
     base = len(alphabet)
     # from this k on even 2**k passes the limit, so a huge k is never used as an exponent
     if base > 1 and (k >= MAX_KMER_TABLE.bit_length() or base**k > MAX_KMER_TABLE):
         raise DomainError(
             f"kmer_counts table of {base}**{_brief(k)} counters is larger than the limit of {MAX_KMER_TABLE}")
+    # B**8 >= 256 and B**1 >= 256 past 254 letters, for B = base + 1: tested first, so a huge k
+    # never reaches the power, and neither a huge k nor a long alphabet the cache
+    if k < 8 and base < 255 and (lanes := _kmer_lanes(alphabet, k)) is not None:
+        table, codes = lanes
+        try:
+            digits = "\x00".join(seqs).encode("latin-1").translate(table)
+        except (TypeError, UnicodeEncodeError):  # a non-string or non-Latin-1 element: the loop names it
+            digits = b"\xff"
+        # no character outside the alphabet, and no separator but the len(seqs) - 1 joins
+        if 255 not in digits and digits.count(base) == len(seqs) - 1:
+            # one byte a lane: lane i ends as the B-code of the window that starts at digit i
+            m = max(len(digits) - k + 1, 0)
+            code = 0
+            for j in range(k):
+                code = code * (base + 1) + int.from_bytes(digits[j:m + j], "big")
+            windows = code.to_bytes(m, "big")
+            return [windows.count(c) for c in codes]
+    index = {c: i for i, c in enumerate(alphabet)}
     size = base**k
     counts = [0] * size
     for s in seqs:
@@ -356,6 +373,30 @@ def _kmer_counts(seqs, k, alphabet):
             bad = sorted(set(s).difference(index))
             raise DomainError(f"sequence contains characters outside the alphabet: {bad}") from None
     return counts
+
+
+@functools.lru_cache(maxsize=64)
+def _kmer_lanes(alphabet: str, k: int) -> tuple[bytes, bytes] | None:
+    """Tables to count k-mers one byte per lane, or None when a window's code does not fit a byte.
+
+    The translate table maps each alphabet character to its digit, the separator
+    "\\x00" to ``base = len(alphabet)`` and every other byte to 255. A window's
+    code in base ``B = base + 1`` is below ``B**k < 256``, so the lanes never
+    carry into each other, and one that crosses a separator holds the digit
+    ``base`` and equals no table code. The codes are the B-codes of the table's
+    indices, in lexicographic order.
+    """
+    base = len(alphabet)
+    if (base + 1)**k >= 256 or max(alphabet) > "\xff":
+        return None
+    table = bytearray(b"\xff" * 256)
+    for i, c in enumerate(alphabet):
+        table[ord(c)] = i
+    table[0] = base  # even when "\x00" is a letter: a sequence holding it adds a separator, so the loop counts
+    codes = [0]
+    for _ in range(k):
+        codes = [c * (base + 1) + d for c in codes for d in range(base)]
+    return bytes(table), bytes(codes)
 
 
 def _tensor_zeros(shape):

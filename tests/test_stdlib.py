@@ -15,6 +15,7 @@ from dagforge import (
 )
 from dagforge.errors import DomainError, RegistryError
 from dagforge.evaluator import compile_expr
+from dagforge.examplefns import create_airr, encode_kmers
 from dagforge.expr import KEYWORDS
 from dagforge.rng import _LANES
 from dagforge.stdlib import (
@@ -34,6 +35,7 @@ from dagforge.stdlib import (
     _byte_table,
     _implant,
     _kmer_counts,
+    _kmer_lanes,
     _low_byte_chars,
     _len,
     _normal,
@@ -46,6 +48,7 @@ from dagforge.stdlib import (
     _tensor_zeros,
     _uniform,
 )
+from dagforge.values import type_name
 
 N = 100_000
 
@@ -365,30 +368,87 @@ def test_kmer_counts_against_oracle():
         assert _kmer_counts(seqs, k, "ACGT") == brute_kmer_counts(seqs, k, "ACGT")
 
 
+# "\x00" is the lane pass's separator, "é" is Latin-1 but not ASCII, and "Ā"
+# is not Latin-1; 16 letters reach tables on both sides of (base + 1)**k < 256
+KMER_POOL = "ACGT\x00éĀNbdfhjkmp"
+LATIN_254 = "".join(map(chr, range(254)))
+LATIN_255 = "".join(map(chr, range(1, 256)))
+# twice the profile's count: 200 by default, ten times as many under the ci profile
+KMER_EXAMPLES = 2 * settings.default.max_examples
+
+
 @st.composite
 def _kmer_inputs(draw):
-    alphabet = "".join(draw(st.lists(st.sampled_from("ACGTN"), min_size=1, max_size=4, unique=True)))
-    # "x" is never in the alphabet, so some inputs hold a bad character
-    chars = alphabet + "x" if draw(st.booleans()) else alphabet
-    seqs = draw(st.lists(st.text(alphabet=chars, max_size=12), max_size=5))
-    return seqs, draw(st.integers(1, 4)), alphabet
+    k = draw(st.integers(1, 7))
+    # at most 1,024 table entries, so the oracle's product stays small
+    size = max(b for b in range(1, len(KMER_POOL) + 1) if b**k <= 1024)
+    alphabet = "".join(draw(st.permutations(KMER_POOL))[:draw(st.integers(1, size))])
+    # in a quarter of the inputs, pool letters outside the alphabet and "x" are bad characters
+    chars = alphabet + KMER_POOL + "x" if draw(st.integers(0, 3)) == 0 else alphabet
+    seqs = draw(st.lists(st.text(alphabet=chars, max_size=40), max_size=6))
+    if draw(st.integers(0, 3)) == 0:  # a non-string element anywhere, before or after a bad sequence
+        seqs.insert(draw(st.integers(0, len(seqs))), draw(st.sampled_from([7, 1.5, ["A"]])))
+    return seqs, k, alphabet
 
 
-@settings(max_examples=200, deadline=None)
+def _first_kmer_fault(seqs, alphabet):
+    """The message for the first sequence that is not a string or holds a bad character, else None."""
+    for s in seqs:
+        if not isinstance(s, str):
+            return f"kmer_counts sequence must be a string, got {type_name(s)}"
+        if set(s) - set(alphabet):
+            return f"sequence contains characters outside the alphabet: {sorted(set(s) - set(alphabet))}"
+    return None
+
+
+@settings(max_examples=KMER_EXAMPLES, deadline=None)
 @given(inputs=_kmer_inputs())
 @example(inputs=([], 2, "ACGT"))
 @example(inputs=(["ACG", ""], 4, "ACGT"))  # k > len(seq): no window
 @example(inputs=(["ACGT", "GA"], 1, "ACGT"))
 @example(inputs=(["AC", "AxGy"], 2, "ACGT"))
+@example(inputs=(["ACGTACGTTGCA", "GAT"], 3, "ACGT"))  # lanes: 5**3 < 256
+@example(inputs=(["ACGTACGTTGCA", "GAT"], 4, "ACGT"))  # loop: 5**4 >= 256
+@example(inputs=(["ACG\x00T", "\x00"], 2, "ACGT\x00"))  # the separator in a sequence
+@example(inputs=(["AC", "A\x00G"], 2, "ACGT"))  # a separator that is not in the alphabet
+@example(inputs=(["AéC", "ĀA"], 1, "ACé"))  # a non-Latin-1 character in a sequence
+@example(inputs=(["AĀC"], 2, "ACĀ"))  # a non-Latin-1 alphabet
+@example(inputs=(["AC", 7, "AxG"], 2, "ACGT"))  # a non-string before a bad sequence
+@example(inputs=(["AC", "AxG", 7], 2, "ACGT"))  # and after one
+@example(inputs=([LATIN_254, "\x00\xfd", LATIN_254[::-1]], 1, LATIN_254))  # lanes: 255 < 256
+@example(inputs=([LATIN_254, "\xfe"], 1, LATIN_254))
+@example(inputs=([LATIN_255, "\x01\xff", LATIN_255[::-1]], 1, LATIN_255))  # loop: 256 >= 256
+@example(inputs=([LATIN_255, "\x00"], 1, LATIN_255))
 def test_kmer_counts_equals_window_definition(inputs):
     seqs, k, alphabet = inputs
-    bad = [sorted(set(s) - set(alphabet)) for s in seqs if set(s) - set(alphabet)]
-    if bad:  # the first sequence with a bad character is named
+    fault = _first_kmer_fault(seqs, alphabet)
+    if fault is not None:  # the first bad sequence is named, whatever its fault
         with pytest.raises(DomainError) as raised:
             _kmer_counts(seqs, k, alphabet)
-        assert str(raised.value) == f"sequence contains characters outside the alphabet: {bad[0]}"
+        assert str(raised.value) == fault
     else:
         assert _kmer_counts(seqs, k, alphabet) == brute_kmer_counts(seqs, k, alphabet)
+
+
+def test_kmer_lanes_hold_windows_below_a_byte():
+    table, codes = _kmer_lanes("ACGT", 3)  # 5**3 = 125
+    assert table[ord("G")] == 2 and table[0] == 4 and table[ord("x")] == 255
+    assert codes[:6] == bytes([0, 1, 2, 3, 5, 6])  # AAA AAC AAG AAT ACA ACC in base 5
+    assert len(codes) == 64 and codes[-1] == 3 * 25 + 3 * 5 + 3
+    for alphabet, k in [(LATIN_254, 1), (LATIN_254[:14], 2), ("AC", 5), ("A", 7)]:
+        assert _kmer_lanes(alphabet, k) is not None
+    for alphabet, k in [("ACGT", 4), (LATIN_254[:15], 2), ("AC", 6), ("A", 8), (LATIN_255, 1), ("AĀ", 1)]:
+        assert _kmer_lanes(alphabet, k) is None
+
+
+def test_encode_kmers_on_airr_rows_and_a_long_sequence():
+    for i in range(600):
+        seqs = create_airr(RandomStream(13, i, 5), i % 2, 10 + i % 70, "AB"[i % 3 == 0])
+        assert [len(s) for s in seqs] == [16] * 8
+        assert encode_kmers(seqs) == brute_kmer_counts(seqs, 2, "ACGT")
+    long = [_random_seq(RandomStream(17), "ACGT", 100_000)]  # a window code of 100,000 bytes
+    assert encode_kmers(long) == brute_kmer_counts(long, 2, "ACGT")
+    assert _kmer_counts(long, 3, "ACGT") == brute_kmer_counts(long, 3, "ACGT")
 
 
 def test_kmer_counts_domain():
@@ -412,6 +472,9 @@ def test_tensor_zeros():
 def test_kmer_counts_table_size_is_limited():
     assert len(_kmer_counts(["ACGT"], 10, "ACGT")) == MAX_KMER_TABLE == 4**10
     assert _kmer_counts(["AAA"], 2**70, "A") == [0]  # one counter, whatever k is
+    # a one-letter alphabet passes every limit, so the lane pass's bound must not compute 2**k either
+    assert _kmer_counts(["AAAA"], 2**63 - 1, "A") == [0]
+    assert _kmer_counts(["AAAA"], 2**14000, "A") == [0]
     for k in (11, 2**62, 2**6000):
         with pytest.raises(DomainError, match="larger than the limit of 1048576"):
             _kmer_counts([], k, "ACGT")
