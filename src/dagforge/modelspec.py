@@ -17,9 +17,11 @@ Schema (full reference in SCHEMA.md):
 ``python_file`` entries are accepted and ignored with a warning so that
 legacy documents load unchanged.
 
-A document is read by one iterative walk over the YAML parser's events
+A document is a YAML subset: mappings, lists and scalars, with anchors and
+aliases.  It is read by one iterative walk over the YAML parser's events
 (:mod:`dagforge.yamlwalk`), which builds its dicts and lists on an explicit
-stack and checks nesting depth and duplicate keys as it goes.
+stack and rejects nesting too deep, duplicate keys and tags outside the
+subset as it goes.
 """
 
 from __future__ import annotations

@@ -1,37 +1,25 @@
-"""One pass from a YAML parser's events to the document's Python objects.
+"""One pass from a YAML parser's events to a model document's Python objects.
 
-``walk(loader)`` builds what ``yaml.load`` with PyYAML's safe constructor
-builds, except that a mapping rejects a duplicate or an unhashable key, and it
-composes no node graph: each event goes straight into the open collection on
-an explicit stack, so no depth of nesting recurses, and a document nesting
-more than ``MAX_NESTING`` levels is a :class:`SpecError`.  A plain scalar is
-resolved with the loader's own resolver, once per distinct text; only a scalar
-that is not a string runs PyYAML's constructor for its tag.
+A model document is a YAML subset (SCHEMA.md): mappings, lists and scalars,
+with anchors and aliases.  ``walk(loader)`` builds it without composing a node
+graph: each event goes straight into the open collection on an explicit stack
+of ``[collection, pending key, mark]`` lists, so no depth of nesting recurses,
+and a document nesting more than ``MAX_NESTING`` levels is a
+:class:`SpecError`.  A plain scalar is resolved with the loader's own resolver,
+once per distinct text; only a scalar that is not a string runs PyYAML's
+constructor for its tag.
 
-Every failure is the one ``yaml.load`` raises, except that a constructor's
-plain Python error (``IndexError`` for ``!!int ''``) is raised as a
-construction error at its node.  A parse error, an undefined
-alias or a duplicate anchor ends the walk, after a scan for nesting too deep,
-which PyYAML's loader met first.  A construction error does not end it:
-PyYAML constructs only a fully composed document, and it fills lists and sets
-breadth-first, one pass per level, after the mappings around them.  So each
-construction error is kept with its place in that order, ``(level, path,
-position)``, and the first in order is raised after the last event.  An alias
-constructs its node where PyYAML first meets it, so the node's first error is
-kept again at each alias.
-
-Four kinds of document get another outcome on purpose; ``tests/test_loader.py``
-pins them: ``!!map`` on a list or a scalar is an error (PyYAML's strict mapping
-constructor took the node apart with a ``TypeError`` or ``ValueError``, or
-built ``{}`` from an empty one), a merge or value key inside ``!!set`` is an
-unknown tag as in every other mapping, a value key under a scalar tag is not
-the scalar, and an alias to an anchored ``!!omap`` entry stands for its key
-and value rather than a mapping built anew with the entry's own tag.
+A construction error is a ``ConstructorError`` at its node: a duplicate or an
+unhashable mapping key, a scalar that its tag's constructor cannot read, an
+unknown tag, a collection tag outside the subset (``!!set``, ``!!omap``,
+``!!pairs``, or ``!!map``/``!!seq`` on another kind of node, or a scalar tag on
+a collection), and an alias met inside its own anchor.  The walk keeps the
+first construction error it meets and raises it after the last event, so a
+parse error anywhere in the document wins.  An undefined alias or a duplicate
+anchor is PyYAML's composer error, raised where it is met.
 """
 
 from __future__ import annotations
-
-from types import GeneratorType
 
 import yaml
 
@@ -46,38 +34,19 @@ __all__ = ["MAX_NESTING", "walk"]
 MAX_NESTING = 100
 
 _T = "tag:yaml.org,2002:"
-_MAP, _SEQ, _SET, _OMAP, _PAIR, _ROOT = "map", "seq", "set", "omap", "pair", "root"
-_KINDS = {  # the collection tags built here, by the start event they tag
-    (_T + "map", yaml.MappingStartEvent): _MAP, (_T + "seq", yaml.SequenceStartEvent): _SEQ,
-    (_T + "set", yaml.MappingStartEvent): _SET, (_T + "omap", yaml.SequenceStartEvent): _OMAP,
-    (_T + "pairs", yaml.SequenceStartEvent): _OMAP,
-}
-_CONTEXT = {_T + "omap": "while constructing an ordered map", _T + "pairs": "while constructing pairs",
-            _T + "set": "while constructing a mapping"}
-_LATER = (_SEQ, _SET, _OMAP)  # PyYAML fills these one pass after the one that creates them
-_OPEN, _NOKEY, _BAD = object(), object(), object()
+_KIND = {_T + "map": "mapping", _T + "seq": "sequence"}  # the collection tags built here
+_OUTSIDE = (_T + "set", _T + "omap", _T + "pairs")  # PyYAML's other collection tags
+_NOKEY, _BAD = object(), object()
 _Error = yaml.constructor.ConstructorError
 
 
-class _Node:
-    """An open collection, or an anchored node."""
-
-    __slots__ = ("kind", "obj", "key", "mark", "pos", "path", "err", "dead", "inner", "id", "tag")
-
-    def __init__(self, kind, obj, mark, pos, path, err, id, tag=None):
-        self.kind, self.obj, self.key, self.mark, self.pos, self.path, self.tag = kind, obj, _NOKEY, mark, pos, path, tag
-        # the first index of its errors, the error that kills it, and (if
-        # anchored) its first error relative to its place, or _OPEN until built
-        self.err, self.dead, self.inner, self.id = err, None, None, id
-
-
-def _too_deep() -> SpecError:
-    return SpecError("document", f"nested more than {MAX_NESTING} levels deep")
-
-
-def _duplicate_anchor(first: _Node, ev) -> yaml.YAMLError:
-    return yaml.composer.ComposerError(
-        f"found duplicate anchor {ev.anchor!r}; first occurrence", first.mark, "second occurrence", ev.start_mark)
+def _tag_error(tag: str, found: str, mark) -> yaml.YAMLError:
+    """The error for an explicit ``tag`` on a node of kind ``found`` that does not carry it."""
+    if tag in _OUTSIDE:
+        problem = f"expected a mapping, list or scalar, but found {tag.replace(_T, '!!')}"
+    else:
+        problem = f"expected a {_KIND.get(tag, 'scalar')} node, but found {found}"
+    return _Error(None, None, problem, mark)
 
 
 def _yaml_error(exc: Exception, node) -> yaml.YAMLError:
@@ -103,201 +72,123 @@ def walk(loader):
         get()  # stream start
         if isinstance(get(), yaml.StreamEndEvent):
             return None
-        memo, anchors, errors = {}, {}, []
-        stack = [_Node(_ROOT, None, None, 0, (), 0, None)]
-        top, i, broken = stack[0], 0, None
+        first = loader.peek_event().start_mark  # the document's node, named if a second document follows
+        root = []
+        top = [root, _NOKEY, None]
+        stack = [top]
+        memo, anchors, error = {}, {}, None
 
-        def fail(exc, pos, path=None):
-            path = top.path if path is None else path
-            errors.append(((len(path), path, pos), len(errors), exc))
+        def fail(exc):
+            nonlocal error
+            if error is None:
+                error = exc
 
-        def construct(tag, node, pos):
-            """PyYAML's constructor for ``node``; a failure is kept, and gives None."""
+        def anchor(ev, obj):
+            if ev.anchor in anchors:
+                raise yaml.composer.ComposerError(f"found duplicate anchor {ev.anchor!r}; first occurrence",
+                                                  anchors[ev.anchor][1], "second occurrence", ev.start_mark)
+            anchors[ev.anchor] = obj, ev.start_mark
+
+        def construct(tag, ev):
+            """PyYAML's constructor for a scalar; a failure is kept, and gives _BAD."""
+            if tag in _KIND or tag in _OUTSIDE:
+                fail(_tag_error(tag, "scalar", ev.start_mark))
+                return _BAD
+            node = yaml.ScalarNode(tag, ev.value, ev.start_mark, ev.end_mark, ev.style)
             try:
-                data = constructors.get(tag, constructors[None])(loader, node)
-                if isinstance(data, GeneratorType):  # the rest runs one pass later
-                    obj = next(data)
-                    try:
-                        for _ in data:
-                            pass
-                    except Exception as exc:
-                        fail(_yaml_error(exc, node), pos, top.path + (pos,))
-                    return obj
-                return data
-            except Exception as exc:  # kept, and raised at the end if PyYAML would have raised it first
-                fail(_yaml_error(exc, node), pos)
+                return constructors.get(tag, constructors[None])(loader, node)
+            except Exception as exc:  # kept, and raised at the end if no error came before it
+                fail(_yaml_error(exc, node))
+                return _BAD
 
-        def finish(node):
-            if node.err < len(errors):
-                (_, path, pos), _, exc = min(errors[node.err:])
-                shift = lambda p: (p[0] - node.pos,) + p[1:]
-                node.inner = tuple(map(shift, path[len(top.path):])), shift(pos), exc
-            else:
-                node.inner = None
-
-        def entry(items, id, mark, pos):
-            """Append the one key and value of an !!omap or !!pairs entry."""
-            if id != "mapping":
-                fail(_Error(_CONTEXT[top.tag], top.mark, f"expected a mapping of length 1, but found {id}", mark), pos)
-            elif len(items) != 1:
-                fail(_Error(_CONTEXT[top.tag], top.mark, f"expected a single mapping item, but found {len(items)} items",
-                            mark), pos)
-            else:
-                top.obj.append(items[0])
-
-        def scalar(ev, i):
-            """The object of a scalar that is tagged, anchored, in an !!omap or new to the memo."""
-            nonlocal broken
-            tag, value, anchor, n = ev.tag, ev.value, ev.anchor, len(errors)
-            if anchor in anchors:
-                broken = _duplicate_anchor(anchors[anchor], ev)
-                return None
+        def scalar(ev):
+            """The object of a scalar that is tagged, anchored or new to the memo."""
+            tag, value = ev.tag, ev.value
             if tag is not None and tag != "!":
-                v = construct(tag, yaml.ScalarNode(tag, value, ev.start_mark, ev.end_mark, ev.style), (i,))
+                v = construct(tag, ev)
             elif not ev.implicit[0]:  # quoted
                 v = value
             else:
                 v = memo.get(value, _NOKEY)
                 if v is _NOKEY:
                     tag = resolve(yaml.ScalarNode, value, ev.implicit)
-                    v = value if tag == _T + "str" else construct(
-                        tag, yaml.ScalarNode(tag, value, ev.start_mark, ev.end_mark), (i,))
-                    if n == len(errors):  # the same text would fail again
+                    v = value if tag == _T + "str" else construct(tag, ev)
+                    if v is not _BAD:  # the same text would fail again
                         memo[value] = v
-            if anchor is not None:
-                finish(anchors.setdefault(anchor, _Node(None, v, ev.start_mark, i, top.path, n, "scalar")))
-            if top.kind is _OMAP:  # PyYAML constructs only mapping entries
-                del errors[n:]
+            if ev.anchor is not None:
+                anchor(ev, v)
             return v
 
-        def add(v, mark, i, id):
-            kind, key = top.kind, top.key
-            if kind is _MAP or kind is _SET:
-                if key is _NOKEY:
-                    try:
-                        hash(v)  # a set holds a key only if it hashes; ``in`` would take a set key as frozenset
-                        duplicate = kind is _MAP and v in top.obj
-                    except TypeError:
-                        fail(_Error(None, None, "unhashable mapping key", mark) if kind is _MAP else
-                             _Error(_CONTEXT[top.tag], top.mark, "found unhashable key", mark), (i,))
+        def add(v, mark):
+            obj, key = top[0], top[1]
+            if type(obj) is list:
+                obj.append(v)
+            elif key is _NOKEY:
+                try:
+                    duplicate = v in obj
+                except TypeError:
+                    fail(_Error(None, None, "unhashable mapping key", mark))
+                    v = _BAD
+                else:
+                    if duplicate:
+                        fail(_Error(None, None, f"duplicate key {_brief(v)}", mark))
                         v = _BAD
-                    else:
-                        if duplicate:
-                            fail(_Error(None, None, f"duplicate key {_brief(v)}", mark), (i,))
-                            v = _BAD
-                    top.key = v
-                    return
-                if key is not _BAD:
-                    if kind is _MAP:
-                        top.obj[key] = v
-                    else:
-                        top.obj.add(key)
-                top.key = _NOKEY
-            elif kind is _SEQ or kind is _PAIR:
-                top.obj.append(v)
-            elif kind is _OMAP:
-                entry(list(v.items()) if isinstance(v, dict) else (), id, mark, (i,))
+                top[1] = v
             else:
-                top.obj, top.mark = v, mark
+                if key is not _BAD:
+                    obj[key] = v
+                top[1] = _NOKEY
 
         while True:
             ev = get()
-            i += 1
             cls = type(ev)
             if cls is yaml.ScalarEvent:
                 v = ev.value
-                if ev.tag is not None or ev.anchor is not None or top.kind is _OMAP:
-                    v = scalar(ev, i)
-                    if broken is not None:
-                        break
+                if ev.tag is not None or ev.anchor is not None:
+                    v = scalar(ev)
                 elif ev.implicit[0]:  # plain
                     v = memo.get(v, _NOKEY)
                     if v is _NOKEY:
-                        v = scalar(ev, i)
-                key = top.key
-                if key is _NOKEY or key is _BAD or top.kind is not _MAP:
-                    add(v, ev.start_mark, i, "scalar")
+                        v = scalar(ev)
+                key = top[1]
+                if key is _NOKEY or key is _BAD:
+                    add(v, ev.start_mark)
                 else:  # a mapping's value, the commonest case
-                    top.obj[key] = v
-                    top.key = _NOKEY
+                    top[0][key] = v
+                    top[1] = _NOKEY
             elif cls is yaml.MappingStartEvent or cls is yaml.SequenceStartEvent:
                 if len(stack) > MAX_NESTING:
-                    raise _too_deep()
-                anchor, tag, mapping = ev.anchor, ev.tag, cls is yaml.MappingStartEvent
-                if anchor in anchors:
-                    broken = _duplicate_anchor(anchors[anchor], ev)
-                    break
-                if top.kind is _OMAP and mapping:
-                    kind = _PAIR  # an entry, whose tag PyYAML ignores
-                elif tag is None or tag == "!":  # the safe resolvers give the default tags
-                    kind = _MAP if mapping else _SEQ
-                else:
-                    kind = _KINDS.get((tag, cls))
-                node = _Node(kind, None, ev.start_mark, i, top.path, len(errors), "mapping" if mapping else "sequence", tag)
-                if kind is None:  # the tag's own constructor rejects this node
-                    node.kind = _MAP if mapping else _SEQ
-                    construct(tag, (yaml.MappingNode if mapping else yaml.SequenceNode)(tag, [], ev.start_mark, None), (i,))
-                    node.dead = errors[-1] if len(errors) > node.err else None
-                if node.kind in _LATER:
-                    node.path = top.path + ((i,),)
-                node.obj = {} if node.kind is _MAP else set() if node.kind is _SET else []
-                if anchor is not None:
-                    anchors[anchor], node.inner = node, _OPEN
-                stack.append(node)
-                top = node
+                    raise SpecError("document", f"nested more than {MAX_NESTING} levels deep")
+                found = "mapping" if cls is yaml.MappingStartEvent else "sequence"
+                obj = {} if cls is yaml.MappingStartEvent else []
+                tag = ev.tag
+                if tag is not None and tag != "!" and _KIND.get(tag) != found:
+                    fail(_tag_error(tag, found, ev.start_mark) if tag in constructors else
+                         _Error(None, None, f"could not determine a constructor for the tag {tag!r}", ev.start_mark))
+                if ev.anchor is not None:
+                    anchor(ev, obj)
+                top = [obj, _NOKEY, ev.start_mark]
+                stack.append(top)
             elif cls is yaml.MappingEndEvent or cls is yaml.SequenceEndEvent:
-                node = stack.pop()
+                obj, _, mark = stack.pop()
                 top = stack[-1]
-                if node.dead is not None:  # PyYAML constructs nothing inside it
-                    del errors[node.err:]
-                    errors.append(node.dead)
-                if node.inner is _OPEN:
-                    finish(node)
-                if node.kind is _PAIR:
-                    pairs = list(zip(node.obj[::2], node.obj[1::2]))
-                    entry(pairs, "mapping", node.mark, (node.pos,))
-                    try:
-                        node.obj = dict(pairs)  # what an alias to it stands for
-                    except TypeError:
-                        pass
-                else:
-                    if top.kind is _OMAP:
-                        del errors[node.err:]
-                    add(node.obj, node.mark, i, node.id)
+                add(obj, mark)
             elif cls is yaml.AliasEvent:
-                node = anchors.get(ev.anchor)
-                if node is None:
-                    broken = yaml.composer.ComposerError(None, None, f"found undefined alias {ev.anchor!r}", ev.start_mark)
-                    break
-                if node.inner is _OPEN:  # inside its own anchor
-                    if node.kind is _MAP and not any(f.kind in _LATER for f in stack[stack.index(node):]):
-                        fail(_Error(None, None, "found unconstructable recursive node", node.mark), (i,))
-                elif node.inner is not None and (top.kind is not _OMAP or node.id == "mapping"):
-                    path, pos, exc = node.inner  # constructed here, unless PyYAML met it before
-                    at = (i - 0.5,)
-                    path = top.path + tuple(at + p for p in path)
-                    errors.append(((len(path), path, at + pos), len(errors), exc))
-                add(node.obj, node.mark, i, node.id)
+                if ev.anchor not in anchors:
+                    raise yaml.composer.ComposerError(None, None, f"found undefined alias {ev.anchor!r}", ev.start_mark)
+                obj, mark = anchors[ev.anchor]
+                if any(frame[0] is obj for frame in stack):  # inside its own anchor
+                    fail(_Error(None, None, "found unconstructable recursive node", mark))
+                add(obj, mark)
             else:  # the document's end
                 break
 
-        if broken is not None:
-            depth = len(stack) - 1 + isinstance(ev, yaml.CollectionStartEvent)
-            try:
-                while not isinstance(ev, yaml.DocumentEndEvent):
-                    ev = get()
-                    depth += isinstance(ev, yaml.CollectionStartEvent) - isinstance(ev, yaml.CollectionEndEvent)
-                    if depth > MAX_NESTING:
-                        raise _too_deep()
-            except yaml.YAMLError:
-                pass
-            raise broken
         ev = get()
         if not isinstance(ev, yaml.StreamEndEvent):
             raise yaml.composer.ComposerError(
-                "expected a single document in the stream", stack[0].mark, "but found another document", ev.start_mark)
-        if errors:
-            raise min(errors)[2]
-        return stack[0].obj
+                "expected a single document in the stream", first, "but found another document", ev.start_mark)
+        if error is not None:
+            raise error
+        return root[0]
     finally:
         loader.dispose()

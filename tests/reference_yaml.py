@@ -1,4 +1,4 @@
-"""The YAML loader that ``modelspec`` used before its one-pass event walk, kept as a test oracle.
+"""The composer-based YAML loader that ``modelspec`` used before its one-pass event walk, kept as a test oracle.
 
 PyYAML composes the whole document into a node graph and its safe
 constructor builds the objects, with a mapping constructor that rejects
@@ -7,11 +7,21 @@ tab or a byte-order mark or libyaml rejects it; the pure-Python loader loads
 the rest.  A document nesting deeper than ``MAX_NESTING`` is rejected by an
 event scan first, because both composers recurse.
 
-One change is made on purpose, in both loaders: a constructor that fails
-with an error that is not a YAML error (``!!int ''`` raises ``IndexError``)
-raises a construction error at its node instead, with the text
-``cannot construct <tag> from <value>``, followed by the message of a
-``ValueError``.
+It is the oracle for the exit class of every document and for the value of
+every accepted one, not for the message of a construction error: PyYAML
+constructs lists and sets one pass after the mappings around them, so of two
+construction errors it may report another one than the walk does.  Three
+changes are made on purpose, in both loaders:
+
+- a constructor that fails with an error that is not a YAML error
+  (``!!int ''`` raises ``IndexError``) raises a construction error at its
+  node instead, with the text ``cannot construct <tag> from <value>``,
+  followed by the message of a ``ValueError``;
+- the mapping constructor rejects a node that is not a mapping with
+  PyYAML's own text, where it took a list or a scalar under ``!!map`` apart;
+- a document whose value holds a set, an ``!!omap`` or ``!!pairs`` entry, or
+  a list or mapping inside itself is a construction error, as it is outside
+  the YAML subset of SCHEMA.md.
 
 ``outcome`` turns what a loader does with a text into a value that compares
 equal across loaders: the document's shape, or the exception's class and
@@ -29,6 +39,9 @@ MAX_NESTING = 100
 
 
 def _strict_mapping(loader, node, deep=False):
+    if not isinstance(node, yaml.MappingNode):
+        raise yaml.constructor.ConstructorError(
+            None, None, f"expected a mapping node, but found {node.id}", node.start_mark)
     mapping = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
@@ -86,16 +99,33 @@ def _check_nesting(text, loader):
         pass
 
 
+def _check_subset(doc):
+    """Raise a construction error if ``doc`` holds a set, a tuple or a list or mapping inside itself."""
+    open_, done, todo = set(), set(), [(doc, False)]
+    while todo:
+        v, leaving = todo.pop()
+        if leaving:
+            open_.discard(id(v))
+            done.add(id(v))
+        elif isinstance(v, (set, tuple)) or id(v) in open_:
+            raise yaml.constructor.ConstructorError(None, None, "outside the model document subset", None)
+        elif isinstance(v, (list, dict)) and id(v) not in done:
+            open_.add(id(v))
+            todo.append((v, True))
+            todo.extend((x, False) for x in (v.values() if isinstance(v, dict) else v))
+    return doc
+
+
 def load(text, libyaml=StrictLoader):
     """The document ``text`` holds, as the composer-based loader builds it."""
     if libyaml is not PyStrictLoader and "\t" not in text and "\ufeff" not in text:
         try:
             _check_nesting(text, libyaml)
-            return yaml.load(text, Loader=libyaml)
+            return _check_subset(yaml.load(text, Loader=libyaml))
         except yaml.YAMLError:
             pass
     _check_nesting(text, PyStrictLoader)
-    return yaml.load(text, Loader=PyStrictLoader)
+    return _check_subset(yaml.load(text, Loader=PyStrictLoader))
 
 
 def shape(doc):

@@ -339,6 +339,12 @@ def test_brief_is_repr_up_to_80_characters(value):
     assert _brief(value) == (repr(value) if len(repr(value)) <= 80 else repr(value)[:77] + "...")
 
 
+def test_brief_sorts_the_members_of_a_set():
+    # a host function may return a set; its message must not depend on the hash seed's iteration order
+    assert _brief({"delta", "alpha", "gamma", "beta"}) == "{'alpha', 'beta', 'delta', 'gamma'}"
+    assert _brief(set("hgfedcba")) == "{'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}"
+
+
 def test_brief_marks_a_container_inside_itself_as_repr_does():
     loop = [1]
     loop.append(loop)
