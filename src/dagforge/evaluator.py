@@ -5,9 +5,10 @@ a model repeat a few expression shapes over different names and literals, so
 programs are generated per shape and shared, after the AST specialisation of
 Würthinger et al. ("One VM to rule them all", 2013):
 
-* One walk over the AST yields the expression's shape key and its operands.
-  The key holds the operators, the kind and argument count of each call and
-  the *type* of each literal; the operands, in emission order, are the
+* One walk over the AST, :func:`dagforge.expr.analyse`, which validation
+  runs too, yields the expression's shape key and its operands.  The key
+  holds the operators, the kind and argument count of each call and the
+  *type* of each literal; the operands, in emission order, are the
   reference names, literal values, spans, registry implementations and
   error messages.  Each call site is looked up once, during the walk.
 * For the first expression of a shape, Python source is generated from the
@@ -29,24 +30,16 @@ import functools
 from typing import Callable
 
 from .errors import DomainError, EvalError
-from .expr import Binary, Call, Expr, IfElse, Lit, ListLit, Ref, Unary
+from .expr import Expr, analyse
 from .registry import FunctionRegistry
 from .rng import RandomStream
 from .values import Value, type_name, values_equal
 
-__all__ = ["compile_expr", "compile_node"]
+__all__ = ["compile_node"]
 
 Program = Callable[[dict, RandomStream], Value]
 
-# a literal's key token, which is the static kind of its value ("literal" when
-# none is known); int and float share one, since code that is right for one
-# number is right for the other
-_LITERAL = {int: "num", float: "num", bool: "bool"}
 _ORDERING = frozenset({"<", "<=", ">", ">="})
-_ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
-_BINARY = _ORDERING | _ARITHMETIC | {"==", "!=", "and", "or"}
-# the node classes, most frequent first; dict keys keep the order
-_NODE_CLASSES = dict.fromkeys((Ref, Lit, Binary, Call, IfElse, Unary, ListLit))
 
 # the most bits an int product may have; only '*' can grow an int this fast
 MAX_INT_BITS = 1 << 20
@@ -60,22 +53,16 @@ def _is_number(v: Value) -> bool:
     return type(v) in (int, float) or (isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
-def compile_expr(e: Expr, registry: FunctionRegistry | None) -> Program:
-    """Compile an expression into ``program(bindings, rng) -> value``.
+def compile_node(e: Expr, registry: FunctionRegistry | None) -> tuple[Program, bool]:
+    """Compile an expression into ``program(bindings, rng) -> value``, and
+    whether the program may draw.
 
     Calls are resolved against ``registry`` (with None, no function) now.  An
     unknown function or a wrong argument count compiles to code that raises
-    the EvalError evaluation would raise, and only when it is reached.
+    the EvalError evaluation would raise, and only when it is reached.  A
+    program may draw when it calls a stochastic or an unknown function.
     """
-    return compile_node(e, registry)[0]
-
-
-def compile_node(e: Expr, registry: FunctionRegistry | None) -> tuple[Program, bool]:
-    """:func:`compile_expr`, and whether the program may draw.
-
-    A program may draw when it calls a stochastic or an unknown function.
-    """
-    key, operands, draws = _shape(e, registry if registry is not None else FunctionRegistry())
+    key, operands, draws = analyse(e, registry if registry is not None else FunctionRegistry())[:3]
     return _factory(key)(*operands), draws
 
 
@@ -89,75 +76,6 @@ def _factory(key: tuple) -> Callable:
     namespace = dict(_GLOBALS)
     exec(compile(_source(key), "<dagforge shape>", "exec"), namespace)
     return namespace["factory"]
-
-
-def _shape(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool]:
-    """The shape key of ``e``, its operands in emission order, and whether it may draw."""
-    key: list = []
-    operands: list = []
-    draws = _walk(e, registry, key.append, operands.append)
-    return tuple(key), operands, draws
-
-
-def _walk(e: Expr, registry: FunctionRegistry, token, operand) -> bool:
-    """Emit the key tokens and operands of ``e``; True if it calls a stochastic or unknown function."""
-    cls = type(e)
-    if cls not in _NODE_CLASSES:  # a subclass, in a hand-built AST
-        cls = next((c for c in _NODE_CLASSES if isinstance(e, c)), None)
-    if cls is Ref:
-        token("r")
-        operand(e.span)
-        operand(e.name)
-        return False
-    if cls is Lit:
-        v = e.value
-        token(_LITERAL.get(type(v), "literal"))
-        operand(v)
-        return False
-    if cls is Binary:
-        if e.op not in _BINARY:  # only a hand-built AST gets here
-            return _fail(token, operand, e.span, f"unknown operator {e.op!r}", False)
-        token(e.op)
-        operand(e.span)
-        return _walk(e.lhs, registry, token, operand) | _walk(e.rhs, registry, token, operand)
-    if cls is Call:
-        args = e.args
-        entry, problem = registry.resolve(e.name, len(args))
-        if problem is not None:
-            return _fail(token, operand, e.span, problem, entry is None or entry.stochastic)
-        token("s" if entry.stochastic else "c")
-        token(len(args))
-        operand(e.span)
-        operand(entry.impl)
-        draws = entry.stochastic
-        for a in args:
-            draws |= _walk(a, registry, token, operand)
-        return draws
-    if cls is IfElse:
-        token("if")
-        operand(e.span)
-        return (_walk(e.cond, registry, token, operand) | _walk(e.then, registry, token, operand)
-                | _walk(e.otherwise, registry, token, operand))
-    if cls is Unary:
-        token("not" if e.op == "not" else "neg")
-        operand(e.span)
-        return _walk(e.operand, registry, token, operand)
-    if cls is ListLit:
-        token("[")
-        token(len(e.elements))
-        draws = False
-        for el in e.elements:
-            draws |= _walk(el, registry, token, operand)
-        return draws
-    return _fail(token, operand, e.span, f"cannot evaluate node of type {type(e).__name__}", False)
-
-
-def _fail(token, operand, span, message: str, draws: bool) -> bool:
-    """Emit code that raises ``EvalError(span, message)`` when reached."""
-    token("!")
-    operand(span)
-    operand(message)
-    return draws
 
 
 # --- code generation ---------------------------------------------------------

@@ -28,15 +28,18 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import LexError, NestingError, ParseError
 from .values import Value
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .registry import FunctionRegistry
+
 __all__ = [
     "Expr", "Lit", "Ref", "Call", "Unary", "Binary", "IfElse", "ListLit",
-    "parse", "preorder", "pretty_print", "KEYWORDS", "MAX_DEPTH",
+    "parse", "analyse", "pretty_print", "KEYWORDS", "MAX_DEPTH",
 ]
 
 KEYWORDS = frozenset({"if", "then", "else", "and", "or", "not"})
@@ -52,9 +55,9 @@ def _name_problem(name) -> str | None:
     return "is a reserved word" if name in KEYWORDS else None
 
 
-# The deepest expression tree that parses.  The compiler, the evaluator and
-# the printer recurse once or twice per level and the parser four times per
-# call or list level, so this keeps them all well inside the interpreter's
+# The deepest expression tree that parses.  The code generator and the
+# printer recurse once or twice per level and the parser four times per call
+# or list level, so this keeps them all well inside the interpreter's
 # recursion limit.  A chain ``a + b + c`` nests one level per operator.
 # Parentheses cost the parser three frames each and add no level, so about
 # 330 of them exhaust its stack first, which is also a NestingError.
@@ -363,17 +366,100 @@ def _depth(e: Expr) -> int:
     return deepest
 
 
-def preorder(e: Expr) -> Iterator[Expr]:
-    """Every node of the tree, each before its children, children left to right.
+# --- the walk ---------------------------------------------------------
 
-    Iterative, so nesting depth is not bounded by the interpreter's
-    recursion limit.
+# a literal's key token, which is the static kind of its value ("literal" when
+# none is known); int and float share one, since code that is right for one
+# number is right for the other
+_LITERAL = {int: "num", float: "num", bool: "bool"}
+_BINARY = frozenset(_BIN_LEVEL)
+# the node classes, most frequent first; dict keys keep the order
+_NODE_CLASSES = dict.fromkeys((Ref, Lit, Binary, Call, IfElse, Unary, ListLit))
+_LEAVE_FAILED = object()  # pushed under a failed node's children; popping it leaves the node
+
+
+def analyse(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool, list[str], list[str]]:
+    """``(key, operands, draws, refs, problems)`` of ``e``, from one iterative preorder walk.
+
+    The shape key holds the operators, the kind and argument count of each
+    call and the *type* of each literal; the operands, in emission order, are
+    the reference names, literal values, spans, registry implementations and
+    error messages.  ``draws`` tells whether the code may call a stochastic or
+    an unknown function, ``refs`` are the referenced names in first-mention
+    order and ``problems`` what is wrong with each call site that does not
+    resolve; each is looked up once.  A failed call, or a hand-built unknown
+    operator or node, emits code that raises when reached; nothing under it
+    emits, but its references and call problems are still collected.
     """
+    key, operands, problems, refs = [], [], [], {}
+    draws, failed = False, 0  # failed: how many failed nodes the walk is under
     stack = [e]
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children()))
+        node = pop()
+        cls = type(node)
+        if cls not in _NODE_CLASSES:
+            if node is _LEAVE_FAILED:
+                failed -= 1
+                continue
+            cls = next((c for c in _NODE_CLASSES if isinstance(node, c)), None)  # a subclass, in a hand-built AST
+        if cls is Ref:
+            refs[node.name] = None
+            if not failed:
+                key.append("r")
+                operands += (node.span, node.name)
+            continue
+        if cls is Lit:
+            if not failed:
+                key.append(_LITERAL.get(type(node.value), "literal"))
+                operands.append(node.value)
+            continue
+        if cls is Binary and node.op in _BINARY:
+            if not failed:
+                key.append(node.op)
+                operands.append(node.span)
+            push((node.rhs, node.lhs))
+            continue
+        if cls is Call:
+            args = node.args
+            entry, message = registry.resolve(node.name, len(args))
+            if message is None:
+                if not failed:
+                    key += ("s" if entry.stochastic else "c", len(args))
+                    operands += (node.span, entry.impl)
+                    draws |= entry.stochastic
+                push(args[::-1])
+                continue
+            problems.append(message)
+            may_draw = entry is None or entry.stochastic
+        elif cls is IfElse:
+            if not failed:
+                key.append("if")
+                operands.append(node.span)
+            push((node.otherwise, node.then, node.cond))
+            continue
+        elif cls is Unary:
+            if not failed:
+                key.append("not" if node.op == "not" else "neg")
+                operands.append(node.span)
+            stack.append(node.operand)
+            continue
+        elif cls is ListLit:
+            if not failed:
+                key += ("[", len(node.elements))
+            push(node.elements[::-1])
+            continue
+        elif cls is Binary:  # only a hand-built AST gets here
+            message, may_draw = f"unknown operator {node.op!r}", False
+        else:
+            message, may_draw = f"cannot evaluate node of type {type(node).__name__}", False
+        if not failed:
+            key.append("!")
+            operands += (node.span, message)
+            draws |= may_draw
+        failed += 1
+        push((_LEAVE_FAILED, *node.children()[::-1]))
+    return tuple(key), operands, draws, list(refs), problems
 
 
 # --- printing ----------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .errors import CycleError, LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
-from .expr import Call, Expr, Ref, _name_problem, parse, preorder
+from .expr import Expr, _name_problem, analyse, parse
 from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
 from .values import _brief, _cut
@@ -120,8 +120,10 @@ def _as_expr(value, path: str) -> Expr:
 # PyYAML was built with libyaml, its scanner loads documents several times
 # faster, but it also accepts tabs inside plain scalars and byte-order marks
 # that the pure-Python one rejects, and words some errors differently.  So
-# documents holding either character, and every document libyaml rejects, go
-# through the pure-Python loader.
+# documents holding either character, and every document libyaml cannot
+# parse, go through the pure-Python loader.  A construction error is raised
+# after the last event, when libyaml has parsed the whole document, so it
+# stands as it is.
 _PyStrictLoader = yaml.SafeLoader
 _StrictLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -130,6 +132,8 @@ def _load_yaml(text: str):
     if _StrictLoader is not _PyStrictLoader and "\t" not in text and "\ufeff" not in text:
         try:
             return walk(_StrictLoader(text))
+        except yaml.constructor.ConstructorError:
+            raise
         except yaml.YAMLError:
             pass  # reject it exactly as the pure-Python loader does
     return walk(_PyStrictLoader(text))
@@ -262,25 +266,17 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
 def _check_node(
     n: NodeDecl, declared: dict[str, NodeDecl], registry: FunctionRegistry | None, unresolved: list[str], functions: list[str]
 ) -> list[str]:
-    """Walk ``n.expr`` once and return its parents in first-mention order.
+    """Walk ``n.expr`` once with :func:`~dagforge.expr.analyse` and return
+    its parents in first-mention order.
 
     Unresolved references go to ``unresolved``; unknown functions and wrong
     argument counts, checked only when there is a registry, go to ``functions``.
     """
-    refs: dict[str, None] = {}
-    for e in preorder(n.expr):
-        if isinstance(e, Ref):
-            refs[e.name] = None
-        elif registry is not None and isinstance(e, Call):
-            problem = registry.resolve(e.name, len(e.args))[1]
-            if problem is not None:
-                functions.append(f"node {_cut(n.name)}: {problem}")
-    parents = []
-    for ref in refs:
-        if ref in declared:
-            parents.append(ref)
-        else:
-            unresolved.append(f"node {_cut(n.name)}: unresolved reference {_brief(ref)}")
+    refs, problems = analyse(n.expr, registry if registry is not None else FunctionRegistry())[3:]
+    if registry is not None:
+        functions.extend(f"node {_cut(n.name)}: {problem}" for problem in problems)
+    parents = [ref for ref in refs if ref in declared]
+    unresolved.extend(f"node {_cut(n.name)}: unresolved reference {_brief(ref)}" for ref in refs if ref not in declared)
     if n.kind == "missing" and n.underlying in declared and n.underlying not in parents:
         parents.append(n.underlying)
     return parents

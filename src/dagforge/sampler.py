@@ -23,7 +23,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import CoercionError, EvalError, SelectionStarvation, StratumNameError
+from .errors import CoercionError, EvalError, NestingError, SelectionStarvation, StratumNameError
 from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
@@ -105,7 +105,10 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[li
     steps, keys = [], []
     for name in model.topo_order:
         decl = model.by_name[name]
-        program, draws = compile_node(decl.expr, registry)
+        try:
+            program, draws = compile_node(decl.expr, registry)
+        except RecursionError:  # the code generator recurses; only a hand-built tree is this deep
+            raise NestingError(None, f"node {_cut(name)}: expression is nested too deeply") from None
         slot = None
         if draws:
             slot = len(keys)

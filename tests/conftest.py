@@ -19,6 +19,16 @@ settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
     settings.load_profile("ci")
 
+
+def preorder(e):
+    """Every node of the tree ``e``, each before its children, children left to right."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 MINIMAL_INSTRUCTIONS = """
 instructions:
   simulation:

@@ -1,7 +1,7 @@
 """A reference tree-walking evaluator for expression ASTs.
 
 It states the evaluation rules directly, one AST node at a time, so that
-``dagforge.evaluator.compile_expr`` can be checked against it: the same
+``dagforge.evaluator.compile_node`` can be checked against it: the same
 value, or the same EvalError message and span, and the same draws.
 """
 

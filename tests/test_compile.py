@@ -26,16 +26,16 @@ from dagforge import (
     validate,
 )
 from dagforge import evaluator, modelspec
-from dagforge.errors import SpecError
-from dagforge.evaluator import compile_expr
-from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, preorder
+from dagforge.errors import NestingError, SpecError
+from dagforge.evaluator import compile_node
+from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, analyse
 from dagforge.expr import _depth as expr_depth
 from dagforge.rng import sample_base
 from dagforge.values import MISSING, Tensor
 
 import reference_eval
 import reference_yaml
-from conftest import DATA, MODELS, model_yaml
+from conftest import DATA, MODELS, model_yaml, preorder
 from test_modelspec import _mutate
 
 UINT64 = st.integers(0, 2**64 - 1)
@@ -93,7 +93,7 @@ def test_intervening_looks_up_only_the_replacement_call_sites():
 
 
 def test_literal_closures_keep_type_and_sign():
-    program = compile_expr(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), None)
+    program = compile_node(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), None)[0]
     out = program({}, None)
     assert [type(v) for v in out] == [int, bool, float, float, float, str]
     assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
@@ -104,7 +104,7 @@ def test_literal_closures_keep_type_and_sign():
     out = [row[f"N{i}"] for i in range(len(values))]
     assert [type(v) for v in out] == [int, bool, float, float, float, str]
     assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
-    assert len({evaluator._shape(decl.expr, None)[0] for decl in model.nodes}) == 3  # numbers, booleans, strings
+    assert len({analyse(decl.expr, FunctionRegistry())[0] for decl in model.nodes}) == 3  # numbers, booleans, strings
 
 
 def test_sample_one_generates_each_shape_once(monkeypatch, registry):
@@ -243,11 +243,12 @@ def _evaluation(run):
     return ("value", repr(value), rng.draw_counter)
 
 
-@settings(max_examples=250, deadline=None)
+# 250 examples by default, ten times that under the ci profile
+@settings(max_examples=5 * settings.default.max_examples // 2, deadline=None)
 @given(e=EXPRESSIONS.map(_respanned))
 def test_generated_code_agrees_with_the_reference_evaluator(e):
     registry = build_registry()
-    program = compile_expr(e, registry)
+    program = compile_node(e, registry)[0]
     expected = _evaluation(lambda rng: reference_eval.evaluate(e, BINDINGS, rng, registry))
     assert _evaluation(lambda rng: program(BINDINGS, rng)) == expected
 
@@ -297,21 +298,40 @@ def test_generated_source_holds_no_name_or_literal(registry):
     ]
     for model in models:
         for decl in model.nodes:
-            source = evaluator._source(evaluator._shape(decl.expr, registry)[0])
-            assert evaluator._source(evaluator._shape(_rebuilt(decl.expr, _renamed), registry)[0]) == source
+            source = evaluator._source(analyse(decl.expr, registry)[0])
+            assert evaluator._source(analyse(_rebuilt(decl.expr, _renamed), registry)[0]) == source
             assert "__import__" not in source and "SystemExit" not in source
 
 
-def test_preorder_is_iterative_and_left_to_right():
+def test_the_walk_is_iterative_and_left_to_right(registry):
     deep = Ref(name="X")
     for _ in range(5000):
         deep = Unary(op="-", operand=deep)
-    e = Call(name="f", args=(Ref(name="B"), Unary(op="-", operand=Ref(name="A")), Ref(name="B")))
-    assert [type(n).__name__ for n in preorder(e)] == ["Call", "Ref", "Unary", "Ref", "Ref"]
+    e = Call(name="max", args=(Ref(name="B"), Unary(op="-", operand=Ref(name="A")), Ref(name="B")))
+    key, operands, draws, refs, problems = analyse(e, registry)
+    assert key == ("c", 3, "r", "neg", "r", "r")
+    assert operands[2:] == [None, "B", None, None, "A", None, "B"]
+    assert (draws, refs, problems) == (False, ["B", "A"], [])
+    assert analyse(deep, registry)[3] == ["X"]
     decls = {"A": Lit(value=1), "B": Lit(value=2), "X": Lit(value=3), "D": deep, "E": e}
-    parents = modelspec.compile_nodes(tuple(modelspec.NodeDecl(n, x) for n, x in decls.items()), None).parents
-    assert parents["D"] == ["X"]
-    assert parents["E"] == ["B", "A"]
+    model = modelspec.compile_nodes(tuple(modelspec.NodeDecl(n, x) for n, x in decls.items()), None)
+    assert model.parents["D"] == ["X"]
+    assert model.parents["E"] == ["B", "A"]
+    # the code generator recurses, so a tree this deep fails cleanly, naming its node
+    with pytest.raises(NestingError, match=r"^node D: expression is nested too deeply$"):
+        simulate(model, RunConfig(num_samples=1), registry)
+
+
+# 250 examples by default, ten times that under the ci profile
+@settings(max_examples=5 * settings.default.max_examples // 2, deadline=None)
+@given(e=EXPRESSIONS)
+def test_the_walk_collects_references_and_call_problems_in_preorder(e):
+    registry = build_registry()
+    nodes = list(preorder(e))
+    refs, problems = analyse(e, registry)[3:]
+    assert refs == list(dict.fromkeys(node.name for node in nodes if isinstance(node, Ref)))
+    resolved = [registry.resolve(node.name, len(node.args)) for node in nodes if isinstance(node, Call)]
+    assert problems == [problem for _, problem in resolved if problem is not None]
 
 
 # --- YAML loading ----------------------------------------------------------

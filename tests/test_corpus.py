@@ -12,8 +12,9 @@ import json
 import warnings
 
 import corpus
+from conftest import preorder
 from dagforge import build_registry, parse_model, register_example_functions
-from dagforge.expr import Call, preorder
+from dagforge.expr import Call
 
 RECORDED = json.loads(corpus.RECORD.read_text(encoding="utf-8"))
 

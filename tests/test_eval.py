@@ -2,11 +2,11 @@ import pytest
 
 from dagforge import RandomStream, build_registry, parse, values_equal
 from dagforge.errors import EvalError
-from dagforge.evaluator import compile_expr
+from dagforge.evaluator import compile_node
 
 
 def ev(src, bindings=None, seed=0):
-    return compile_expr(parse(src), build_registry())(bindings or {}, RandomStream(seed))
+    return compile_node(parse(src), build_registry())[0](bindings or {}, RandomStream(seed))
 
 
 def test_arithmetic():
@@ -102,8 +102,8 @@ def test_list_literal_evaluates_elements():
 def test_stochastic_eval_is_deterministic_given_stream():
     e = parse("uniform(0, 1) + normal(0, 1)")
     reg = build_registry()
-    a = compile_expr(e, reg)({}, RandomStream(123, 5))
-    b = compile_expr(e, reg)({}, RandomStream(123, 5))
+    a = compile_node(e, reg)[0]({}, RandomStream(123, 5))
+    b = compile_node(e, reg)[0]({}, RandomStream(123, 5))
     assert values_equal(a, b)
-    c = compile_expr(e, reg)({}, RandomStream(123, 6))
+    c = compile_node(e, reg)[0]({}, RandomStream(123, 6))
     assert a != c

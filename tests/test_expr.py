@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_expr
+from conftest import preorder
 from dagforge import expr, parse, pretty_print
 from dagforge.errors import LexError, NestingError, ParseError
-from dagforge.evaluator import compile_expr
-from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary, preorder
+from dagforge.evaluator import compile_node
+from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
 
 
 def kinds_and_texts(src):
@@ -289,7 +290,7 @@ def test_depth_limit_is_checked_at_parse(make, registry):
     ok = make(MAX_DEPTH)
     e = parse(ok)
     assert parse(pretty_print(e)) == e
-    value = compile_expr(e, registry)({}, None)
+    value = compile_node(e, registry)[0]({}, None)
     while isinstance(value, list):
         (value,) = value
     assert value in (0, MAX_DEPTH)

@@ -9,6 +9,7 @@ last tests.
 """
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_yaml
@@ -164,6 +165,26 @@ def test_documents_the_walk_rejects_on_purpose(text, message):
         parse_model(text)
     assert not isinstance(exc.value, YamlSyntaxError)
     assert str(exc.value) == f"document: {message}"
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+def test_a_construction_error_is_not_parsed_twice(monkeypatch):
+    # libyaml has parsed the whole document before the walk raises a construction error
+    text = (MODELS / "images.yaml").read_text(encoding="utf-8").replace("graph:", "graph:\n  nodes: {}", 1)
+
+    class Refused(yaml.SafeLoader):
+        def __init__(self, stream):
+            raise AssertionError("the pure-Python loader ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(modelspec, "_PyStrictLoader", Refused)
+        with pytest.raises(SpecError) as routed:
+            parse_model(text)
+    monkeypatch.setattr(modelspec, "_StrictLoader", yaml.SafeLoader)
+    with pytest.raises(SpecError) as pure:
+        parse_model(text)
+    assert not isinstance(routed.value, YamlSyntaxError)
+    assert str(routed.value) == str(pure.value) == "document: duplicate key 'nodes' (line 3)"
 
 
 def test_an_undefined_alias_before_deep_nesting_exits_1(run_cli, tmp_path):

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dagforge import parse_model, to_dot, validate
 from dagforge.errors import SpecError, ValidationError, YamlSyntaxError
-from dagforge.expr import Ref, parse, preorder
+from dagforge.expr import Ref, parse
 from dagforge.modelspec import NodeDecl, SpecWarning, compile_nodes
 from dagforge.yamlwalk import MAX_NESTING
 
-from conftest import DATA, MODELS, model_yaml
+from conftest import DATA, MODELS, model_yaml, preorder
 
 
 def load(path):

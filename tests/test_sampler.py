@@ -16,7 +16,7 @@ from dagforge import (
     values_equal,
 )
 from dagforge.errors import CoercionError, SelectionStarvation, ValidationError
-from dagforge.evaluator import compile_expr
+from dagforge.evaluator import compile_node
 from dagforge.expr import Lit, Ref
 from dagforge.sampler import KeptRows
 
@@ -192,7 +192,7 @@ def test_selection_soundness(registry):
     model = compile_text(text, registry)
     ds = simulate(model, RunConfig(num_samples=50, seed=3), registry)
 
-    predicate = compile_expr(model.by_name["S"].expr, registry)
+    predicate = compile_node(model.by_name["S"].expr, registry)[0]
     for row in ds.rows:
         assert predicate(dict(row.values), None) is True
 

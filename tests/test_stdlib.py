@@ -14,7 +14,7 @@ from dagforge import (
     values_equal,
 )
 from dagforge.errors import DomainError, RegistryError
-from dagforge.evaluator import compile_expr
+from dagforge.evaluator import compile_node
 from dagforge.examplefns import create_airr, encode_kmers
 from dagforge.expr import KEYWORDS
 from dagforge.rng import _LANES
@@ -644,7 +644,7 @@ def test_trusted_tensor_builds_match_checked_constructor(rect, fills):
 # --- registry ---------------------------------------------------------------
 
 def ev(src, registry, rng):
-    return compile_expr(parse(src), registry)({}, rng)
+    return compile_node(parse(src), registry)[0]({}, rng)
 
 
 def test_register_host_function_and_eval():
