@@ -468,46 +468,42 @@ def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _level(e: Expr) -> int:
-    if isinstance(e, IfElse):
-        return 0
-    if isinstance(e, Binary):
-        return _BIN_LEVEL[e.op]
-    if isinstance(e, Unary):
-        return _UNARY
-    return _ATOM
+def _print(e: Expr, minimum: int = 0, cls: type | None = None) -> str:
+    """``e`` as source, in parentheses when it binds more loosely than the
+    level ``minimum``: 0 takes any expression, ``_ATOM`` only an atom.
 
-
-def _print_at(e: Expr, minimum: int) -> str:
-    text = _print(e)
-    return f"({text})" if _level(e) < minimum else text
-
-
-def _print(e: Expr) -> str:
-    if isinstance(e, Lit):
+    It dispatches on the exact node class, most frequent first; ``cls`` is
+    the node class that a subclass, in a hand-built AST, is printed as.
+    """
+    if cls is None:
+        cls = type(e)
+    if cls is Binary:
+        level = _BIN_LEVEL[e.op]
+        # comparisons don't chain: a comparison's operands bind tighter on both sides
+        text = f"{_print(e.lhs, level + (level == _CMP))} {e.op} {_print(e.rhs, level + 1)}"
+        return f"({text})" if level < minimum else text
+    if cls is Lit:
         v = e.value
+        if type(v) is int or type(v) is float:
+            return repr(v)
         if isinstance(v, str):
             return f'"{_escape(v)}"'
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-    if isinstance(e, Ref):
+        return repr(v) if isinstance(v, float) else str(v)
+    if cls is Ref:
         return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(_print(a) for a in e.args)})"
-    if isinstance(e, ListLit):
-        return f"[{', '.join(_print(el) for el in e.elements)}]"
-    if isinstance(e, Unary):
-        op = e.op + " " if e.op == "not" else e.op
-        return f"{op}{_print_at(e.operand, _ATOM)}"
-    if isinstance(e, Binary):
-        lvl = _BIN_LEVEL[e.op]
-        if lvl == _CMP:
-            # comparisons don't chain: parenthesize comparison operands
-            return f"{_print_at(e.lhs, _CMP + 1)} {e.op} {_print_at(e.rhs, _CMP + 1)}"
-        return f"{_print_at(e.lhs, lvl)} {e.op} {_print_at(e.rhs, lvl + 1)}"
-    if isinstance(e, IfElse):
-        return f"if {_print(e.cond)} then {_print(e.then)} else {_print(e.otherwise)}"
+    if cls is Call:
+        return f"{e.name}({', '.join([_print(a) for a in e.args])})"
+    if cls is IfElse:
+        text = f"if {_print(e.cond)} then {_print(e.then)} else {_print(e.otherwise)}"
+        return f"({text})" if minimum else text
+    if cls is Unary:
+        text = f"{'not ' if e.op == 'not' else e.op}{_print(e.operand, _ATOM)}"
+        return f"({text})" if _UNARY < minimum else text
+    if cls is ListLit:
+        return f"[{', '.join([_print(el) for el in e.elements])}]"
+    for base in _NODE_CLASSES:
+        if isinstance(e, base):
+            return _print(e, minimum, base)
     raise TypeError(f"not an expression node: {e!r}")
 
 

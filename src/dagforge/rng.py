@@ -124,6 +124,12 @@ class RandomStream:
     a pure function of the stream's state and its counter.  Every stream is
     made with its first two words already mixed, which are all that most
     nodes draw.
+
+    The stream is nothing but ``(draw_counter, _state, _word1, _word2)``, so
+    one object may be re-pointed at another stream by setting all four, as
+    the sampler does for each drawing node.  While ``draw_counter`` is 0,
+    ``_word1`` and ``_word2`` are the next two words: a fixed-draw built-in
+    may read them itself and set the counter to the number it took.
     """
 
     __slots__ = ("draw_counter", "_state", "_word1", "_word2")
@@ -189,7 +195,8 @@ class RandomStream:
 
 def _stream(state: int, word1: int, word2: int, _new=object.__new__) -> RandomStream:
     """The stream with ``state`` whose first two words are ``word1`` and
-    ``word2``, as :meth:`KeyLanes.first_words` gives them."""
+    ``word2``, as :meth:`KeyLanes.first_words` gives them; re-point it at the
+    next stream the same way (see :class:`RandomStream`)."""
     rng = _new(RandomStream)
     rng.draw_counter = 0
     rng._state = state

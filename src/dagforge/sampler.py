@@ -120,11 +120,23 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[li
 def _run_steps(steps: list[tuple], states: tuple, words1: tuple, words2: tuple) -> tuple[dict[str, Value], bool]:
     """Every node's value at one sample index, and whether selection kept it,
     from the state, word 1 and word 2 of every node stream at that index,
-    slot by slot."""
+    slot by slot.
+
+    One stream object serves every drawing node: it is re-pointed at each
+    one's state and first words with its counter at 0, which gives the same
+    words as a new stream (a stream is its state and counter).  A plate node
+    keeps it across its replicates; a node that never draws gets None.
+    """
     bindings: dict[str, Value] = {}
     selected = True
+    stream = _stream(0, 0, 0)
     for name, slot, kind, size, underlying, program in steps:
-        rng = None if slot is None else _stream(states[slot], words1[slot], words2[slot])
+        if slot is None:
+            rng = None
+        else:
+            rng = stream
+            rng.draw_counter = 0
+            rng._state, rng._word1, rng._word2 = states[slot], words1[slot], words2[slot]
         try:
             if kind == "standard":
                 if size is None:

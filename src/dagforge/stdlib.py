@@ -102,7 +102,11 @@ def _uniform(rng: RandomStream, a, b):
         if a > b and math.isfinite(a) and math.isfinite(b):
             raise DomainError(f"uniform requires a <= b, got ({a}, {b})")
         raise DomainError(f"uniform requires finite bounds a <= b whose difference is finite, got ({a}, {b})")
-    u = rng.next_float()
+    if rng.draw_counter:
+        u = rng.next_float()
+    else:  # a fresh stream: its first word is already mixed
+        rng.draw_counter = 1
+        u = (rng._word1 >> 11) * 2.0**-53
     return a + width * u
 
 
@@ -126,7 +130,10 @@ def _randint(rng: RandomStream, lo, hi):
     lo, hi = _int(lo, "randint lower bound"), _int(hi, "randint upper bound")
     if lo >= hi:
         raise DomainError(f"randint requires lo < hi (half-open range), got ({_brief(lo)}, {_brief(hi)})")
-    return lo + rng.next_word() % (hi - lo)
+    if rng.draw_counter:
+        return lo + rng.next_word() % (hi - lo)
+    rng.draw_counter = 1
+    return lo + rng._word1 % (hi - lo)
 
 
 def _normal(rng: RandomStream, mu, sigma):
@@ -134,8 +141,13 @@ def _normal(rng: RandomStream, mu, sigma):
     if sigma < 0:
         raise DomainError(f"normal requires sigma >= 0, got {sigma}")
     # Box-Muller cosine branch; exactly 2 raw draws, discarding none
-    u1 = ((rng.next_word() >> 11) + 1) * 2.0**-53  # (0, 1]
-    u2 = rng.next_float()
+    if rng.draw_counter:
+        w1, w2 = rng.next_word(), rng.next_word()
+    else:
+        rng.draw_counter = 2
+        w1, w2 = rng._word1, rng._word2
+    u1 = ((w1 >> 11) + 1) * 2.0**-53  # (0, 1]
+    u2 = (w2 >> 11) * 2.0**-53
     x = mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     if -math.inf < x < math.inf:  # not so for a NaN or infinite argument, or a result past the float range
         return x

@@ -280,6 +280,20 @@ def test_printed_source_spans_cover(e):
         last = end
 
 
+def test_a_hand_built_subclass_prints_as_its_node_class():
+    class Scaled(Binary):
+        pass
+
+    class Named(Lit):
+        pass
+
+    inner = Scaled(op="+", lhs=Ref(name="x"), rhs=Named(value='q"'))
+    assert pretty_print(Unary(op="-", operand=Scaled(op="*", lhs=Named(value=2.5), rhs=inner))) == \
+        '-(2.5 * (x + "q\\""))'
+    with pytest.raises(TypeError, match="not an expression node: 3"):
+        pretty_print(Binary(op="+", lhs=Lit(value=1), rhs=3))
+
+
 @pytest.mark.parametrize("make", [
     lambda n: " + ".join(["1"] * n),  # left-deep: n - 1 operators over a literal
     lambda n: "if 1 == 2 then 1 else " * (n - 2) + "0",  # the last if's condition is 2 levels below it

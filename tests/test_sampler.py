@@ -1,3 +1,5 @@
+import functools
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -6,20 +8,27 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import dagforge.sampler as sampler
 from dagforge import (
     MISSING,
+    RandomStream,
     RunConfig,
     apply_interventions,
+    build_registry,
     parse,
     parse_model,
+    register_example_functions,
+    register_host_function,
     sample_one,
     simulate,
     validate,
     values_equal,
 )
-from dagforge.errors import CoercionError, SelectionStarvation, ValidationError
+from dagforge.errors import CoercionError, DagforgeError, EvalError, SelectionStarvation, ValidationError
 from dagforge.evaluator import compile_node
 from dagforge.expr import Lit, Ref
-from dagforge.sampler import KeptRows
+from dagforge.rng import node_stream_key
+from dagforge.sampler import KeptRows, SampleRow
 
+import corpus
+import reference_eval
 from conftest import DATA, MODELS, model_yaml
 
 
@@ -60,19 +69,31 @@ def test_sample_one_bioseq_row(registry):
 
 
 def test_nodes_that_never_draw_get_no_stream(registry, monkeypatch):
-    # bioseq's kmerVec calls only the pure encode_kmers: 4 streams a row, not 5
-    made = []
-    stream = sampler._stream
+    # bioseq's kmerVec calls only the pure encode_kmers: 4 drawing slots of 5
+    # nodes, and its program is passed None in every row, the others a stream
+    passed = {}
+    compile_steps = sampler._compile_steps
 
-    def counting_stream(*args):
-        made.append(args)
-        return stream(*args)
+    def recording_steps(model, registry):
+        steps, keys = compile_steps(model, registry)
+
+        def recording(name, program):
+            def run(bindings, rng):
+                passed.setdefault(name, set()).add(None if rng is None else type(rng))
+                return program(bindings, rng)
+            return run
+
+        return [(name, *rest, recording(name, program)) for name, *rest, program in steps], keys
 
     model = compile_text((MODELS / "bioseq.yaml").read_text(), registry)
-    monkeypatch.setattr(sampler, "_stream", counting_stream)
+    steps, keys = compile_steps(model, registry)
+    assert len(keys) == 4 and [name for name, slot, *_ in steps if slot is None] == ["kmerVec"]
+    monkeypatch.setattr(sampler, "_compile_steps", recording_steps)
     ds = simulate(model, RunConfig(num_samples=20, seed=3), registry)
     assert ds.attempts == 20
-    assert len(made) == (len(model.topo_order) - 1) * 20
+    assert passed.pop("kmerVec") == {None}
+    assert sorted(passed) == sorted(set(model.topo_order) - {"kmerVec"})
+    assert all(kinds == {RandomStream} for kinds in passed.values())
 
 
 def test_only_pure_calls_mean_no_stream(registry):
@@ -300,6 +321,133 @@ def test_kept_rows_equal_replays_across_blocks(registry, text, block, num_sample
     assert len(kept) == num_samples
     for row, taken in zip(kept, got):
         assert all(values_equal(row[c], taken.values[c]) for c in rows.column_order)
+
+
+# --- the engine against one fresh stream per node --------------------------
+
+def reference_sample(model, index, seed, registry):
+    """``sample_one`` restated: each node evaluated by the reference evaluator
+    from a fresh ``RandomStream(seed, index, node_stream_key(name))``, which a
+    plate's replicates share, so its counter continues across them."""
+    bindings, selected = {}, True
+    for name in model.topo_order:
+        decl = model.by_name[name]
+        rng = RandomStream(seed, index, node_stream_key(name))
+        try:
+            if decl.kind == "standard" and decl.size is not None:
+                value = [reference_eval.evaluate(decl.expr, bindings, rng, registry) for _ in range(decl.size)]
+            else:
+                value = reference_eval.evaluate(decl.expr, bindings, rng, registry)
+        except EvalError as err:
+            raise EvalError(err.span, err.message, node=name) from err
+        if decl.kind == "selection":
+            value = selected = sampler._as_flag(value, name, "selection value")
+        elif decl.kind == "missing":
+            value = MISSING if sampler._as_flag(value, name, "missing indicator") else bindings[decl.underlying]
+        elif decl.kind == "stratify":
+            value = sampler._as_label(value, name)
+        bindings[name] = value
+    bindings.pop(model.selection, None)
+    return bindings, selected
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except DagforgeError as err:
+        return type(err).__name__, str(err)
+
+
+def _kept_rows(rows):
+    """The kept rows ``rows`` yields, as text, and the error that ends them, if any."""
+    got = []
+    try:
+        for row in rows:
+            got.append(repr((row.values, row.stratum)))
+    except DagforgeError as err:
+        got.append((type(err).__name__, str(err)))
+    return got
+
+
+def _reference_rows(model, config, registry):
+    """``KeptRows`` restated over ``reference_sample``."""
+    columns = sampler._observed_columns(model)
+    kept, limit = 0, config.num_samples * config.max_rejection_factor
+    for i in range(limit):
+        row, selected = reference_sample(model, i, config.seed, registry)
+        if selected:
+            stratum = sampler.check_stratum_label(row[model.stratify]) if model.stratify else None
+            yield SampleRow(values={c: row[c] for c in columns}, stratum=stratum)
+            kept += 1
+            if kept == config.num_samples:
+                return
+    raise SelectionStarvation(attempts=limit, kept=kept, limit=limit)
+
+
+def assert_rows_equal_reference(model, seed, indices, num_samples, registry):
+    for i in indices:
+        assert _outcome(lambda: sample_one(model, i, seed, registry)) == \
+            _outcome(lambda: reference_sample(model, i, seed, registry)), f"index {i}"
+    config = RunConfig(num_samples=num_samples, seed=seed)
+    assert _kept_rows(KeptRows(model, config, registry)) == _kept_rows(_reference_rows(model, config, registry))
+
+
+@functools.cache
+def corpus_models():
+    return corpus.models()
+
+
+def corpus_model(m, interventions, registry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # python_file entries
+        model = validate(parse_model(corpus_models()[m]), registry)
+    return apply_interventions(model, {k: parse(v) for k, v in (i.split("=", 1) for i in interventions)}, registry)
+
+
+def _three_words(rng, x):
+    return x + sum(rng.next_word() % 7 for _ in range(3))
+
+
+def registry_with_three_words():
+    registry = build_registry()
+    register_example_functions(registry)
+    register_host_function(registry, "three", 1, True, _three_words)
+    return registry
+
+
+# a stochastic host function that draws past the first two words, before and
+# after the fixed-draw built-ins, and plates whose replicates start at counters
+# 0, 2, 4 (normal) and 0, 4 (randint then three words)
+HOST_MODEL = model_yaml(
+    '    U: "uniform(0, 1) + three(0)"\n'
+    '    T: "three(U) + uniform(0, 1) + normal(0, 1)"\n'
+    '    N:\n      function: "normal(T, 1)"\n      size: 3\n'
+    '    R:\n      function: "randint(0, 10) + three(1)"\n      size: 2\n'
+    '    V: "randint(0, 5) + normal(U, 2)"\n'
+)
+
+
+def test_corpus_rows_equal_reference_evaluation(registry):
+    runs = {}
+    for m, seed, interventions in corpus.runs():
+        runs.setdefault(m, (seed, interventions))
+    for m, (seed, interventions) in runs.items():
+        model = corpus_model(m, interventions, registry)
+        assert_rows_equal_reference(model, seed, range(3), 4, registry)
+
+
+def test_host_function_rows_equal_reference_evaluation():
+    registry = registry_with_three_words()
+    assert_rows_equal_reference(compile_text(HOST_MODEL, registry), 7, range(5), 12, registry)
+
+
+@settings(deadline=None)
+@given(run=st.sampled_from(corpus.runs()), seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1))
+def test_rows_equal_reference_evaluation_at_any_seed(run, seed, index):
+    registry = registry_with_three_words()
+    m, _, interventions = run
+    for model in (corpus_model(m, interventions, registry), compile_text(HOST_MODEL, registry)):
+        assert_rows_equal_reference(model, seed, (index, index ^ 1), 3, registry)
 
 
 # --- interventions -----------------------------------------------------------

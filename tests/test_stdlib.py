@@ -17,7 +17,7 @@ from dagforge.errors import DomainError, RegistryError
 from dagforge.evaluator import compile_node
 from dagforge.examplefns import create_airr, encode_kmers
 from dagforge.expr import KEYWORDS
-from dagforge.rng import _LANES
+from dagforge.rng import _GOLDEN, _LANES, _MASK, _finalize, _stream
 from dagforge.stdlib import (
     MAX_BINOMIAL_TRIALS,
     MAX_CONCAT_LENGTH,
@@ -251,6 +251,79 @@ def test_ahead_rejects_a_window_outside_one_pass(n):
     with pytest.raises(ValueError, match="_ahead needs"):
         rng._ahead(n)
     assert rng.draw_counter == 1
+
+
+# --- first words read directly ---------------------------------------------
+
+def _by_methods(fn, rng, *args):
+    """``fn``'s draw as docs/stdlib.md defines it, through next_word and next_float alone."""
+    if fn is _uniform:
+        a, b = map(float, args)
+        return a + (b - a) * rng.next_float()
+    if fn is _randint:
+        lo, hi = args
+        return lo + rng.next_word() % (hi - lo)
+    mu, sigma = map(float, args)
+    u1 = ((rng.next_word() >> 11) + 1) * 2.0**-53
+    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * rng.next_float())
+
+
+def _at_counter(rng, counter):
+    """A stream at ``counter`` whose next words are ``rng``'s words 1, 2, ...: its state
+    sits ``counter`` steps before ``rng``'s, since word c mixes ``state + c * _GOLDEN``."""
+    state = (rng._state - counter * _GOLDEN) & _MASK
+    shifted = _stream(state, _finalize((state + _GOLDEN) & _MASK), _finalize((state + 2 * _GOLDEN) & _MASK))
+    shifted.draw_counter = counter
+    return shifted
+
+
+_bound = st.floats(-1e6, 1e6, allow_nan=False)
+_WORD_PATH_ARGS = {
+    _uniform: st.tuples(_bound, _bound).map(sorted),
+    _normal: st.tuples(_bound, st.floats(0, 1e3)),
+    _randint: st.tuples(st.integers(-2**70, 2**70), st.integers(1, 2**70)).map(lambda t: (t[0], t[0] + t[1])),
+}
+
+
+@settings(deadline=None)
+@given(seed=_u64, index=_u64, key=_u64, counter=st.integers(0, 3),
+       fn=st.sampled_from(list(_WORD_PATH_ARGS)), data=st.data())
+def test_first_words_read_directly_equal_the_method_path(seed, index, key, counter, fn, data):
+    # a fresh stream's first words are read from the object; at any other
+    # counter the same words come through next_word and next_float
+    args = data.draw(_WORD_PATH_ARGS[fn])
+    fresh_rng, twin = RandomStream(seed, index, key), RandomStream(seed, index, key)
+    shifted = _at_counter(fresh_rng, counter)
+    value = fn(fresh_rng, *args)
+    assert fn(shifted, *args) == value == _by_methods(fn, twin, *args)
+    taken = {_uniform: 1, _randint: 1, _normal: 2}[fn]
+    assert fresh_rng.draw_counter == twin.draw_counter == taken and shifted.draw_counter == counter + taken
+    assert fresh_rng.next_word() == shifted.next_word() == twin.next_word()
+
+
+@pytest.mark.parametrize("fn, args, message, taken", [
+    (_uniform, (1, 0), "uniform requires a <= b, got (1.0, 0.0)", 0),
+    (_uniform, (math.nan, 1), "uniform requires finite bounds a <= b whose difference is finite, got (nan, 1.0)", 0),
+    (_uniform, (-1e308, 1e308),
+     "uniform requires finite bounds a <= b whose difference is finite, got (-1e+308, 1e+308)", 0),
+    (_uniform, ("a", 1), "uniform lower bound must be a number, got str", 0),
+    (_randint, (5, 5), "randint requires lo < hi (half-open range), got (5, 5)", 0),
+    (_randint, (0.0, 5), "randint lower bound must be an integer, got float", 0),
+    (_randint, (True, 5), "randint lower bound must be an integer, got bool", 0),
+    (_normal, (0, -1), "normal requires sigma >= 0, got -1.0", 0),
+    (_normal, (0, [1]), "normal sd must be a number, got list", 0),
+    # the result is checked after both draws
+    (_normal, (math.nan, 1), "normal requires finite mu and sigma and a finite result, got (nan, 1.0)", 2),
+    (_normal, (0, math.inf), "normal requires finite mu and sigma and a finite result, got (0.0, inf)", 2),
+])
+@pytest.mark.parametrize("counter", [0, 1, 2, 3])
+def test_word_path_domain_errors_are_unchanged(fn, args, message, taken, counter):
+    rng = RandomStream(1, 2, 3)
+    rng.draw_counter = counter
+    with pytest.raises(DomainError) as err:
+        fn(rng, *args)
+    assert str(err.value) == message
+    assert rng.draw_counter == counter + taken
 
 
 # sizes that divide 256 take the low-byte path, the others the word path
