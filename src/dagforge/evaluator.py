@@ -53,16 +53,16 @@ def _is_number(v: Value) -> bool:
     return type(v) in (int, float) or (isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
-def compile_node(e: Expr, registry: FunctionRegistry | None) -> tuple[Program, bool]:
+def compile_node(e: Expr, registry: FunctionRegistry) -> tuple[Program, bool]:
     """Compile an expression into ``program(bindings, rng) -> value``, and
     whether the program may draw.
 
-    Calls are resolved against ``registry`` (with None, no function) now.  An
-    unknown function or a wrong argument count compiles to code that raises
-    the EvalError evaluation would raise, and only when it is reached.  A
-    program may draw when it calls a stochastic or an unknown function.
+    Calls are resolved against ``registry`` now.  An unknown function or a
+    wrong argument count compiles to code that raises the EvalError
+    evaluation would raise, and only when it is reached.  A program may draw
+    when it calls a stochastic or an unknown function.
     """
-    key, operands, draws = analyse(e, registry if registry is not None else FunctionRegistry())[:3]
+    key, operands, draws = analyse(e, registry)[:3]
     return _factory(key)(*operands), draws
 
 

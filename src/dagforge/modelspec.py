@@ -199,6 +199,11 @@ def _parse_instructions(doc: dict) -> SimInstructions:
     csv_name = sim.get("csv_name")
     if not isinstance(csv_name, str) or not csv_name:
         raise SpecError("instructions.simulation.csv_name", f"expected a non-empty string, got {_brief(csv_name)}")
+    # the stem of every output file, which the manifest lists on one line separated by commas
+    bad = [c for c in ",/\\\r\n\0" if c in csv_name]
+    if bad:
+        raise SpecError("instructions.simulation.csv_name",
+                        f"{_brief(csv_name)} holds {bad[0]!r}; a file name stem may not hold ',', '/', '\\', CR, LF or NUL")
 
     num_samples = sim.get("num_samples")
     if isinstance(num_samples, bool) or not isinstance(num_samples, int) or num_samples < 1:
@@ -264,17 +269,16 @@ def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> Mod
 
 
 def _check_node(
-    n: NodeDecl, declared: dict[str, NodeDecl], registry: FunctionRegistry | None, unresolved: list[str], functions: list[str]
+    n: NodeDecl, declared: dict[str, NodeDecl], registry: FunctionRegistry, unresolved: list[str], functions: list[str]
 ) -> list[str]:
     """Walk ``n.expr`` once with :func:`~dagforge.expr.analyse` and return
     its parents in first-mention order.
 
     Unresolved references go to ``unresolved``; unknown functions and wrong
-    argument counts, checked only when there is a registry, go to ``functions``.
+    argument counts go to ``functions``.
     """
-    refs, problems = analyse(n.expr, registry if registry is not None else FunctionRegistry())[3:]
-    if registry is not None:
-        functions.extend(f"node {_cut(n.name)}: {problem}" for problem in problems)
+    refs, problems = analyse(n.expr, registry)[3:]
+    functions.extend(f"node {_cut(n.name)}: {problem}" for problem in problems)
     parents = [ref for ref in refs if ref in declared]
     unresolved.extend(f"node {_cut(n.name)}: unresolved reference {_brief(ref)}" for ref in refs if ref not in declared)
     if n.kind == "missing" and n.underlying in declared and n.underlying not in parents:
@@ -299,7 +303,7 @@ def _link(nodes: tuple[NodeDecl, ...], parents: dict[str, list[str]], problems: 
     )
 
 
-def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None) -> CompiledModel:
+def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry) -> CompiledModel:
     """Semantic checks over a declaration-ordered node list; all failures collected.
 
     Problems come in this order: unresolved references, function problems,
@@ -334,7 +338,7 @@ def compile_nodes(nodes: tuple[NodeDecl, ...], registry: FunctionRegistry | None
 def apply_interventions(
     model: CompiledModel,
     interventions: dict[str, Expr],
-    registry: FunctionRegistry | None = None,
+    registry: FunctionRegistry,
 ) -> CompiledModel:
     """Replace each target node's generating expression: the do-operator.
 
@@ -367,8 +371,8 @@ def apply_interventions(
     return _link(tuple(nodes), parents, unresolved + functions)
 
 
-def validate(spec: ModelSpec, registry: FunctionRegistry | None = None) -> CompiledModel:
-    """Resolve references and functions, reject cycles, fix the evaluation order."""
+def validate(spec: ModelSpec, registry: FunctionRegistry) -> CompiledModel:
+    """Resolve references and functions (against ``registry``), reject cycles, fix the evaluation order."""
     return compile_nodes(spec.nodes, registry)
 
 

@@ -182,7 +182,7 @@ def _listed_files(manifest: Path) -> list[str]:
     return []
 
 
-def model_hash(model: CompiledModel, instructions: SimInstructions | None = None) -> str:
+def model_hash(model: CompiledModel, instructions: SimInstructions) -> str:
     """SHA-256 over a canonical rendering of the effective model.
 
     Formatting-only changes to the source document hash identically; any
@@ -194,8 +194,7 @@ def model_hash(model: CompiledModel, instructions: SimInstructions | None = None
             f"node|{n.name}|{n.kind}|{int(n.observed)}|{n.size if n.size is not None else '-'}"
             f"|{n.underlying or '-'}|{pretty_print(n.expr)}"
         )
-    if instructions is not None:
-        lines.append(f"instr|{instructions.csv_name}|{instructions.num_samples}|{instructions.seed}")
+    lines.append(f"instr|{instructions.csv_name}|{instructions.num_samples}|{instructions.seed}")
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 

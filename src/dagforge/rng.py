@@ -12,7 +12,9 @@ every node stream of a block of consecutive samples in one lane pass, and
 about ``_LANES`` lanes: a model with n drawing nodes starts
 ``max(1, _LANES // n)`` samples a pass, so a small model amortises the
 pass's fixed cost over many samples and a model of more than
-``_LANES // 2`` drawing nodes starts one sample a pass.
+``_LANES // 2`` drawing nodes starts one sample a pass.  The layout of the
+lanes is this module's: :meth:`KeyLanes.rows` hands out each sample's
+words slot by slot.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import struct
 from collections.abc import Iterator
 from functools import lru_cache
 
-__all__ = ["KeyLanes", "RandomStream", "node_stream_key", "sample_base"]
+__all__ = ["KeyLanes", "RandomStream", "node_stream_key"]
 
 _MASK = (1 << 64) - 1  # also the largest seed
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,17 +106,8 @@ def node_stream_key(name: str) -> int:
 
 
 def _seed_state(seed: int) -> int:
-    """The part of every sample base fixed by the seed alone."""
+    """The part of every stream's state fixed by the seed alone."""
     return _finalize(((seed & _MASK) ^ _SEED_TWEAK) & _MASK)
-
-
-def sample_base(seed: int, sample_index: int) -> int:
-    """The part of a stream's state fixed by ``(seed, sample_index)`` alone.
-
-    Every node stream of one sample shares it, so each node stream adds
-    only its own key.
-    """
-    return _finalize((_seed_state(seed) + (sample_index & _MASK)) & _MASK)
 
 
 class RandomStream:
@@ -125,19 +118,19 @@ class RandomStream:
     made with its first two words already mixed, which are all that most
     nodes draw.
 
+    The state mixes the seed, then the sample index, then the node key.
     The stream is nothing but ``(draw_counter, _state, _word1, _word2)``, so
     one object may be re-pointed at another stream by setting all four, as
-    the sampler does for each drawing node.  While ``draw_counter`` is 0,
-    ``_word1`` and ``_word2`` are the next two words: a fixed-draw built-in
-    may read them itself and set the counter to the number it took.
+    the sampler does for each drawing node with the words
+    :meth:`KeyLanes.rows` gives.  While ``draw_counter`` is 0, ``_word1`` and
+    ``_word2`` are the next two words: a fixed-draw built-in may read them
+    itself and set the counter to the number it took.
     """
 
     __slots__ = ("draw_counter", "_state", "_word1", "_word2")
 
-    def __init__(self, seed: int, sample_index: int = 0, node_key: int = 0, base: int | None = None):
-        """``base``, when given, must be ``sample_base(seed, sample_index)``."""
-        if base is None:
-            base = sample_base(seed, sample_index)
+    def __init__(self, seed: int, sample_index: int = 0, node_key: int = 0):
+        base = _finalize((_seed_state(seed) + (sample_index & _MASK)) & _MASK)
         state = _finalize((base + node_key) & _MASK)
         self.draw_counter = 0
         self._state = state
@@ -193,24 +186,13 @@ class RandomStream:
         return (self.next_word() >> 11) * 2.0**-53
 
 
-def _stream(state: int, word1: int, word2: int, _new=object.__new__) -> RandomStream:
-    """The stream with ``state`` whose first two words are ``word1`` and
-    ``word2``, as :meth:`KeyLanes.first_words` gives them; re-point it at the
-    next stream the same way (see :class:`RandomStream`)."""
-    rng = _new(RandomStream)
-    rng.draw_counter = 0
-    rng._state = state
-    rng._word1 = word1
-    rng._word2 = word2
-    return rng
-
-
 class KeyLanes:
     """The stream keys of one model's drawing nodes, packed as lanes once for
     blocks of ``count`` consecutive sample indices.
 
     :meth:`first_words` then mixes what every node stream of every sample of
-    a block starts from in one lane pass, instead of one stream at a time.
+    a block starts from in one lane pass, instead of one stream at a time,
+    and :meth:`rows` hands those words out one sample index at a time.
     ``count`` defaults to as many samples as fill ``_LANES`` lanes, at least
     one: ``max(1, _LANES // len(keys))``.
     """
@@ -243,8 +225,8 @@ class KeyLanes:
         ``count`` sample indices ``start, start + 1, ...`` (modulo 2**64), as
         three flat tuples: slot j of index ``start + b`` is at ``j * count + b``.
 
-        ``_stream(states[k], words1[k], words2[k])`` with ``k = j * count + b``
-        equals ``RandomStream(seed, start + b, keys[j])``.  The pass mixes the
+        ``states[k]``, ``words1[k]`` and ``words2[k]`` with ``k = j * count + b``
+        are those of ``RandomStream(seed, start + b, keys[j])``.  The pass mixes the
         ``count`` sample bases first and copies them into every key's run of
         lanes; then it mixes every state, then words 1 and 2 of every stream
         straight from the state lanes.
@@ -261,3 +243,18 @@ class KeyLanes:
             read(words1.to_bytes(size, "little")),
             read(words2.to_bytes(size, "little")),
         )
+
+    def rows(self, seed: int, start: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+        """Item i, for i = 0, 1, ...: the state, word 1 and word 2 of
+        ``RandomStream(seed, start + i, key)`` for each key, as three tuples.
+
+        A block is mixed when its first index is reached and dropped before
+        the next is mixed, so a caller that keeps no item past the next holds one.
+        """
+        count = self.count
+        while True:
+            states, words1, words2 = self.first_words(seed, start)
+            for b in range(count):
+                yield states[b::count], words1[b::count], words2[b::count]
+            del states, words1, words2
+            start += count

@@ -6,15 +6,12 @@ sample_index, hash(node name))``.  Because the key depends only on the
 node's name, structural edits elsewhere (adding, deleting, or intervening
 on other nodes) can never shift this node's draws, and samples with
 distinct indices may be evaluated in any order.  Every drawing node has a
-lane slot: one lane pass (:class:`~dagforge.rng.KeyLanes`) mixes the state
-and first two words of every node stream of a block of consecutive sample
-indices.  A run takes a new block whenever its index reaches a multiple of
-the block size, ``max(1, _LANES // n)`` for n drawing nodes; the nodes of
-a sample then read their words at the sample's place in the block.  Only
-words are mixed ahead: no node program or host function runs for an index
-before the run reaches it, and the words of indices it never reaches are
-dropped.  :func:`sample_one` takes a block of one, so replaying one index
-stays O(1).
+slot, and :meth:`~dagforge.rng.KeyLanes.rows` gives the state and first two
+words of every node stream at each sample index, slot by slot; how it mixes
+them in blocks of indices is :mod:`dagforge.rng`'s.  Only words are mixed
+ahead: no node program or host function runs for an index before the run
+reaches it.  :func:`sample_one` takes a block of one, so replaying one
+index stays O(1).
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from .errors import CoercionError, EvalError, NestingError, SelectionStarvation,
 from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
-from .rng import _MASK as _UINT64_MAX, KeyLanes, _stream, node_stream_key
+from .rng import _MASK as _UINT64_MAX, KeyLanes, RandomStream, node_stream_key
 from .values import MISSING, Value, _brief, _cut, csv_cell, type_name
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
@@ -117,19 +114,20 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[li
     return steps, keys
 
 
-def _run_steps(steps: list[tuple], states: tuple, words1: tuple, words2: tuple) -> tuple[dict[str, Value], bool]:
+def _run_steps(
+    steps: list[tuple], stream: RandomStream, states: tuple, words1: tuple, words2: tuple
+) -> tuple[dict[str, Value], bool]:
     """Every node's value at one sample index, and whether selection kept it,
     from the state, word 1 and word 2 of every node stream at that index,
     slot by slot.
 
-    One stream object serves every drawing node: it is re-pointed at each
-    one's state and first words with its counter at 0, which gives the same
-    words as a new stream (a stream is its state and counter).  A plate node
-    keeps it across its replicates; a node that never draws gets None.
+    ``stream`` serves every drawing node: it is re-pointed at each one's
+    state and first words with its counter at 0, which gives the same words
+    as a new stream (a stream is its state and counter).  A plate node keeps
+    it across its replicates; a node that never draws gets None.
     """
     bindings: dict[str, Value] = {}
     selected = True
-    stream = _stream(0, 0, 0)
     for name, slot, kind, size, underlying, program in steps:
         if slot is None:
             rng = None
@@ -171,7 +169,7 @@ def sample_one(
     their expression k times into a list.
     """
     steps, keys = _compile_steps(model, registry)
-    bindings, selected = _run_steps(steps, *KeyLanes(keys, 1).first_words(seed, sample_index))
+    bindings, selected = _run_steps(steps, RandomStream(seed), *next(KeyLanes(keys, 1).rows(seed, sample_index)))
     bindings.pop(model.selection, None)
     return bindings, selected
 
@@ -209,21 +207,16 @@ class KeptRows:
         self._config = config
 
     def __iter__(self) -> Iterator[SampleRow]:
-        steps, lanes, seed = self._steps, self._lanes, self._config.seed
+        steps, seed = self._steps, self._config.seed
         stratify, columns = self._stratify, self.column_order
         needed = self._config.num_samples
         limit = needed * self._config.max_rejection_factor
-        count = lanes.count
+        stream = RandomStream(seed)
+        # no name holds an index's words once its row is done, so at most one block is alive
+        words = self._lanes.rows(seed, 0)
         self.kept = self.attempts = 0
         for i in range(limit):
-            offset = i % count
-            if not offset:
-                states, words1, words2 = lanes.first_words(seed, i)
-            # slot j of the index at this offset is at j * count + offset
-            bindings, selected = _run_steps(steps, states[offset::count], words1[offset::count], words2[offset::count])
-            if offset == count - 1:
-                # a block goes before the next is mixed, so a one-sample block keeps no words between rows
-                states = words1 = words2 = ()
+            bindings, selected = _run_steps(steps, stream, *next(words))
             if not selected:
                 continue
             stratum = check_stratum_label(bindings[stratify]) if stratify else None

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from dagforge import build_registry, register_example_functions
+from dagforge import RandomStream, build_registry, register_example_functions
 from dagforge.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -18,6 +18,15 @@ DATA = Path(__file__).resolve().parent / "data"
 settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
     settings.load_profile("ci")
+
+
+def pointed(state: int, word1: int, word2: int) -> RandomStream:
+    """A stream re-pointed, as the sampler re-points one, at the stream with
+    ``state`` whose first two words are ``word1`` and ``word2``."""
+    rng = RandomStream(0)
+    rng.draw_counter = 0
+    rng._state, rng._word1, rng._word2 = state, word1, word2
+    return rng
 
 
 def preorder(e):

@@ -569,6 +569,43 @@ def test_schema_error_cuts_a_long_value_exit_2(run_cli, tmp_path, field, message
     assert err == f"dagforge: instructions.simulation.{field}: {message}, got {repr([12345] * 20_000)[:77]}...\n"
 
 
+def _named(csv_name: str) -> str:
+    """A one-node model whose csv_name is the YAML double-quoted scalar ``csv_name``."""
+    return f'graph:\n  nodes:\n    X: "1"\ninstructions:\n  simulation:\n    csv_name: "{csv_name}"\n    num_samples: 3\n'
+
+
+def test_a_csv_name_holding_a_comma_cannot_make_a_rerun_delete_user_files(run_cli, tmp_path):
+    # the manifest lists its files on one line, separated by commas, so
+    # "keep,notes" once read back as the user's files keep and notes.csv,
+    # which a second run then removed
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep").write_text("mine\n")
+    (out / "notes.csv").write_text("mine\n")
+    spec = tmp_path / "m.yaml"
+    spec.write_text(_named("keep,notes"))
+    for _ in range(2):
+        code, _, err = run_cli("run", spec, "--out", out)
+        assert code == 2
+        assert err.startswith("dagforge: instructions.simulation.csv_name: 'keep,notes' holds ','")
+    assert sorted(p.name for p in out.iterdir()) == ["keep", "notes.csv"]
+
+
+@pytest.mark.parametrize("escaped, char", [
+    (",", ","), ("/", "/"), ("\\\\", "\\"), ("\\r", "\r"), ("\\n", "\n"), ("\\0", "\0"),
+])
+def test_a_csv_name_holding_a_separator_exits_2(run_cli, tmp_path, escaped, char):
+    # a line break would add a line to the manifest's fixed set, such as "seed = 99.csv"
+    spec = tmp_path / "m.yaml"
+    spec.write_text(_named(f"a{escaped}seed = 99"))
+    for argv in (("validate", spec), ("run", spec, "--out", tmp_path / "out")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == (f"dagforge: instructions.simulation.csv_name: {'a' + char + 'seed = 99'!r} holds {char!r}; "
+                       "a file name stem may not hold ',', '/', '\\', CR, LF or NUL\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _shared_levels(levels: int) -> str:
     """A flow list of ``levels`` lists, each holding nine aliases of the one before."""
     lists = ["&a0 [" + ", ".join(["x"] * 9) + "]"]

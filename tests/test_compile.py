@@ -1,4 +1,4 @@
-"""Invariants of compile-once evaluation: per-sample stream bases, one registry
+"""Invariants of compile-once evaluation: streams keyed modulo 2**64, one registry
 lookup per call site, loader agreement, observed-only rows."""
 
 import csv
@@ -30,7 +30,6 @@ from dagforge.errors import NestingError, SpecError
 from dagforge.evaluator import compile_node
 from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, analyse
 from dagforge.expr import _depth as expr_depth
-from dagforge.rng import sample_base
 from dagforge.values import MISSING, Tensor
 
 import reference_eval
@@ -43,13 +42,10 @@ UINT64 = st.integers(0, 2**64 - 1)
 
 @settings(max_examples=200)
 @given(seed=UINT64, index=UINT64, key=UINT64, k=st.integers(1, 8))
-def test_sample_base_streams_match_full_construction(seed, index, key, k):
+def test_streams_take_seed_index_and_key_modulo_2_64(seed, index, key, k):
     full = RandomStream(seed, index, key)
-    hoisted = RandomStream(seed, index, key, sample_base(seed, index))
-    wrapped = RandomStream(seed + 2**64, index - 2**64, key + 2**64)  # inputs count modulo 2**64
-    draws = [full.next_word() for _ in range(k)]
-    assert [hoisted.next_word() for _ in range(k)] == draws
-    assert [wrapped.next_word() for _ in range(k)] == draws
+    wrapped = RandomStream(seed + 2**64, index - 2**64, key + 2**64)
+    assert [wrapped.next_word() for _ in range(k)] == [full.next_word() for _ in range(k)]
 
 
 class CountingRegistry(FunctionRegistry):
@@ -93,14 +89,15 @@ def test_intervening_looks_up_only_the_replacement_call_sites():
 
 
 def test_literal_closures_keep_type_and_sign():
-    program = compile_node(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), None)[0]
+    empty = FunctionRegistry()
+    program = compile_node(ListLit(elements=tuple(Lit(value=v) for v in (1, True, 1.0, 0.0, -0.0, "1"))), empty)[0]
     out = program({}, None)
     assert [type(v) for v in out] == [int, bool, float, float, float, str]
     assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
     # the nodes of one model share code per shape, and each keeps its own literal
     values = (1, True, 1.0, 0.0, -0.0, "1")
-    model = modelspec.compile_nodes(tuple(modelspec.NodeDecl(f"N{i}", Lit(value=v)) for i, v in enumerate(values)), None)
-    row, _ = sample_one(model, 0, 0, None)
+    model = modelspec.compile_nodes(tuple(modelspec.NodeDecl(f"N{i}", Lit(value=v)) for i, v in enumerate(values)), empty)
+    row, _ = sample_one(model, 0, 0, empty)
     out = [row[f"N{i}"] for i in range(len(values))]
     assert [type(v) for v in out] == [int, bool, float, float, float, str]
     assert [repr(v) for v in out] == ["1", "True", "1.0", "0.0", "-0.0", "'1'"]
@@ -314,7 +311,7 @@ def test_the_walk_is_iterative_and_left_to_right(registry):
     assert (draws, refs, problems) == (False, ["B", "A"], [])
     assert analyse(deep, registry)[3] == ["X"]
     decls = {"A": Lit(value=1), "B": Lit(value=2), "X": Lit(value=3), "D": deep, "E": e}
-    model = modelspec.compile_nodes(tuple(modelspec.NodeDecl(n, x) for n, x in decls.items()), None)
+    model = modelspec.compile_nodes(tuple(modelspec.NodeDecl(n, x) for n, x in decls.items()), registry)
     assert model.parents["D"] == ["X"]
     assert model.parents["E"] == ["B", "A"]
     # the code generator recurses, so a tree this deep fails cleanly, naming its node

@@ -105,16 +105,19 @@ def test_apply_interventions_matches_compiling_the_substituted_nodes(document):
     assert got == expected
 
 
-def test_untouched_nodes_of_a_model_validated_without_registry_are_not_rechecked(registry):
+def test_untouched_nodes_are_not_rechecked_against_the_intervening_registry(registry):
     """apply_interventions checks only the replacement expressions.
 
-    A model validated with ``registry=None`` has had no function checks, and
-    intervening does not add them for the nodes it leaves alone: an unknown
-    function in an untouched node is not a ValidationError here but the
-    node-named EvalError that ``simulate`` raises when it is reached.  The
-    replacements themselves are still checked against the registry given.
+    A model validated against a registry that has ``nosuch`` keeps that
+    check when it is intervened on with a registry that lacks it: an
+    unknown function in an untouched node is not a ValidationError here but
+    the node-named EvalError that ``simulate`` raises when it is reached.
+    The replacements themselves are still checked against the registry given.
     """
-    model = validate(parse_model(model_yaml('    A: "nosuch(1)"\n    B: "uniform(0, 1)"\n'), None), None)
+    validating = build_registry()
+    register_example_functions(validating)
+    validating.add_builtin("nosuch", 1, False, lambda x: x)
+    model = validate(parse_model(model_yaml('    A: "nosuch(1)"\n    B: "uniform(0, 1)"\n')), validating)
     effective = apply_interventions(model, {"B": parse("normal(0, 1)")}, registry)
     with pytest.raises(EvalError, match="unknown function 'nosuch'") as exc:
         simulate(effective, RunConfig(num_samples=1), registry)

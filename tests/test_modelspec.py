@@ -245,7 +245,7 @@ class _CountedName(str):
     __hash__ = str.__hash__
 
 
-def test_missing_nodes_find_their_targets_in_linear_comparisons():
+def test_missing_nodes_find_their_targets_in_linear_comparisons(registry):
     # a scan of the node list per missing node would make ~n**2 / 2 comparisons
     n = 400
     targets = [NodeDecl(_CountedName(f"X{i}"), parse("uniform(0, 1)")) for i in range(n)]
@@ -254,7 +254,7 @@ def test_missing_nodes_find_their_targets_in_linear_comparisons():
         for i in range(n)
     ]
     _CountedName.comparisons = 0
-    model = compile_nodes(tuple(targets + missing), None)
+    model = compile_nodes(tuple(targets + missing), registry)
     assert model.parents[f"M{n - 1}"] == [f"X{n - 1}"]
     assert _CountedName.comparisons < 10 * n
 

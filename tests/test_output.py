@@ -224,8 +224,12 @@ def test_manifest_contents_and_stability(registry, tmp_path):
 
 
 def test_model_hash_tracks_semantics_not_formatting(registry):
-    _, model_a = compile_text(model_yaml('    X: "uniform(0,1)"\n'), registry)
-    _, model_b = compile_text(model_yaml('    X: "uniform( 0 , 1 )"\n'), registry)
-    _, model_c = compile_text(model_yaml('    X: "uniform(0,2)"\n'), registry)
-    assert model_hash(model_a) == model_hash(model_b)
-    assert model_hash(model_a) != model_hash(model_c)
+    spec_a, model_a = compile_text(model_yaml('    X: "uniform(0,1)"\n'), registry)
+    spec_b, model_b = compile_text(model_yaml('    X: "uniform( 0 , 1 )"\n'), registry)
+    spec_c, model_c = compile_text(model_yaml('    X: "uniform(0,2)"\n'), registry)
+    spec_d, model_d = compile_text(model_yaml('    X: "uniform(0,1)"\n', num_samples=11), registry)
+    assert model_hash(model_a, spec_a.instructions) == model_hash(model_b, spec_b.instructions)
+    assert model_hash(model_a, spec_a.instructions) != model_hash(model_c, spec_c.instructions)
+    # the instructions are part of what the hash covers
+    assert model_d == model_a
+    assert model_hash(model_d, spec_d.instructions) != model_hash(model_a, spec_a.instructions)

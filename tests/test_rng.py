@@ -1,9 +1,13 @@
-"""The block lane pass against streams made one at a time."""
+"""The block lane pass, and the rows it hands out, against streams made one at a time."""
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from dagforge import RandomStream
-from dagforge.rng import _GOLDEN, _LANES, _MASK, KeyLanes, _finalize, _seed_state, _stream, sample_base
+from dagforge.rng import _GOLDEN, _LANES, _MASK, KeyLanes, _finalize, _seed_state
+
+from conftest import pointed
 
 UINT64 = st.integers(0, 2**64 - 1)
 WORD = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | UINT64
@@ -22,13 +26,18 @@ def key_lists(draw):
     return draw(st.permutations(keys + repeats))
 
 
+def _sample_base(seed, index):
+    # what every node stream of one sample mixes its key into
+    return _finalize((_seed_state(seed) + index) & _MASK)
+
+
 def _check_block(keys, count, seed, start):
     lanes = KeyLanes(keys, count)
     count = lanes.count
     states, words1, words2 = lanes.first_words(seed, start)
     assert len(states) == len(words1) == len(words2) == len(keys) * count
     for b in range(count):
-        base = sample_base(seed, start + b)
+        base = _sample_base(seed, start + b)
         for j, key in enumerate(keys):
             k = j * count + b
             state = states[k]
@@ -36,6 +45,21 @@ def _check_block(keys, count, seed, start):
             assert [words1[k], words2[k]] == [_finalize((state + c * _GOLDEN) & _MASK) for c in (1, 2)]
             made = RandomStream(seed, start + b, key)
             assert [made.next_word(), RandomStream(seed, start + b, key).next_words(2)[1]] == [words1[k], words2[k]]
+    _check_rows(lanes, keys, seed, start)
+
+
+def _check_rows(lanes, keys, seed, start):
+    """Item i of ``rows`` points a stream at ``RandomStream(seed, start + i, key)``,
+    for the items on both sides of two block boundaries and the middle of each block."""
+    count = lanes.count
+    items = list(itertools.islice(lanes.rows(seed, start), 2 * count + 1))
+    for i in sorted({0, count // 2, count - 1, count, count + count // 2, 2 * count - 1, 2 * count}):
+        states, words1, words2 = items[i]
+        assert len(states) == len(words1) == len(words2) == len(keys)
+        for j, key in enumerate(keys):
+            made, public = pointed(states[j], words1[j], words2[j]), RandomStream(seed, start + i, key)
+            assert made.next_words(3) == public.next_words(3)
+            assert made._state == public._state
 
 
 @settings(max_examples=EXAMPLES)
@@ -53,6 +77,18 @@ def test_a_block_wider_than_the_lanes_is_one_sample_a_pass():
     assert KeyLanes(keys).count == 1
     for count, start in ((None, 5), (2, 2**64 - 1)):
         _check_block(keys, count, 11, start)
+
+
+def test_rows_wrap_past_the_last_index():
+    keys = [3, 2**64 - 1, 3]
+    for count in (1, 2, 4):
+        rows = KeyLanes(keys, count).rows(5, 2**64 - 3)
+        for index in itertools.chain(range(2**64 - 3, 2**64), range(5)):
+            states, words1, words2 = next(rows)
+            assert [pointed(*slot).next_words(3) for slot in zip(states, words1, words2)] == [
+                RandomStream(5, index, key).next_words(3) for key in keys
+            ]
+        _check_rows(KeyLanes(keys, count), keys, 5, 2**64 - count - 1)
 
 
 def test_the_pass_takes_keys_modulo_2_64():
@@ -93,8 +129,8 @@ def _apply(rng, op):
 @settings(max_examples=EXAMPLES)
 @given(seed=UINT64, index=UINT64, key=WORD, ops=st.lists(OPS, max_size=12))
 def test_a_stream_from_the_pass_behaves_as_a_public_one(seed, index, key, ops):
-    states, words1, words2 = KeyLanes([key], 1).first_words(seed, index)
-    from_pass, public = _stream(states[0], words1[0], words2[0]), RandomStream(seed, index, key)
+    states, words1, words2 = next(KeyLanes([key], 1).rows(seed, index))
+    from_pass, public = pointed(states[0], words1[0], words2[0]), RandomStream(seed, index, key)
     for op in ops:
         assert _apply(from_pass, op) == _apply(public, op), op
         assert from_pass.draw_counter == public.draw_counter
@@ -103,7 +139,7 @@ def test_a_stream_from_the_pass_behaves_as_a_public_one(seed, index, key, ops):
 
 def test_a_stream_serves_its_first_words_from_the_pass():
     # the first two draws come from the words it was made with, later ones from its state
-    rng = _stream(12345, 1, 2)
+    rng = pointed(12345, 1, 2)
     assert [rng.next_word(), rng.next_word()] == [1, 2]
     assert rng.next_word() == _finalize((12345 + 3 * _GOLDEN) & _MASK)
     rng.draw_counter = 0

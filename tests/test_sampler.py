@@ -1,4 +1,5 @@
 import functools
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,7 +25,7 @@ from dagforge import (
 from dagforge.errors import CoercionError, DagforgeError, EvalError, SelectionStarvation, ValidationError
 from dagforge.evaluator import compile_node
 from dagforge.expr import Lit, Ref
-from dagforge.rng import node_stream_key
+from dagforge.rng import KeyLanes, node_stream_key
 from dagforge.sampler import KeptRows, SampleRow
 
 import corpus
@@ -103,7 +104,11 @@ def test_only_pure_calls_mean_no_stream(registry):
         '    C: "[1, binomial(1, 0.5)]"\n'
         '    D: "if A then 1 else 2"\n'
     )
-    model = validate(parse_model(text, registry), None)
+    # validated against a registry that has not_registered, compiled against one that does not
+    validating = build_registry()
+    register_example_functions(validating)
+    register_host_function(validating, "not_registered", 1, False, lambda x: x)
+    model = validate(parse_model(text), validating)
     steps, _ = sampler._compile_steps(model, registry)
     keys = {step[0]: step[1] for step in steps}
     assert keys["A"] is None and keys["D"] is None
@@ -321,6 +326,31 @@ def test_kept_rows_equal_replays_across_blocks(registry, text, block, num_sample
     assert len(kept) == num_samples
     for row, taken in zip(kept, got):
         assert all(values_equal(row[c], taken.values[c]) for c in rows.column_order)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython references")
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_run_holds_no_block_while_the_next_is_mixed(registry, monkeypatch, count):
+    # With one index a block, as for a model of more than 512 drawing nodes,
+    # a row that kept its words until the next block was mixed would hold
+    # two blocks at the peak.  So when a block is mixed, the block before it
+    # is held by nothing but this test's list: not by the run, and not by
+    # the iterator that hands out its rows.
+    first_words = KeyLanes.first_words
+    blocks, refcounts, probe = [], [], [object()]
+
+    def recording(self, seed, start):
+        if blocks:
+            refcounts.append([sys.getrefcount(blocks[-1]), *map(sys.getrefcount, blocks[-1])])
+        blocks.append(first_words(self, seed, start))
+        return blocks[-1]
+
+    monkeypatch.setattr(KeyLanes, "first_words", recording)
+    monkeypatch.setattr(sampler, "KeyLanes", lambda keys: KeyLanes(keys, count))
+    model = compile_text(model_yaml('    A: "uniform(0, 1)"\n    B: "normal(A, 1)"\n    C: "A + B"\n'), registry)
+    assert len(list(KeptRows(model, RunConfig(num_samples=3 * count + 1, seed=4), registry))) == 3 * count + 1
+    once = sys.getrefcount(probe[0])
+    assert len(blocks) == 4 and refcounts == [[once] * 4] * 3
 
 
 # --- the engine against one fresh stream per node --------------------------

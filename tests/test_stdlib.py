@@ -17,7 +17,7 @@ from dagforge.errors import DomainError, RegistryError
 from dagforge.evaluator import compile_node
 from dagforge.examplefns import create_airr, encode_kmers
 from dagforge.expr import KEYWORDS
-from dagforge.rng import _GOLDEN, _LANES, _MASK, _finalize, _stream
+from dagforge.rng import _GOLDEN, _LANES, _MASK, _finalize
 from dagforge.stdlib import (
     MAX_BINOMIAL_TRIALS,
     MAX_CONCAT_LENGTH,
@@ -49,6 +49,8 @@ from dagforge.stdlib import (
     _uniform,
 )
 from dagforge.values import type_name
+
+from conftest import pointed
 
 N = 100_000
 
@@ -272,7 +274,7 @@ def _at_counter(rng, counter):
     """A stream at ``counter`` whose next words are ``rng``'s words 1, 2, ...: its state
     sits ``counter`` steps before ``rng``'s, since word c mixes ``state + c * _GOLDEN``."""
     state = (rng._state - counter * _GOLDEN) & _MASK
-    shifted = _stream(state, _finalize((state + _GOLDEN) & _MASK), _finalize((state + 2 * _GOLDEN) & _MASK))
+    shifted = pointed(state, _finalize((state + _GOLDEN) & _MASK), _finalize((state + 2 * _GOLDEN) & _MASK))
     shifted.draw_counter = counter
     return shifted
 
