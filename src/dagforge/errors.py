@@ -9,7 +9,14 @@ def _cut(text: str) -> str:
 
 
 class DagforgeError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    ``sample`` is ``(sample_index, seed)`` when a run raised the error while
+    evaluating that sample index, so :func:`~dagforge.sampler.sample_one`
+    can replay it; otherwise ``None``.
+    """
+
+    sample: tuple[int, int] | None = None
 
 
 class DslError(DagforgeError):

@@ -64,10 +64,37 @@ class NodeDecl:
 
 @dataclass(frozen=True)
 class SimInstructions:
+    """A document's ``instructions.simulation`` block; a field that breaks
+    the schema raises SpecError, whether it comes from a document or not."""
+
     csv_name: str
     num_samples: int
     seed: int | None = None  # None = not set in the document
     output_dir: str | None = None
+
+    def __post_init__(self):
+        where = "instructions.simulation"
+        csv_name, num_samples, seed, output_dir = self.csv_name, self.num_samples, self.seed, self.output_dir
+        if not isinstance(csv_name, str) or not csv_name:
+            raise SpecError(f"{where}.csv_name", f"expected a non-empty string, got {_brief(csv_name)}")
+        # the stem of every output file, which the manifest lists on one line separated by commas
+        bad = [c for c in ",/\\\r\n\0" if c in csv_name]
+        if bad:
+            raise SpecError(f"{where}.csv_name", f"{_brief(csv_name)} holds {bad[0]!r}; "
+                            "a file name stem may not hold ',', '/', '\\', CR, LF or NUL")
+
+        if isinstance(num_samples, bool) or not isinstance(num_samples, int) or num_samples < 1:
+            raise SpecError(f"{where}.num_samples", f"expected a positive integer, got {_brief(num_samples)}")
+
+        if seed is not None:
+            # the bound is the RNG's word mask; imported here, a document without a seed never loads the RNG
+            from .rng import _MASK as _UINT64_MAX
+
+            if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _UINT64_MAX:
+                raise SpecError(f"{where}.seed", f"expected an unsigned 64-bit integer, got {_brief(seed)}")
+
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise SpecError(f"{where}.output_dir", f"expected a path string, got {_brief(output_dir)}")
 
 
 @dataclass(frozen=True)
@@ -196,32 +223,8 @@ def _parse_instructions(doc: dict) -> SimInstructions:
     sim = _require_map(instructions["simulation"], "instructions.simulation",
                        ("csv_name", "num_samples", "seed", "output_dir"))
 
-    csv_name = sim.get("csv_name")
-    if not isinstance(csv_name, str) or not csv_name:
-        raise SpecError("instructions.simulation.csv_name", f"expected a non-empty string, got {_brief(csv_name)}")
-    # the stem of every output file, which the manifest lists on one line separated by commas
-    bad = [c for c in ",/\\\r\n\0" if c in csv_name]
-    if bad:
-        raise SpecError("instructions.simulation.csv_name",
-                        f"{_brief(csv_name)} holds {bad[0]!r}; a file name stem may not hold ',', '/', '\\', CR, LF or NUL")
-
-    num_samples = sim.get("num_samples")
-    if isinstance(num_samples, bool) or not isinstance(num_samples, int) or num_samples < 1:
-        raise SpecError("instructions.simulation.num_samples", f"expected a positive integer, got {_brief(num_samples)}")
-
-    seed = sim.get("seed")
-    if seed is not None:
-        # the bound is the RNG's word mask; imported here, a document without a seed never loads the RNG
-        from .rng import _MASK as _UINT64_MAX
-
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _UINT64_MAX:
-            raise SpecError("instructions.simulation.seed", f"expected an unsigned 64-bit integer, got {_brief(seed)}")
-
-    output_dir = sim.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise SpecError("instructions.simulation.output_dir", f"expected a path string, got {_brief(output_dir)}")
-
-    return SimInstructions(csv_name=csv_name, num_samples=num_samples, seed=seed, output_dir=output_dir)
+    return SimInstructions(csv_name=sim.get("csv_name"), num_samples=sim.get("num_samples"),
+                           seed=sim.get("seed"), output_dir=sim.get("output_dir"))
 
 
 def parse_model(yaml_text: str, registry: FunctionRegistry | None = None) -> ModelSpec:

@@ -3,7 +3,12 @@
 Every draw is a pure function of ``(seed, sample_index, node_key,
 draw_counter)``, so distinct samples (and distinct nodes within a sample)
 own independent streams that can be consumed in any order, on any thread,
-with bit-identical results on every platform.
+with the same words on every platform: the words are 64-bit integer
+arithmetic only.  The values built from them are the same wherever doubles
+are IEEE-754 binary64, except that ``normal``, ``poisson``, ``exp``, ``log``
+and ``sigmoid`` (and the example functions built on them) also call the
+host C library's ``log``, ``cos`` and ``exp``, which C lets each library
+round its own way (FORMATS.md, "Reproducibility").
 
 Because no word depends on another, many words are mixed at once as the
 lanes of one int: :class:`KeyLanes` mixes the state and first two words of

@@ -193,8 +193,10 @@ class KeptRows:
 
     Iterating raises SelectionStarvation if fewer than ``num_samples`` rows
     are kept within the rejection limit, and StratumNameError at the first
-    kept row whose stratum label cannot name a file.  ``kept`` counts the
-    rows produced so far; ``attempts`` is set once the last row is.
+    kept row whose stratum label cannot name a file.  An EvalError,
+    CoercionError or StratumNameError raised for a sample index carries
+    ``sample = (index, seed)``.  ``kept`` counts the rows produced so far;
+    ``attempts`` is set once the last row is.
     """
 
     def __init__(self, model: CompiledModel, config: RunConfig, registry: FunctionRegistry):
@@ -215,16 +217,20 @@ class KeptRows:
         # no name holds an index's words once its row is done, so at most one block is alive
         words = self._lanes.rows(seed, 0)
         self.kept = self.attempts = 0
-        for i in range(limit):
-            bindings, selected = _run_steps(steps, stream, *next(words))
-            if not selected:
-                continue
-            stratum = check_stratum_label(bindings[stratify]) if stratify else None
-            self.kept += 1
-            yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
-            if self.kept == needed:
-                self.attempts = i + 1
-                return
+        try:
+            for i in range(limit):
+                bindings, selected = _run_steps(steps, stream, *next(words))
+                if not selected:
+                    continue
+                stratum = check_stratum_label(bindings[stratify]) if stratify else None
+                self.kept += 1
+                yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
+                if self.kept == needed:
+                    self.attempts = i + 1
+                    return
+        except (EvalError, CoercionError, StratumNameError) as err:
+            err.sample = (i, seed)
+            raise
         raise SelectionStarvation(attempts=limit, kept=self.kept, limit=limit)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 from pathlib import Path
@@ -49,6 +50,20 @@ instructions:
 def model_yaml(nodes_block: str, num_samples: int = 10) -> str:
     """Assemble a model document from an indented nodes block."""
     return "graph:\n  nodes:\n" + nodes_block + MINIMAL_INSTRUCTIONS.format(num_samples=num_samples)
+
+
+@pytest.fixture(autouse=True)
+def gc_left_as_found(request):
+    """Fail a test that leaves the cyclic GC disabled or objects frozen,
+    such as an in-process ``main()`` that did not give the GC back."""
+    yield
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    if enabled and not frozen:
+        return
+    gc.enable()  # so that the tests after this one start as they should
+    gc.unfreeze()
+    pytest.fail(f"{request.node.nodeid} left the cyclic GC {'enabled' if enabled else 'disabled'} "
+                f"with {frozen} objects frozen", pytrace=False)
 
 
 @pytest.fixture()

@@ -1,12 +1,19 @@
 import csv
+import gc
+import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from dagforge.expr import MAX_DEPTH
+from dagforge import apply_interventions, parse_model, register_host_function, sample_one, validate
+from dagforge import cli, output
+from dagforge.errors import DagforgeError
+from dagforge.expr import MAX_DEPTH, parse
+from dagforge.sampler import check_stratum_label
 
 from conftest import MINIMAL_INSTRUCTIONS, MODELS, model_yaml
 
@@ -223,6 +230,10 @@ def test_non_ascii_digit_is_a_lex_error_in_yaml_and_intervention(run_cli, tmp_pa
     assert not out.exists()
 
 
+# a run names the sample index and seed of a row that fails to evaluate
+FIRST_SAMPLE = " at sample index 0 (seed 0)"
+
+
 @pytest.mark.parametrize("call, arg", [
     ("poisson", "exp(709) * 10"),
     ("round", "exp(709) * 10"),
@@ -240,7 +251,7 @@ def test_non_finite_argument_exit_2_names_node_and_span(run_cli, tmp_path, call,
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("dagforge: node X: ")
-    assert "finite" in err and err.rstrip().endswith(f" at 0..{len(source)}")
+    assert "finite" in err and err.rstrip().endswith(f" at 0..{len(source)}{FIRST_SAMPLE}")
     assert not out.exists()
 
 
@@ -261,7 +272,7 @@ def test_non_finite_distribution_argument_exit_2_names_node_and_span(run_cli, tm
     assert code == 2, err
     assert "Traceback" not in err
     assert err.startswith("dagforge: node X: ")
-    assert "finite" in err and err.rstrip().endswith(f" at 0..{len(source)}")
+    assert "finite" in err and err.rstrip().endswith(f" at 0..{len(source)}{FIRST_SAMPLE}")
     assert not out.exists()
 
 
@@ -280,7 +291,7 @@ def test_int_past_the_float_range_exit_2_names_node_and_span(run_cli, tmp_path, 
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("dagforge: node X: ")
-    assert err.rstrip().endswith(f" at 0..{len(source)}")
+    assert err.rstrip().endswith(f" at 0..{len(source)}{FIRST_SAMPLE}")
     assert not out.exists()
 
 
@@ -294,7 +305,7 @@ def test_example_function_of_an_int_past_the_float_range_exit_2(run_cli, tmp_pat
     out = tmp_path / "out"
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
-    assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}"
+    assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}{FIRST_SAMPLE}"
     assert not out.exists()
 
 
@@ -313,7 +324,7 @@ def test_int_too_long_for_text_in_an_error_message_exit_2(run_cli, tmp_path, sou
     out = tmp_path / "out"
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
-    assert err.rstrip() == f"dagforge: node Y: {message} at 0..{len(source)}"
+    assert err.rstrip() == f"dagforge: node Y: {message} at 0..{len(source)}{FIRST_SAMPLE}"
     assert not out.exists()
 
 
@@ -334,7 +345,7 @@ def test_a_value_past_a_size_limit_exit_2(run_cli, tmp_path, source, message):
     out = tmp_path / "out"
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
-    assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}"
+    assert err.rstrip() == f"dagforge: node X: {message} at 0..{len(source)}{FIRST_SAMPLE}"
     assert not out.exists()
 
 
@@ -346,7 +357,7 @@ def test_a_concat_chain_stops_at_the_length_limit_exit_2(run_cli, tmp_path):
     out = tmp_path / "out"
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
-    assert err.rstrip() == "dagforge: node X19: concat result of 2097152 characters is longer than the limit of 1048576 at 0..16"
+    assert err.rstrip() == f"dagforge: node X19: concat result of 2097152 characters is longer than the limit of 1048576 at 0..16{FIRST_SAMPLE}"
     assert not out.exists()
 
 
@@ -359,7 +370,7 @@ def test_an_int_squaring_chain_stops_at_the_bit_limit_exit_2(run_cli, tmp_path):
     code, _, err = run_cli("run", spec, "--out", out)
     assert code == 2
     stop = re.fullmatch(
-        r"dagforge: node X20: arithmetic '\*' result of (\d+) bits is larger than the limit of 1048576 at 0\.\.9\n", err)
+        r"dagforge: node X20: arithmetic '\*' result of (\d+) bits is larger than the limit of 1048576 at 0\.\.9 at sample index 0 \(seed 0\)\n", err)
     assert stop and int(stop[1]) > 1 << 20
     assert not out.exists()
 
@@ -624,3 +635,202 @@ def test_schema_error_on_a_value_sharing_aliases_exit_2(run_cli, tmp_path):
     first = repr([["x"] * 9, [["x"] * 9] * 9])[:77]  # the first two of the seven lists
     assert err == f"dagforge: instructions.simulation.num_samples: expected a positive integer, got {first}...\n"
 
+
+
+# --- a failed run names its sample index ------------------------------------
+
+# nodes block and flags of runs that fail at one sample index, some past the first
+FAILING_RUNS = {
+    "eval error": ('    U: "uniform(0, 1)"\n    L: "if U < 0.99 then 1.0 else log(0 - 1)"\n', ()),
+    "eval error past the first block": ('    U: "uniform(0, 1)"\n    L: "if U < 0.9998 then 1.0 else log(0 - 1)"\n', ()),
+    "selection value": ('    U: "uniform(0, 1)"\n    S:\n      function: "if U < 0.99 then U < 0.5 else 2"\n'
+                        "      kind: selection\n", ()),
+    "missing indicator": ('    U: "uniform(0, 1)"\n    M:\n      function: "if U < 0.99 then 0 else 0.5"\n'
+                          "      kind: missing\n      underlying: U\n", ()),
+    "stratum label": ('    U: "uniform(0, 1)"\n    G:\n      function: \'if U < 0.99 then "a" else "a b"\'\n'
+                      "      kind: stratify\n", ()),
+    "intervened node": ('    U: "uniform(0, 1)"\n    L: "1.0"\n',
+                        ("--intervene", "L=if U < 0.99 then 1.0 else log(0 - 1)")),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_RUNS)
+def test_a_failed_run_names_the_sample_index_that_replays_its_error(run_cli, registry, tmp_path, case):
+    nodes, flags = FAILING_RUNS[case]
+    spec = tmp_path / "m.yaml"
+    spec.write_text(model_yaml(nodes, num_samples=5000))
+    code, _, err = run_cli("run", spec, "--seed", "11", "--out", tmp_path / "out", *flags)
+    assert code == 2
+    stop = re.fullmatch(r"dagforge: (.*) at sample index (\d+) \(seed 11\)\n", err)
+    assert stop, err
+    message, index = stop[1], int(stop[2])
+    assert index > (1024 if "past the first block" in case else 0)
+
+    model = validate(parse_model(spec.read_text()), registry)
+    if flags:
+        node, _, text = flags[1].partition("=")
+        model = apply_interventions(model, {node: parse(text)}, registry)
+
+    def replay(i):  # the checks a run makes at index i
+        row, selected = sample_one(model, i, 11, registry)
+        if selected and model.stratify:
+            check_stratum_label(row[model.stratify])
+
+    for i in range(index):
+        replay(i)
+    with pytest.raises(DagforgeError) as caught:
+        replay(index)
+    assert str(caught.value) == message
+
+
+# --- the cyclic GC in the CLI ------------------------------------------------
+
+def _gc_runs(tmp_path):
+    """A name for each way out of main(): (argv, exit code)."""
+    ok = tmp_path / "ok.yaml"
+    ok.write_text(model_yaml('    U: "uniform(0, 1)"\n', num_samples=3))
+    failing = tmp_path / "failing.yaml"
+    failing.write_text(model_yaml(FAILING_RUNS["eval error"][0], num_samples=500))
+    invalid = tmp_path / "invalid.yaml"
+    invalid.write_text(model_yaml('    X: "nope(1)"\n'))
+    starved = tmp_path / "starved.yaml"
+    starved.write_text(model_yaml('    S:\n      function: "1 == 2"\n      kind: selection\n', num_samples=3))
+    out = tmp_path / "out"
+    return {
+        "run": (("run", ok, "--out", out), 0),
+        "validate": (("validate", ok), 0),
+        "graph": (("graph", ok), 0),
+        "unreadable file": (("run", tmp_path / "absent.yaml"), 1),
+        "invalid model": (("run", invalid, "--out", out), 2),
+        "failing row": (("run", failing, "--out", out), 2),
+        "starved selection": (("run", starved, "--out", out, "--max-rejection-factor", "2"), 3),
+    }
+
+
+GC_EXITS = ["run", "validate", "graph", "unreadable file", "invalid model", "failing row", "starved selection"]
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("name", GC_EXITS)
+def test_main_gives_back_the_callers_gc_on_every_exit(run_cli, tmp_path, name, caller_gc):
+    argv, expected = _gc_runs(tmp_path)[name]
+    gc.enable() if caller_gc else gc.disable()
+    try:
+        code, _, err = run_cli(*argv)
+        state = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        gc.enable()
+    assert code == expected, err
+    assert state == (caller_gc, 0)
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("where", ["set-up", "rows"])
+def test_main_gives_back_the_callers_gc_on_an_uncaught_exception(run_cli, monkeypatch, tmp_path, where, caller_gc):
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash")
+
+    if where == "set-up":
+        monkeypatch.setattr(cli, "validate", crash)
+    else:
+        monkeypatch.setattr(output, "write_csv", crash)
+    argv, _ = _gc_runs(tmp_path)["run"]
+    gc.enable() if caller_gc else gc.disable()
+    try:
+        with pytest.raises(RuntimeError, match="crash"):
+            run_cli(*argv)
+        state = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        gc.enable()
+    assert state == (caller_gc, 0)
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc on", "gc off"])
+def test_run_sets_up_without_the_gc_and_makes_rows_with_the_callers(registry, monkeypatch, run_cli, tmp_path, caller_gc):
+    seen = {"set-up": set(), "rows": set(), "frozen": set()}
+
+    def validate_watched(*args):
+        seen["set-up"].add(gc.isenabled())
+        return validate(*args)
+
+    def probe(x):
+        seen["rows"].add(gc.isenabled())
+        seen["frozen"].add(gc.get_freeze_count() > 0)
+        return x
+
+    register_host_function(registry, "probe", 1, False, probe)
+    monkeypatch.setattr(cli, "_default_registry", lambda: registry)
+    monkeypatch.setattr(cli, "validate", validate_watched)
+    spec = tmp_path / "m.yaml"
+    spec.write_text(model_yaml('    X: "probe(1)"\n', num_samples=5))
+    gc.enable() if caller_gc else gc.disable()
+    try:
+        code, _, err = run_cli("run", spec, "--out", tmp_path / "out")
+    finally:
+        gc.enable()
+    assert code == 0, err
+    assert seen == {"set-up": {False}, "rows": {caller_gc}, "frozen": {True}}
+
+
+def test_validate_and_graph_keep_the_gc_off_to_the_end(registry, monkeypatch, run_cli, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "to_dot", lambda model: seen.append(gc.isenabled()) or "")
+    monkeypatch.setattr(cli, "print", lambda *args: seen.append(gc.isenabled()), raising=False)
+    for command in ("validate", "graph"):
+        code, _, err = run_cli(command, MODELS / "images.yaml")
+        assert code == 0, err
+    assert seen == [False, False, False]
+
+
+# A layered model of 300 nodes with a plate, selection, missing and stratify
+# node, in the shape of the benchmark's generated model.
+LAYERED = "".join(
+    [f'    n0_{j}: "{"normal(0, 1)" if j % 2 else "uniform(-1, 1)"}"\n' for j in range(30)]
+    + [f'    n{k}_{j}: "if n{k - 1}_{j} > n{k - 1}_{(j * 7 + 3) % 30} then n{k - 1}_{j} * 0.5 + normal(0, 1) '
+       f'else n{k - 1}_{(j * 7 + 3) % 30} * 0.5 - uniform(0, 1)"\n' for k in range(1, 10) for j in range(30)]
+) + (
+    '    plate:\n      function: "normal(n9_0, 1)"\n      size: 4\n'
+    '    sel:\n      function: "uniform(0, 1) < 0.5"\n      kind: selection\n'
+    '    miss:\n      function: "binomial(1, 0.2)"\n      kind: missing\n      underlying: n9_1\n'
+    '    stratum:\n      function: "randint(0, 4)"\n      kind: stratify\n'
+)
+
+# A fresh interpreter with the GC off from its first line: after set-up and
+# after the rows, a collection must find no garbage, so keeping the GC out of
+# set-up leaks nothing.  Lazy imports a run makes count as set-up.
+PREMISE = textwrap.dedent("""
+    import gc
+    gc.disable()
+    import json, sys, tempfile
+    from pathlib import Path
+    import dagforge.cli
+    gc.collect()
+    found = {}
+    for path, interventions in json.loads(sys.argv[1]):
+        from dagforge import apply_interventions, build_registry, parse_model, register_example_functions, validate
+        from dagforge.expr import parse
+        from dagforge.output import write_csv
+        from dagforge.sampler import KeptRows, RunConfig
+        registry = build_registry()
+        register_example_functions(registry)
+        spec = parse_model(Path(path).read_text(encoding="utf-8"))
+        model = validate(spec, registry)
+        model = apply_interventions(model, {k: parse(v) for k, v in interventions.items()}, registry)
+        rows = KeptRows(model, RunConfig(num_samples=50, seed=5), registry)
+        set_up = gc.collect()
+        with tempfile.TemporaryDirectory() as out:
+            write_csv(rows, model, spec.instructions, out)
+        found[Path(path).name] = [set_up, gc.collect()]
+    print(json.dumps(found))
+""")
+
+
+def test_set_up_and_rows_make_no_reference_cycles(tmp_path):
+    layered = tmp_path / "layered.yaml"
+    layered.write_text(model_yaml(LAYERED, num_samples=50))
+    runs = [(str(MODELS / "images.yaml"), {}), (str(MODELS / "bioseq.yaml"), {}),
+            (str(layered), {"n5_7": "normal(0, 2)"})]
+    result = subprocess.run([sys.executable, "-c", PREMISE, json.dumps(runs)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"images.yaml": [0, 0], "bioseq.yaml": [0, 0], "layered.yaml": [0, 0]}

@@ -147,7 +147,7 @@ def test_expressions_at_the_depth_limit_run(run_cli, tmp_path, name):
         assert code == 2
         start = source.index(inner)
         assert err.startswith("dagforge: node D: arithmetic '+' needs numbers, got int and str")
-        assert err.rstrip().endswith(f" at {start}..{start + len(inner)}")
+        assert err.rstrip().endswith(f" at {start}..{start + len(inner)} at sample index 0 (seed 0)")
         return
     assert code == 0, err
     rows = list(csv.reader(io.StringIO((tmp_path / "out" / "out.csv").read_text())))

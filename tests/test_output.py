@@ -6,6 +6,7 @@ import pytest
 from dagforge import (
     MISSING,
     RunConfig,
+    SimInstructions,
     Tensor,
     csv_cell,
     model_hash,
@@ -16,7 +17,7 @@ from dagforge import (
     write_csv,
     write_manifest,
 )
-from dagforge.errors import StratumNameError
+from dagforge.errors import SpecError, StratumNameError
 from dagforge.output import _field
 from dagforge.sampler import Dataset, SampleRow
 
@@ -233,3 +234,42 @@ def test_model_hash_tracks_semantics_not_formatting(registry):
     # the instructions are part of what the hash covers
     assert model_d == model_a
     assert model_hash(model_d, spec_d.instructions) != model_hash(model_a, spec_a.instructions)
+
+
+def test_a_csv_name_holding_a_comma_is_refused_on_the_library_path(registry, tmp_path):
+    # the manifest lists its files on one line, separated by commas, so a
+    # second run of "keep,notes" used to remove the user's keep and notes.csv
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep").write_text("mine\n")
+    (out / "notes.csv").write_text("mine\n")
+    _, model = compile_text(model_yaml('    X: "1"\n'), registry)
+    config = RunConfig(num_samples=2)
+    for _ in range(2):
+        with pytest.raises(SpecError, match="^instructions.simulation.csv_name: 'keep,notes' holds ','"):
+            instructions = SimInstructions(csv_name="keep,notes", num_samples=2)
+            ds = simulate(model, config, registry)
+            paths = write_csv(ds, model, instructions, out)
+            write_manifest(ds, config, paths, model, instructions, out)
+    assert sorted(p.name for p in out.iterdir()) == ["keep", "notes.csv"]
+
+
+@pytest.mark.parametrize("field, value, yaml_value", [
+    ("csv_name", "a/b", '"a/b"'),
+    ("csv_name", "", '""'),
+    ("csv_name", 7, "7"),
+    ("num_samples", 0, "0"),
+    ("num_samples", True, "true"),
+    ("seed", -1, "-1"),
+    ("seed", 1 << 64, str(1 << 64)),
+    ("output_dir", 3, "3"),
+])
+def test_instructions_have_one_rule_and_one_message_on_both_paths(field, value, yaml_value):
+    fields = {"csv_name": "out", "num_samples": 2}
+    with pytest.raises(SpecError) as built:
+        SimInstructions(**{**fields, field: value})
+    lines = "".join(f"    {k}: {v}\n" for k, v in {**fields, field: yaml_value}.items())
+    with pytest.raises(SpecError) as parsed:
+        parse_model(f'graph:\n  nodes:\n    X: "1"\ninstructions:\n  simulation:\n{lines}')
+    assert str(built.value) == str(parsed.value)
+    assert str(built.value).startswith(f"instructions.simulation.{field}: ")
