@@ -8,7 +8,9 @@ A command's set-up runs with the cyclic GC off, which is safe because set-up
 builds tens of thousands of objects but no reference cycle (a test pins
 that a collection afterwards frees nothing); ``run`` then freezes what
 set-up built and gives its rows the caller's GC, and :func:`main` restores
-the caller's GC and leaves nothing frozen on every exit.
+the caller's GC and leaves nothing frozen on every exit.  The process entry
+points call :func:`process_main`, which freezes everything once ``main``
+returns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .registry import FunctionRegistry
 from .stdlib import build_registry
 from .values import _brief, _cut
 
-__all__ = ["main"]
+__all__ = ["main", "process_main"]
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -210,5 +212,14 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def process_main() -> int:
+    """:func:`main` for a process that exits once it returns, as ``python -m
+    dagforge`` and the ``dagforge`` script do: it freezes every object again,
+    so the interpreter's last collection does not scan all of set-up."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

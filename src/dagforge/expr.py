@@ -22,6 +22,23 @@ and atoms: the five binary levels are one precedence-climbing loop (Pratt,
 "Top down operator precedence", 1973) over ``_BIN_LEVEL``, the table the
 printer also uses to decide where parentheses go.  It fills the slots of the
 nodes it builds directly, skipping the frozen ``__init__``.
+
+A model repeats a few expression shapes over different names, so ``parse``
+scans and parses each shape once.  Its memo key is the source with every
+name run replaced by a NUL: a maximal ``[A-Za-z_][A-Za-z0-9_]*`` that does
+not follow a letter, digit, ``_`` or ``.`` (so ``1e5``, ``2x`` and ``1.e5``
+keep their text) and is not a keyword (so ``iffy`` is masked and ``if`` is
+not).  Such a run starts a token and is one identifier token to ``_scan``,
+and the parser never reads an identifier's text, so two sources with one
+key have the same tokens but for names, and the same tree but for names and
+spans.  A hit builds fresh nodes from the recipe of the shape's first
+source: names in source order, each span endpoint shifted by the lengths of
+the names before it.  A miss scans and parses as above, and only a source
+they accept, whose Ref and Call names are its masked runs in order, leaves a
+recipe, so every error, message and span comes from them.  A source holding
+``"`` (a string literal may hold any text) or a NUL, or longer than
+``_MEMO_SOURCE`` characters, skips the memo, which keeps at most
+``_MEMO_SIZE`` recipes and drops the oldest first.
 """
 
 from __future__ import annotations
@@ -29,6 +46,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import LexError, NestingError, ParseError
@@ -340,7 +358,25 @@ def parse(src: str) -> Expr:
 
     A tree deeper than MAX_DEPTH is a NestingError, as is nesting that
     exhausts the parser's own stack first, such as ~330 parentheses.
+    A source of a shape parsed before is built from the shape's recipe.
     """
+    if len(src) > _MEMO_SOURCE or '"' in src or "\0" in src:
+        return _parse(src)
+    parts = _NAME_RUN.split(src)  # text, name, text, ..., name, text
+    key = "\0".join(parts[::2])
+    recipe = _memo.get(key)
+    if recipe is not None:
+        return _build(recipe, parts[1::2])
+    e = _parse(src)
+    recipe = _recipe(e, parts)
+    if recipe is not None:
+        if len(_memo) >= _MEMO_SIZE:
+            _memo.pop(next(iter(_memo)), None)  # the oldest shape
+        _memo[key] = recipe
+    return e
+
+
+def _parse(src: str) -> Expr:
     tokens = _scan(src)
     # four parallel tuples: every token's kind, every token's text, ...
     p = _Parser(*zip(*tokens))
@@ -364,6 +400,105 @@ def _depth(e: Expr) -> int:
         deepest = max(deepest, depth)
         stack.extend((child, depth + 1) for child in node.children())
     return deepest
+
+
+# --- the shape memo -----------------------------------------------------
+
+# A run that _scan reads as one identifier token, unless it is a keyword:
+# maximal, and not inside a number or a name (``1e5``, ``2x``, ``1.e5``).
+_NAME_RUN = re.compile(r"(?<![A-Za-z0-9_.])(?!(?:%s)(?![A-Za-z0-9_]))(%s)"
+                       % ("|".join(sorted(KEYWORDS)), _IDENT.pattern))
+_MEMO_SIZE = 256  # recipes, the oldest dropped first
+_MEMO_SOURCE = 256  # the longest source the memo takes, in characters
+_memo: dict[str, tuple] = {}
+
+
+def _recipe(e: Expr, parts: list[str]) -> tuple | None:
+    """The steps that build ``e`` again for another source of its shape,
+    or None if its Ref and Call names are not the runs ``parts`` masks.
+
+    A step is ``(class, argument, start, i, end, j)`` in postorder: the
+    node's span is ``(start + c[i], end + c[j])``, where ``c[k]`` is the
+    length of the first ``k`` names of the source it is built for.
+    """
+    names = parts[1::2]
+    # each Ref's and Call's place among the names, in source order
+    place, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Ref or type(node) is Call:
+            if len(place) == len(names) or node.name != names[len(place)]:
+                return None
+            place[id(node)] = len(place)
+        stack.extend(reversed(node.children()))
+    if len(place) != len(names):
+        return None
+    # a span endpoint lies between tokens, so never inside a name
+    ends = list(accumulate(map(len, parts)))[1::2]
+    length = list(accumulate(map(len, names), initial=0))
+
+    def at(offset):
+        k = sum(end <= offset for end in ends)
+        return offset - length[k], k
+
+    steps, stack = [], [e]
+    while stack:  # root first, children right to left: postorder reversed
+        node = stack.pop()
+        cls = type(node)
+        if cls is Ref:
+            arg = place[id(node)]
+        elif cls is Call:
+            arg = place[id(node)], len(node.args)
+        elif cls is Lit:
+            arg = node.value
+        elif cls is Binary or cls is Unary:
+            arg = node.op
+        elif cls is ListLit:
+            arg = len(node.elements)
+        else:
+            arg = None
+        steps.append((cls, arg, *at(node.span[0]), *at(node.span[1])))
+        stack.extend(node.children())
+    steps.reverse()
+    return tuple(steps)
+
+
+def _build(steps: tuple, names: list[str]) -> Expr:
+    """A fresh tree from a shape's steps and another source's names."""
+    c = list(accumulate(map(len, names), initial=0))
+    stack = []
+    push, pop = stack.append, stack.pop
+    for cls, arg, start, i, end, j in steps:
+        e = _new(cls)
+        if cls is Ref:
+            _set_ref(e, names[arg])
+        elif cls is Lit:
+            _set_value(e, arg)
+        elif cls is Binary:
+            rhs = pop()
+            _set_op(e, arg)
+            _set_lhs(e, pop())
+            _set_rhs(e, rhs)
+        elif cls is Call:
+            cut = len(stack) - arg[1]
+            _set_callee(e, names[arg[0]])
+            _set_args(e, tuple(stack[cut:]))
+            del stack[cut:]
+        elif cls is IfElse:
+            otherwise, then = pop(), pop()
+            _set_cond(e, pop())
+            _set_then(e, then)
+            _set_otherwise(e, otherwise)
+        elif cls is Unary:
+            _set_prefix(e, arg)
+            _set_operand(e, pop())
+        else:
+            cut = len(stack) - arg
+            _set_elements(e, tuple(stack[cut:]))
+            del stack[cut:]
+        _set_span(e, (start + c[i], end + c[j]))
+        push(e)
+    return stack[0]
 
 
 # --- the walk ---------------------------------------------------------

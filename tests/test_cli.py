@@ -503,6 +503,41 @@ def test_module_entry_point_runs():
     assert "8 nodes" in result.stdout
 
 
+# Runs the package as ``python -m dagforge`` does, and reports at exit, after
+# main() has returned, how many objects are frozen.
+AS_MAIN = textwrap.dedent("""
+    import atexit, gc, runpy, sys
+    atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+    sys.argv = ["dagforge", *sys.argv[1:]]
+    runpy.run_module("dagforge", run_name="__main__", alter_sys=True)
+""")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "invalid"])
+def test_the_process_entry_leaves_set_up_frozen_at_exit(run_cli, tmp_path, command):
+    invalid = tmp_path / "invalid.yaml"
+    invalid.write_text(model_yaml('    X: "nope(1)"\n'))
+    out = tmp_path / "out"
+    argv = {"validate": ["validate", MODELS / "images.yaml"],
+            "run": ["run", MODELS / "images.yaml", "--num-samples", "3", "--out", out],
+            "invalid": ["validate", invalid]}[command]
+    csv_file = out / "Images_metadata.csv"
+    result = subprocess.run([sys.executable, "-c", AS_MAIN, *map(str, argv)],
+                            capture_output=True, text=True, timeout=60)
+    err, frozen = result.stderr.rsplit("frozen ", 1)
+    child = (result.returncode, result.stdout, err), csv_file.exists() and csv_file.read_bytes()
+    in_process = run_cli(*argv), csv_file.exists() and csv_file.read_bytes()
+    assert int(frozen) > 1000
+    assert child == in_process
+    assert child[0][0] == (2 if command == "invalid" else 0)
+    assert bool(child[1]) == (command == "run")
+
+
+def test_the_console_script_is_the_process_entry():
+    scripts = (MODELS.parent / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
+    assert re.search(r'^dagforge = "dagforge\.cli:process_main"$', scripts, re.M)
+
+
 SEEDLESS = model_yaml('    X: "1"\n')
 
 # Too deep to build within the interpreter's recursion limit

@@ -1,14 +1,23 @@
+import contextlib
 import dataclasses
+import re
+import sys
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+import corpus
 import reference_expr
-from conftest import preorder
+from conftest import MODELS, REPO, preorder
+from test_sampler import _wide_model_text
 from dagforge import expr, parse, pretty_print
 from dagforge.errors import LexError, NestingError, ParseError
 from dagforge.evaluator import compile_node
-from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
+from dagforge.expr import KEYWORDS, MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
+
+sys.path.insert(0, str(REPO / "benchmarks"))
+import workloads  # noqa: E402  the generator of the benchmark's wide_deep model, read only
 
 
 def kinds_and_texts(src):
@@ -294,12 +303,15 @@ def test_a_hand_built_subclass_prints_as_its_node_class():
         pretty_print(Binary(op="+", lhs=Lit(value=1), rhs=3))
 
 
-@pytest.mark.parametrize("make", [
+DEPTH_LIMIT_SOURCES = [
     lambda n: " + ".join(["1"] * n),  # left-deep: n - 1 operators over a literal
     lambda n: "if 1 == 2 then 1 else " * (n - 2) + "0",  # the last if's condition is 2 levels below it
     lambda n: "abs(" * (n - 1) + "0" + ")" * (n - 1),  # n - 1 calls around a literal
     lambda n: "[" * (n - 1) + "0" + "]" * (n - 1),  # n - 1 lists around a literal
-])
+]
+
+
+@pytest.mark.parametrize("make", DEPTH_LIMIT_SOURCES)
 def test_depth_limit_is_checked_at_parse(make, registry):
     ok = make(MAX_DEPTH)
     e = parse(ok)
@@ -347,10 +359,124 @@ def _sources(draw):
     return src
 
 
-@settings(deadline=None, max_examples=300)
-@given(_sources())
-def test_parse_agrees_with_the_reference_front_end(src):
-    assert _outcome(parse, src) == _outcome(reference_expr.parse, src)
+# names of other lengths, some of them starting with a keyword
+_RENAMES = ["b", "n12_34", "iffy", "orx", "nothing", "_", "thenelse9"]
+_NAME = re.compile(r"(?<![A-Za-z0-9_.])[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _renamed(src, names):
+    """``src`` with each identifier that is not a keyword replaced by the next of ``names``."""
+    names = iter(names)
+    return _NAME.sub(lambda m: m[0] if m[0] in KEYWORDS else next(names), src)
+
+
+@settings(deadline=None, max_examples=3 * settings.default.max_examples)
+@given(_sources(), st.lists(st.sampled_from(_RENAMES), min_size=40, max_size=40))
+def test_parse_agrees_with_the_reference_front_end(src, names):
+    # the original first, so that its twin can be built from the shape it leaves
+    for text in (src, _renamed(src, names)):
+        assert _outcome(parse, text) == _outcome(reference_expr.parse, text)
+
+
+def _model_sources():
+    """Every node source of the shipped models, the corpus models, the
+    sampler tests' wide model and the benchmark's wide_deep seeds 1-3, and
+    every intervention they are run with."""
+    docs = [path.read_text(encoding="utf-8") for path in sorted(MODELS.glob("*.yaml"))]
+    sources = []
+    for doc in [*docs, *corpus.models(), _wide_model_text()]:
+        for name, value in yaml.safe_load(doc)["graph"]["nodes"].items():
+            value = value["function"] if isinstance(value, dict) else value
+            if name != "python_file" and isinstance(value, str):
+                sources.append(value)
+    sources += [item.split("=", 1)[1] for run in corpus.INTERVENTIONS for item in run]
+    for seed in (1, 2, 3):
+        sources += [workloads.node_expression(node) for node in workloads.wide_deep_nodes(seed)]
+    return [*sources, workloads.INTERVENTION_EXPR]
+
+
+def test_model_sources_parse_to_the_reference_trees(monkeypatch):
+    monkeypatch.setattr(expr, "_memo", {})
+    scanned = []
+    monkeypatch.setattr(expr, "_scan", lambda src, scan=expr._scan: scanned.append(src) or scan(src))
+    sources = _model_sources()
+    assert len(sources) > 6000
+    for src in sources:
+        assert _outcome(parse, src) == _outcome(reference_expr.parse, src)
+    # each shape is scanned once, and a source with a string literal every time
+    quoted = sum('"' in src for src in sources)
+    assert len(expr._memo) < 100
+    assert len(scanned) == len(expr._memo) + quoted
+
+
+_TWINS = {
+    "string literal": ('f(a, "a")', 'f(bb, "a")'),
+    "string literal with names": ('concat(s, "x + y")', 'concat(tt, "x + yy")'),
+    "nul": ("a + b\0", "aa + b\0"),
+    "nul in a name's place": ("a + b", "a + \0"),
+    "float exponent": ("a * 1e5", "a * 1x5"),
+    "float with a fraction": ("a - 1.5e3", "a - 1.5x3"),
+    "float with a sign": ("a / 1e-5", "bb / 1e-5"),
+    "digit then name": ("f(a) + 2", "f(a) + 2x"),
+    "point then exponent": ("a + 1", "a + 1.e5"),
+    "keyword prefixes": ("iffy + nothing - orx", "if + nothing - orx"),
+    "keyword for a name": ("a or b", "a or not"),
+    "names to keywords": ("f(a, b)", "f(then, b)"),
+    "parenthesised names": ("if ((a)) then (f(b)) else c", "if ((nothing)) then (iffy(b2)) else c_c"),
+}
+
+
+@pytest.mark.parametrize("first, second", list(_TWINS.values()), ids=list(_TWINS))
+def test_a_source_of_a_parsed_shape_parses_as_the_reference_does(first, second):
+    for text in (first, second, _renamed(first, _RENAMES * 3), first):
+        assert _outcome(parse, text) == _outcome(reference_expr.parse, text)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("a * 1e5", "bb * 1e5"),
+    ("a - 1.5e3 / x2", "long_name - 1.5e3 / x"),
+    ("iffy + nothing - orx", "b + c - d"),
+    ("if a then f(b) else not c", "if iffy then g2(b) else not nothing"),
+    ("if n0_1 > n0_22 then n0_1 * 0.5 + normal(0, 1) else n0_22 * 0.5 - uniform(0, 1)",
+     "if n12_1 > n12_0 then n12_1 * 0.5 + normal(0, 1) else n12_0 * 0.5 - uniform(0, 1)"),
+])
+def test_a_renamed_source_is_built_without_a_scan(monkeypatch, first, second):
+    monkeypatch.setattr(expr, "_memo", {})
+    parse(first)
+    scanned = []
+    monkeypatch.setattr(expr, "_scan", lambda src, scan=expr._scan: scanned.append(src) or scan(src))
+    assert _outcome(parse, second) == _outcome(reference_expr.parse, second)
+    assert scanned == []
+
+
+def test_sources_holding_a_quote_or_a_nul_skip_the_memo(monkeypatch):
+    monkeypatch.setattr(expr, "_memo", {})
+    for src in ('f(a, "a")', 'f(a, "a")', "a + b\0", "a + b\0"):
+        with pytest.raises(LexError) if "\0" in src else contextlib.nullcontext():
+            parse(src)
+    assert expr._memo == {}
+
+
+@pytest.mark.parametrize("make", DEPTH_LIMIT_SOURCES)
+@pytest.mark.parametrize("depth", [expr._MEMO_SOURCE // 8, MAX_DEPTH, MAX_DEPTH + 1])
+def test_depth_limit_sources_parse_as_the_reference_does(make, depth):
+    # a shallow source is memoised; the limit's own sources are too long to be
+    for src in (make(depth), _renamed(make(depth), _RENAMES * depth)):
+        for _ in range(2):
+            assert _outcome(parse, src) == _outcome(reference_expr.parse, src)
+
+
+def test_the_memo_keeps_at_most_its_size_of_shapes(monkeypatch):
+    monkeypatch.setattr(expr, "_memo", {})
+    sources = [f"a{i} + {i}" for i in range(expr._MEMO_SIZE + 50)]
+    for src in sources:
+        parse(src)
+    assert len(expr._memo) == expr._MEMO_SIZE
+    # the oldest shapes went first, and a source of a dropped shape still parses
+    assert "\0 + 0" not in expr._memo and "\0 + %d" % (len(sources) - 1) in expr._memo
+    for src in (sources[0], "bb + 0", sources[-1], "bb + %d" % (len(sources) - 1)):
+        assert _outcome(parse, src) == _outcome(reference_expr.parse, src)
+    assert len(expr._memo) == expr._MEMO_SIZE
 
 
 # a source with every kind of node
