@@ -134,7 +134,7 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
     p_age = _float(age, "create_airr age") / 200.0
     # every draw comes from one look-ahead over the largest budget; a float
     # is (word >> 11) * 2**-53, as in RandomStream.next_float
-    words, low = rng._ahead(_AIRR_DRAWS)
+    words, low = rng.peek(_AIRR_DRAWS)
     chars = _low_byte_chars(low, _ALPHABET)
     stamp = protocol == "B"
     seqs = []
@@ -154,7 +154,7 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
         if stamp:
             s = _PROTOCOL_MOTIF + s[len(_PROTOCOL_MOTIF):]
         seqs.append(s)
-    rng._advance(i)
+    rng.skip(i)
     return seqs
 
 

@@ -13,10 +13,10 @@ round its own way (FORMATS.md, "Reproducibility").
 Because no word depends on another, many words are mixed at once as the
 lanes of one int: :class:`KeyLanes` mixes the state and first two words of
 every node stream of a block of consecutive samples in one lane pass, and
-``next_words`` mixes longer runs of one stream the same way.  A block fills
-about ``_LANES`` lanes: a model with n drawing nodes starts
-``max(1, _LANES // n)`` samples a pass, so a small model amortises the
-pass's fixed cost over many samples and a model of more than
+:meth:`RandomStream.peek` mixes up to ``_LANES`` words of one stream the
+same way.  A block fills about ``_LANES`` lanes: a model with n drawing
+nodes starts ``max(1, _LANES // n)`` samples a pass, so a small model
+amortises the pass's fixed cost over many samples and a model of more than
 ``_LANES // 2`` drawing nodes starts one sample a pass.  The layout of the
 lanes is this module's: :meth:`KeyLanes.rows` hands out each sample's
 words slot by slot.
@@ -25,6 +25,7 @@ words slot by slot.
 from __future__ import annotations
 
 import struct
+import sys
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -37,7 +38,7 @@ _SEED_TWEAK = 0xD6E8FEB86659FD93
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# next_words mixes up to _LANES words at once, and KeyLanes fills about as many lanes a pass
+# peek mixes up to _LANES words at once, and KeyLanes fills about as many lanes a pass
 _LANES = 1024
 
 
@@ -68,33 +69,21 @@ def _mix_lanes(x: int, mask: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _lane_constants(n: int) -> tuple[int, int, int, struct.Struct]:
+def _lane_constants(n: int) -> tuple[int, int, int]:
     """Constants for mixing ``n`` consecutive words of one stream: (1 in every
-    lane, the low-half mask of every lane, ``i * _GOLDEN`` in lane i, a
-    little-endian reader of the low halves)."""
-    reader = struct.Struct("<" + "Q8x" * n)
-    return _lanes([1] * n), _lanes([_MASK] * n), _lanes([i * _GOLDEN for i in range(n)]), reader
+    lane, the low-half mask of every lane, ``i * _GOLDEN`` in lane i)."""
+    return _lanes([1] * n), _lanes([_MASK] * n), _lanes([i * _GOLDEN for i in range(n)])
 
 
-def _mixed_chunks(state: int, first: int, n: int) -> Iterator[tuple[bytes, struct.Struct]]:
-    """The words for counters ``first .. first + n - 1``, mixed in chunks.
-
-    Word i depends only on the state and its counter, so the words are mixed
-    together, as the lanes of one int, in chunks of at most ``_LANES``.  Each
-    chunk comes as the little-endian bytes of its lanes (a word's low byte is
-    every 16th byte) and the reader of its words.
-    """
-    for chunk in range(first, first + n, _LANES):
-        size = min(_LANES, first + n - chunk)
-        ones, mask, steps, low_halves = _lane_constants(size)
-        x = (((state + chunk * _GOLDEN) & _MASK) * ones + steps) & mask
-        yield _mix_lanes(x, mask).to_bytes(16 * size, "little"), low_halves
-
-
-def _mix_words(state: int, first: int, n: int) -> Iterator[int]:
-    """The words for counters ``first .. first + n - 1``."""
-    for lanes, low_halves in _mixed_chunks(state, first, n):
-        yield from low_halves.unpack(lanes)
+# The words of n lanes' little-endian bytes, word i in bytes 16i .. 16i + 7, as a
+# view that builds no int until read.  A cast reads the host's byte order, so a
+# big-endian host reads the reversed bytes, where word i is item 2n - 1 - 2i.
+if sys.byteorder == "little":
+    def _word_view(lanes: bytes) -> memoryview:
+        return memoryview(lanes).cast("Q")[::2]
+else:  # a big-endian host
+    def _word_view(lanes: bytes) -> memoryview:
+        return memoryview(lanes[::-1]).cast("Q")[::-2]
 
 
 @lru_cache(maxsize=65536)
@@ -121,7 +110,9 @@ class RandomStream:
     Word c (c = 1, 2, ...) is splitmix64's output for ``state + c * _GOLDEN``,
     a pure function of the stream's state and its counter.  Every stream is
     made with its first two words already mixed, which are all that most
-    nodes draw.
+    nodes draw.  :meth:`next_word`, :meth:`next_float` and
+    :meth:`next_words` take words; :meth:`peek` shows up to 1024 coming
+    words without taking them, and :meth:`skip` takes words unread.
 
     The state mixes the seed, then the sample index, then the node key.
     The stream is nothing but ``(draw_counter, _state, _word1, _word2)``, so
@@ -156,35 +147,35 @@ class RandomStream:
 
         Advances the counter by ``n``; ``n < 0`` is a ``ValueError``.
         """
-        return list(self._iter_words(n))
-
-    def _iter_words(self, n: int) -> Iterator[int]:
-        """:meth:`next_words` as an iterator; the counter advances at the call."""
-        return _mix_words(self._state, self._advance(n), n)
-
-    def _low_bytes(self, n: int) -> bytes:
-        """The low byte of each of the next ``n`` words; advances the counter by ``n``."""
-        return b"".join([lanes[::16] for lanes, _ in _mixed_chunks(self._state, self._advance(n), n)])
-
-    def _ahead(self, n: int) -> tuple[tuple[int, ...], bytes]:
-        """The next ``n`` words and the low byte of each, mixed in one pass; the counter stays.
-
-        For a caller whose draw count depends on the words but has a known
-        bound: it looks ahead by that bound and commits the words it used
-        with :meth:`_advance`.  ``n`` outside ``1 .. _LANES`` is a ``ValueError``.
-        """
-        if not 1 <= n <= _LANES:
-            raise ValueError(f"_ahead needs 1 <= n <= {_LANES}, got {n}")
-        lanes, low_halves = next(_mixed_chunks(self._state, self.draw_counter + 1, n))
-        return low_halves.unpack(lanes), lanes[::16]
-
-    def _advance(self, n: int) -> int:
-        """Take ``n`` draws: the counter of the first of them; ``n < 0`` is a ``ValueError``."""
         if n < 0:
             raise ValueError(f"next_words needs n >= 0, got {n}")
-        start = self.draw_counter
-        self.draw_counter = start + n
-        return start + 1
+        words = []
+        while len(words) < n:
+            view = self.peek(min(n - len(words), _LANES))[0]
+            self.skip(len(view))
+            words += view.tolist()
+        return words
+
+    def peek(self, n: int) -> tuple[memoryview, bytes]:
+        """The next ``n`` words and the low byte of each, mixed in one pass; the counter stays.
+
+        The words come as a read-only view of ints, a snapshot that stays
+        valid whatever is drawn next.  A caller whose draw count depends on
+        the words peeks its bound and skips the words it used.  ``n``
+        outside ``0 .. 1024`` is a ``ValueError``.
+        """
+        if not 0 <= n <= _LANES:
+            raise ValueError(f"peek needs 0 <= n <= {_LANES}, got {n}")
+        ones, mask, steps = _lane_constants(n)
+        x = (((self._state + (self.draw_counter + 1) * _GOLDEN) & _MASK) * ones + steps) & mask
+        lanes = _mix_lanes(x, mask).to_bytes(16 * n, "little")
+        return _word_view(lanes), lanes[::16]  # a word's low byte is every 16th byte
+
+    def skip(self, n: int) -> None:
+        """Take ``n`` draws unread: the counter advances by ``n``; ``n < 0`` is a ``ValueError``."""
+        if n < 0:
+            raise ValueError(f"skip needs n >= 0, got {n}")
+        self.draw_counter += n
 
     def next_float(self) -> float:
         """Uniform float in [0, 1) with 53 random bits. One raw draw."""

@@ -40,6 +40,9 @@ class RunConfig:
     max_rejection_factor: int = 1000
 
     def __post_init__(self):
+        for name in ("num_samples", "seed", "max_rejection_factor"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {type(getattr(self, name)).__name__}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if not 0 <= self.seed <= _UINT64_MAX:

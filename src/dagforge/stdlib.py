@@ -34,6 +34,8 @@ MAX_CONCAT_LENGTH = 1 << 20  # characters or items of one concat result
 MAX_KMER_TABLE = 1 << 20  # counters in one kmer_counts vector, len(alphabet) ** k
 MAX_TENSOR_ELEMENTS = 1 << 20  # elements of one tensor_zeros tensor, the product of its dims
 
+_PEEK = 1024  # the most words RandomStream.peek shows at once (docs/stdlib.md)
+
 
 # --- argument checks -----------------------------------------------------
 
@@ -211,9 +213,12 @@ def _random_seq(rng: RandomStream, alphabet, length):
     if length > MAX_SEQ_LENGTH:
         raise DomainError(f"random_seq length {_brief(length)} is larger than the limit of {MAX_SEQ_LENGTH}")
     k = len(alphabet)
-    if 256 % k:
-        return "".join([alphabet[w % k] for w in rng._iter_words(length)])
-    return _low_byte_chars(rng._low_bytes(length), alphabet)
+    parts = []
+    for start in range(0, length, _PEEK):
+        words, low = rng.peek(min(_PEEK, length - start))
+        rng.skip(len(low))
+        parts.append("".join([alphabet[w % k] for w in words]) if 256 % k else _low_byte_chars(low, alphabet))
+    return "".join(parts)
 
 
 def _low_byte_chars(low: bytes, alphabet: str) -> str:

@@ -1,11 +1,13 @@
 """The block lane pass, and the rows it hands out, against streams made one at a time."""
 
 import itertools
+import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dagforge import RandomStream
-from dagforge.rng import _GOLDEN, _LANES, _MASK, KeyLanes, _finalize, _seed_state
+from dagforge.rng import _GOLDEN, _LANES, _MASK, KeyLanes, _finalize, _lane_constants, _mix_lanes, _seed_state, _word_view
 
 from conftest import pointed
 
@@ -103,8 +105,8 @@ OPS = st.one_of(
     st.tuples(st.just("next_word")),
     st.tuples(st.just("next_float")),
     st.tuples(st.just("next_words"), st.integers(0, 40)),
-    st.tuples(st.just("ahead"), st.integers(1, 40), st.integers(0, 40)),
-    st.tuples(st.just("low_bytes"), st.integers(0, 40)),
+    st.tuples(st.just("peek"), st.integers(0, 40), st.integers(0, 40)),
+    st.tuples(st.just("skip"), st.integers(0, 40)),
     st.tuples(st.just("set_counter"), st.integers(0, 6) | st.integers(0, 2**70)),
 )
 
@@ -117,11 +119,12 @@ def _apply(rng, op):
         return rng.next_float()
     if name == "next_words":
         return rng.next_words(op[1])
-    if name == "ahead":
-        words, low = rng._ahead(op[1])
-        return words, low, rng._advance(min(op[2], op[1]))
-    if name == "low_bytes":
-        return rng._low_bytes(op[1])
+    if name == "peek":
+        words, low = rng.peek(op[1])
+        return words.tolist(), low, rng.skip(min(op[2], op[1]))
+    if name == "skip":
+        low = rng.peek(op[1])[1]
+        return low, rng.skip(op[1])
     rng.draw_counter = op[1]
     return None
 
@@ -145,3 +148,15 @@ def test_a_stream_serves_its_first_words_from_the_pass():
     rng.draw_counter = 0
     assert (rng.next_float(), rng.draw_counter) == ((1 >> 11) * 2.0**-53, 1)
     assert rng.next_words(_LANES + 1)[0] == _finalize((12345 + 2 * _GOLDEN) & _MASK)
+
+
+@pytest.mark.parametrize("n", [0, 1, 152, _LANES])
+def test_word_views_read_the_low_half_of_each_lane(n):
+    ones, mask, steps = _lane_constants(n)
+    mixed = _mix_lanes((12345 * ones + steps) & mask, mask).to_bytes(16 * n, "little")
+    for lanes in (mixed, bytes([i % 251 for i in range(16 * n)])):
+        reference = list(struct.unpack("<" + "Q8x" * n, lanes))
+        assert _word_view(lanes).tolist() == reference
+        # a big-endian host casts the reversed bytes, which read as ">Q" here
+        assert list(struct.unpack(">" + "Q" * (2 * n), lanes[::-1])[::-2]) == reference
+    assert RandomStream(1, 2, 3).peek(n)[0].tolist() == RandomStream(1, 2, 3).next_words(n)

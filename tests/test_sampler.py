@@ -210,6 +210,16 @@ def test_selection_starvation(registry):
         simulate(model, RunConfig(num_samples=5, seed=0, max_rejection_factor=10), registry)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_samples", 2.5), ("num_samples", True), ("num_samples", 3.0),
+    ("seed", 1.5), ("seed", True), ("max_rejection_factor", 10.0), ("max_rejection_factor", False),
+])
+def test_run_config_takes_only_exact_ints(field, value):
+    fields = {"num_samples": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {type(value).__name__}$"):
+        RunConfig(**fields)
+
+
 def test_selection_soundness(registry):
     text = model_yaml(
         '    X: "randint(0, 10)"\n'

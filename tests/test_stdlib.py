@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import types
 
 import pytest
@@ -234,24 +235,43 @@ def test_next_words_equals_next_word_calls(seed, index, key, counter, n):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=_u64, index=_u64, key=_u64, counter=st.integers(0, 2**70),
-       n=st.one_of(st.integers(1, 200), st.sampled_from([1, _LANES - 1, _LANES])))
+       n=st.one_of(st.integers(0, 200), st.sampled_from([0, 1, _LANES - 1, _LANES])))
 @example(seed=1, index=2, key=3, counter=0, n=_LANES)
-def test_ahead_shows_the_next_words_without_taking_them(seed, index, key, counter, n):
-    ahead, batched = _twin_streams(seed, index, key, counter)
-    words, low = ahead._ahead(n)
-    assert ahead.draw_counter == counter
-    assert list(words) == batched.next_words(n)
-    _, bytewise = _twin_streams(seed, index, key, counter)
-    assert low == bytewise._low_bytes(n)
-    assert ahead._ahead(n) == (words, low)
+@example(seed=1, index=2, key=3, counter=0, n=0)
+def test_peek_shows_the_next_words_without_taking_them(seed, index, key, counter, n):
+    peeker, batched = _twin_streams(seed, index, key, counter)
+    words, low = peeker.peek(n)
+    expected = words.tolist()
+    assert peeker.draw_counter == counter
+    assert expected == batched.next_words(n)
+    _, scalar = _twin_streams(seed, index, key, counter)
+    assert low == bytes([scalar.next_word() & 0xFF for _ in range(n)])
+    again = peeker.peek(n)
+    assert (again[0].tolist(), again[1]) == (expected, low)
+    # a peek is a snapshot: skipping, drawing and re-pointing the stream leave it as it was
+    peeker.skip(n)
+    assert peeker.draw_counter == counter + n
+    peeker.next_word()
+    peeker.draw_counter, peeker._state = 0, peeker._state ^ 1
+    assert words.tolist() == expected and len(low) == n
 
 
-@pytest.mark.parametrize("n", [0, -1, _LANES + 1, 3 * _LANES])
-def test_ahead_rejects_a_window_outside_one_pass(n):
+@pytest.mark.parametrize("n", [-1, _LANES + 1, 3 * _LANES])
+def test_peek_rejects_a_window_outside_one_pass(n):
     rng = RandomStream(1, 2, 3)
     rng.next_word()
-    with pytest.raises(ValueError, match="_ahead needs"):
-        rng._ahead(n)
+    with pytest.raises(ValueError, match="peek needs"):
+        rng.peek(n)
+    assert rng.draw_counter == 1
+
+
+def test_skip_rejects_a_negative_count():
+    rng = RandomStream(1, 2, 3)
+    rng.next_word()
+    with pytest.raises(ValueError, match="skip needs"):
+        rng.skip(-1)
+    assert rng.draw_counter == 1
+    rng.skip(0)
     assert rng.draw_counter == 1
 
 
@@ -360,6 +380,32 @@ def test_random_seq_equals_scalar_definition(counter, alphabet, length):
     expected = "".join(alphabet[scalar.next_word() % len(alphabet)] for _ in range(length))
     assert _random_seq(batched, alphabet, length) == expected
     assert batched.draw_counter == scalar.draw_counter
+
+
+_AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
+
+
+@pytest.mark.parametrize("alphabet", ["ACGT", "ACG", _AMINO_ACIDS])
+@pytest.mark.parametrize("length", [_LANES - 1, _LANES, _LANES + 1, 3000])
+def test_random_seq_across_peek_windows(alphabet, length):
+    batched, scalar = _twin_streams(3, 5, 7, 11)
+    expected = "".join([alphabet[scalar.next_word() % len(alphabet)] for _ in range(length)])
+    assert _random_seq(batched, alphabet, length) == expected
+    assert batched.draw_counter == scalar.draw_counter == 11 + length
+
+
+@pytest.mark.parametrize("alphabet", ["ACGT", "ACG", _AMINO_ACIDS])
+def test_random_seq_at_its_length_limit_holds_a_window_at_a_time(alphabet):
+    # the result is 1 MiB; a list of every word or character would be several times that
+    rng = fresh()
+    tracemalloc.start()
+    try:
+        seq = _random_seq(rng, alphabet, MAX_SEQ_LENGTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == rng.draw_counter == MAX_SEQ_LENGTH
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
