@@ -1,8 +1,9 @@
 """Host-registered generator functions used by the bundled example models.
 
-These compose the engine's primitives into the helpers the example
-documents call.  All coefficients and layout constants below are this
-package's choices and are documented here, next to the code that uses them.
+They use the public host API only, as any host's would: ``RandomStream``
+draws, ``Tensor(...)`` and ``build_registry().lookup(name)``.  All
+coefficients and layout constants below are this package's choices and are
+documented here, next to the code that uses them.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .registry import FunctionRegistry, register_host_function
-from .stdlib import (
-    _binomial,
-    _float,
-    _kmer_counts,
-    _low_byte_chars,
-    _sigmoid,
-    _tensor_fill_rect,
-    _tensor_zeros,
-)
+from .stdlib import build_registry
 from .values import Tensor, _brief
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,13 +21,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["register_example_functions"]
 
+_BUILTINS = build_registry()
+
 # logistic coefficients (bias, weight_a, weight_b) selected per preset label
 _SIGMOID_PRESETS = {
     "H": (-2.0, 1.5, 2.5),
     "V": (-1.5, 2.0, 1.0),
 }
+# sigmoid_binomial's success probability per (label, a, b), from the built-in sigmoid
+_SIGMOID_P = {(label, a, b): _BUILTINS.lookup("sigmoid").impl(bias + wa * a + wb * b)
+              for label, (bias, wa, wb) in _SIGMOID_PRESETS.items() for a in (0, 1) for b in (0, 1)}
 
 IMAGE_SIZE = 16
+# drawImage's overlays in argument order, each rows [r0, r1) x cols [c0, c1) set to a value:
+# a horizontal bar, a vertical bar, a top-left block and a bottom-right block
+_OVERLAYS = ((7, 1, 9, 15, 1.0), (1, 7, 15, 9, 1.0), (2, 2, 6, 6, 0.5), (10, 10, 14, 14, 0.75))
 
 # AIRR simulation constants
 _ALPHABET = "ACGT"
@@ -47,23 +48,34 @@ _KMER_K = 2
 _DISEASE_POSITIONS = _SEQ_LEN - len(_DISEASE_MOTIF) + 1
 # the most draws one create_airr call can take: per sequence, its words and three more
 _AIRR_DRAWS = _N_SEQUENCES * (_SEQ_LEN + 3)
+# a word w's character is _ALPHABET[w % 4]; 4 divides 256, so its low byte decides it
+_CHAR_OF_LOW_BYTE = _ALPHABET.encode("ascii") * (256 // len(_ALPHABET))
+_KMER_COUNTS = _BUILTINS.lookup("kmer_counts").impl
 
 
 def _flag01(x, what: str) -> int:
     if type(x) is int and (x == 0 or x == 1):
         return x
-    if isinstance(x, bool):
+    if isinstance(x, int) and x in (0, 1):  # a bool too
         return int(x)
-    if isinstance(x, int) and x in (0, 1):
-        return x
     raise DomainError(f"{what} must be 0 or 1, got {_brief(x)}")
+
+
+def _real(x: int | float, what: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is too large for a 64-bit real") from None
 
 
 def complement_binomial(rng: RandomStream, p) -> int:
     """Bernoulli draw with success probability 1 - p. One raw draw."""
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise DomainError(f"complement_binomial expects a probability, got {_brief(p)}")
-    return _binomial(rng, 1, 1.0 - _float(p, "complement_binomial probability"))
+    q = 1.0 - _real(p, "complement_binomial probability")
+    if not 0.0 <= q <= 1.0:  # also a NaN
+        raise DomainError(f"binomial requires 0 <= p <= 1, got {q}")
+    return 1 if rng.next_float() < q else 0
 
 
 def sigmoid_binomial(rng: RandomStream, a, b, label) -> int:
@@ -74,10 +86,9 @@ def sigmoid_binomial(rng: RandomStream, a, b, label) -> int:
     """
     if not isinstance(label, str) or label not in _SIGMOID_PRESETS:
         raise DomainError(f"sigmoid_binomial preset label must be one of {sorted(_SIGMOID_PRESETS)}, got {_brief(label)}")
-    bias, wa, wb = _SIGMOID_PRESETS[label]
     a = _flag01(a, "sigmoid_binomial first input")
     b = _flag01(b, "sigmoid_binomial second input")
-    return _binomial(rng, 1, _sigmoid(bias + wa * a + wb * b))
+    return 1 if rng.next_float() < _SIGMOID_P[label, a, b] else 0
 
 
 def draw_image(h, v, r, c) -> Tensor:
@@ -95,16 +106,12 @@ def draw_image(h, v, r, c) -> Tensor:
 
 @functools.lru_cache(maxsize=16)
 def _image(h: int, v: int, r: int, c: int) -> Tensor:
-    img = _tensor_zeros([IMAGE_SIZE, IMAGE_SIZE])
-    if h:  # horizontal bar
-        img = _tensor_fill_rect(img, 7, 1, 9, 15, 1.0)
-    if v:  # vertical bar
-        img = _tensor_fill_rect(img, 1, 7, 15, 9, 1.0)
-    if r:  # top-left block
-        img = _tensor_fill_rect(img, 2, 2, 6, 6, 0.5)
-    if c:  # bottom-right block
-        img = _tensor_fill_rect(img, 10, 10, 14, 14, 0.75)
-    return img
+    data = [0.0] * (IMAGE_SIZE * IMAGE_SIZE)
+    for on, (r0, c0, r1, c1, value) in zip((h, v, r, c), _OVERLAYS):
+        if on:
+            for start in range(r0 * IMAGE_SIZE + c0, r1 * IMAGE_SIZE + c0, IMAGE_SIZE):
+                data[start:start + c1 - c0] = [value] * (c1 - c0)
+    return Tensor((IMAGE_SIZE, IMAGE_SIZE), data)
 
 
 def assign_protocol(rng: RandomStream, disease) -> str:
@@ -131,11 +138,11 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
         raise DomainError(f"create_airr age must be an integer, got {_brief(age)}")
     if protocol not in ("A", "B"):
         raise DomainError(f"create_airr protocol must be 'A' or 'B', got {_brief(protocol)}")
-    p_age = _float(age, "create_airr age") / 200.0
+    p_age = _real(age, "create_airr age") / 200.0
     # every draw comes from one look-ahead over the largest budget; a float
     # is (word >> 11) * 2**-53, as in RandomStream.next_float
     words, low = rng.peek(_AIRR_DRAWS)
-    chars = _low_byte_chars(low, _ALPHABET)
+    chars = low.translate(_CHAR_OF_LOW_BYTE).decode("latin-1")
     stamp = protocol == "B"
     seqs = []
     i = 0
@@ -159,8 +166,8 @@ def create_airr(rng: RandomStream, disease, age, protocol) -> list[str]:
 
 
 def encode_kmers(airr) -> list[int]:
-    """Overlapping k-mer count vector (k=2 over ACGT, length 16)."""
-    return _kmer_counts(airr, _KMER_K, _ALPHABET)
+    """Overlapping k-mer count vector (k=2 over ACGT, length 16), by the built-in kmer_counts."""
+    return _KMER_COUNTS(airr, _KMER_K, _ALPHABET)
 
 
 def register_example_functions(registry: FunctionRegistry) -> None:

@@ -24,7 +24,6 @@ words slot by slot.
 
 from __future__ import annotations
 
-import struct
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
@@ -145,10 +144,10 @@ class RandomStream:
     def next_words(self, n: int) -> list[int]:
         """The next ``n`` raw draws: the words of ``n`` calls to :meth:`next_word`.
 
-        Advances the counter by ``n``; ``n < 0`` is a ``ValueError``.
+        Advances the counter by ``n``; ``n`` not an int ``>= 0`` (a bool too) is a ``ValueError``.
         """
-        if n < 0:
-            raise ValueError(f"next_words needs n >= 0, got {n}")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"next_words needs an int n >= 0, got {n!r}")
         words = []
         while len(words) < n:
             view = self.peek(min(n - len(words), _LANES))[0]
@@ -161,20 +160,21 @@ class RandomStream:
 
         The words come as a read-only view of ints, a snapshot that stays
         valid whatever is drawn next.  A caller whose draw count depends on
-        the words peeks its bound and skips the words it used.  ``n``
-        outside ``0 .. 1024`` is a ``ValueError``.
+        the words peeks its bound and skips the words it used.  ``n`` that
+        is not an int in ``0 .. 1024`` (a bool too) is a ``ValueError``.
         """
-        if not 0 <= n <= _LANES:
-            raise ValueError(f"peek needs 0 <= n <= {_LANES}, got {n}")
+        if type(n) is not int or not 0 <= n <= _LANES:
+            raise ValueError(f"peek needs an int 0 <= n <= {_LANES}, got {n!r}")
         ones, mask, steps = _lane_constants(n)
         x = (((self._state + (self.draw_counter + 1) * _GOLDEN) & _MASK) * ones + steps) & mask
         lanes = _mix_lanes(x, mask).to_bytes(16 * n, "little")
         return _word_view(lanes), lanes[::16]  # a word's low byte is every 16th byte
 
     def skip(self, n: int) -> None:
-        """Take ``n`` draws unread: the counter advances by ``n``; ``n < 0`` is a ``ValueError``."""
-        if n < 0:
-            raise ValueError(f"skip needs n >= 0, got {n}")
+        """Take ``n`` draws unread: the counter advances by ``n``; ``n`` that is
+        not an int ``>= 0`` (a bool too) is a ``ValueError``."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"skip needs an int n >= 0, got {n!r}")
         self.draw_counter += n
 
     def next_float(self) -> float:
@@ -194,7 +194,7 @@ class KeyLanes:
     """
 
     __slots__ = (
-        "count", "_runs", "_size", "_mask", "_keys", "_steps1", "_steps2", "_reader",
+        "count", "_runs", "_size", "_mask", "_keys", "_steps1", "_steps2",
         "_base_ones", "_offsets", "_base_mask",
     )
 
@@ -211,45 +211,39 @@ class KeyLanes:
         self._keys = _lanes([key for key in keys for _ in range(count)])
         self._steps1 = ones * _GOLDEN
         self._steps2 = ones * _GOLDEN2
-        self._reader = struct.Struct("<" + "Q8x" * (n * count))
         self._base_ones = _lanes([1] * count)
         self._offsets = _lanes(list(range(count)))
         self._base_mask = self._base_ones * _MASK
 
-    def first_words(self, seed: int, start: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def first_words(self, seed: int, start: int) -> tuple[bytes, bytes, bytes]:
         """The state, word 1 and word 2 of each key's stream at each of the
         ``count`` sample indices ``start, start + 1, ...`` (modulo 2**64), as
-        three flat tuples: slot j of index ``start + b`` is at ``j * count + b``.
-
-        ``states[k]``, ``words1[k]`` and ``words2[k]`` with ``k = j * count + b``
-        are those of ``RandomStream(seed, start + b, keys[j])``.  The pass mixes the
+        the bytes of three lane ints, which ``_word_view`` reads: its item
+        ``k = j * count + b`` of the three is the state, word 1 and word 2 of
+        ``RandomStream(seed, start + b, keys[j])``.  The pass mixes the
         ``count`` sample bases first and copies them into every key's run of
         lanes; then it mixes every state, then words 1 and 2 of every stream
         straight from the state lanes.
         """
-        size, mask, base_mask, read = self._size, self._mask, self._base_mask, self._reader.unpack
+        size, mask, base_mask = self._size, self._mask, self._base_mask
         first = (_seed_state(seed) + start) & _MASK
         bases = _mix_lanes((first * self._base_ones + self._offsets) & base_mask, base_mask) & base_mask
         runs = int.from_bytes(bases.to_bytes(16 * self.count, "little") * self._runs, "little")
         states = _mix_lanes((runs + self._keys) & mask, mask)
         words1 = _mix_lanes((states + self._steps1) & mask, mask)
         words2 = _mix_lanes((states + self._steps2) & mask, mask)
-        return (
-            read(states.to_bytes(size, "little")),
-            read(words1.to_bytes(size, "little")),
-            read(words2.to_bytes(size, "little")),
-        )
+        return states.to_bytes(size, "little"), words1.to_bytes(size, "little"), words2.to_bytes(size, "little")
 
-    def rows(self, seed: int, start: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    def rows(self, seed: int, start: int) -> Iterator[tuple[memoryview, memoryview, memoryview]]:
         """Item i, for i = 0, 1, ...: the state, word 1 and word 2 of
-        ``RandomStream(seed, start + i, key)`` for each key, as three tuples.
+        ``RandomStream(seed, start + i, key)`` for each key, as three views of ints.
 
         A block is mixed when its first index is reached and dropped before
         the next is mixed, so a caller that keeps no item past the next holds one.
         """
         count = self.count
         while True:
-            states, words1, words2 = self.first_words(seed, start)
+            states, words1, words2 = map(_word_view, self.first_words(seed, start))
             for b in range(count):
                 yield states[b::count], words1[b::count], words2[b::count]
             del states, words1, words2

@@ -10,15 +10,18 @@ slot, and :meth:`~dagforge.rng.KeyLanes.rows` gives the state and first two
 words of every node stream at each sample index, slot by slot; how it mixes
 them in blocks of indices is :mod:`dagforge.rng`'s.  Only words are mixed
 ahead: no node program or host function runs for an index before the run
-reaches it.  :func:`sample_one` takes a block of one, so replaying one
-index stays O(1).
+reaches it.  Each node's kind and plate size are folded into its program
+when the model is compiled, so a sample runs one kind of step per node:
+bind the program's value to the node's name.  :func:`sample_one` takes a
+block of one, so replaying one index stays O(1).
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CoercionError, EvalError, NestingError, SelectionStarvation, StratumNameError
 from .evaluator import compile_node
@@ -26,6 +29,9 @@ from .graph import CompiledModel
 from .registry import FunctionRegistry
 from .rng import _MASK as _UINT64_MAX, KeyLanes, RandomStream, node_stream_key
 from .values import MISSING, Value, _brief, _cut, csv_cell, type_name
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .modelspec import NodeDecl
 
 __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simulate"]
 
@@ -100,8 +106,8 @@ def check_stratum_label(label: str | None) -> str:
 
 def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[list[tuple], list[int]]:
     """One step per node in topological order: (name, lane slot or None for a
-    node that never draws, kind, plate size, underlying node, compiled
-    expression); and the stream keys of the drawing nodes, slot by slot."""
+    node that never draws, program that gives the node's value); and the
+    stream keys of the drawing nodes, slot by slot."""
     steps, keys = [], []
     for name in model.topo_order:
         decl = model.by_name[name]
@@ -113,16 +119,29 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[li
         if draws:
             slot = len(keys)
             keys.append(node_stream_key(name))
-        steps.append((name, slot, decl.kind, decl.size, decl.underlying, program))
+        steps.append((name, slot, _node_program(decl, program)))
     return steps, keys
 
 
-def _run_steps(
-    steps: list[tuple], stream: RandomStream, states: tuple, words1: tuple, words2: tuple
-) -> tuple[dict[str, Value], bool]:
-    """Every node's value at one sample index, and whether selection kept it,
-    from the state, word 1 and word 2 of every node stream at that index,
-    slot by slot.
+def _node_program(decl: NodeDecl, program: Callable) -> Callable:
+    """The node's value from its expression's ``program``, as its kind and plate size make it."""
+    name, kind, underlying = decl.name, decl.kind, decl.underlying
+    if kind == "selection":
+        return lambda bindings, rng: _as_flag(program(bindings, rng), name, "selection value")
+    if kind == "missing":
+        return lambda bindings, rng: (
+            MISSING if _as_flag(program(bindings, rng), name, "missing indicator") else bindings[underlying])
+    if kind == "stratify":
+        return lambda bindings, rng: _as_label(program(bindings, rng), name)
+    if decl.size is None:
+        return program
+    replicates = range(decl.size)
+    return lambda bindings, rng: [program(bindings, rng) for _ in replicates]
+
+
+def _run_steps(steps: list[tuple], stream: RandomStream, states, words1, words2) -> dict[str, Value]:
+    """Every node's value at one sample index, from the state, word 1 and
+    word 2 of every node stream at that index, slot by slot.
 
     ``stream`` serves every drawing node: it is re-pointed at each one's
     state and first words with its counter at 0, which gives the same words
@@ -130,8 +149,7 @@ def _run_steps(
     it across its replicates; a node that never draws gets None.
     """
     bindings: dict[str, Value] = {}
-    selected = True
-    for name, slot, kind, size, underlying, program in steps:
+    for name, slot, program in steps:
         if slot is None:
             rng = None
         else:
@@ -139,32 +157,16 @@ def _run_steps(
             rng.draw_counter = 0
             rng._state, rng._word1, rng._word2 = states[slot], words1[slot], words2[slot]
         try:
-            if kind == "standard":
-                if size is None:
-                    value = program(bindings, rng)
-                else:
-                    value = [program(bindings, rng) for _ in range(size)]
-            elif kind == "selection":
-                value = selected = _as_flag(program(bindings, rng), name, "selection value")
-            elif kind == "missing":
-                flag = _as_flag(program(bindings, rng), name, "missing indicator")
-                value = MISSING if flag else bindings[underlying]
-            else:  # stratify
-                value = _as_label(program(bindings, rng), name)
+            bindings[name] = program(bindings, rng)
         except EvalError as err:
             if err.node is None:
                 raise EvalError(err.span, err.message, node=name) from err
             raise
-        bindings[name] = value
-    return bindings, selected
+    return bindings
 
 
-def sample_one(
-    model: CompiledModel,
-    sample_index: int,
-    seed: int,
-    registry: FunctionRegistry,
-) -> tuple[dict[str, Value], bool]:
+def sample_one(model: CompiledModel, sample_index: int, seed: int,
+               registry: FunctionRegistry) -> tuple[dict[str, Value], bool]:
     """Evaluate one sample in topological order.
 
     Returns the row (every node except the selection node) and whether the
@@ -172,8 +174,8 @@ def sample_one(
     their expression k times into a list.
     """
     steps, keys = _compile_steps(model, registry)
-    bindings, selected = _run_steps(steps, RandomStream(seed), *next(KeyLanes(keys, 1).rows(seed, sample_index)))
-    bindings.pop(model.selection, None)
+    bindings = _run_steps(steps, RandomStream(seed), *next(KeyLanes(keys, 1).rows(seed, sample_index)))
+    selected = bindings.pop(model.selection, True)  # no selection node keeps every sample
     return bindings, selected
 
 
@@ -206,14 +208,14 @@ class KeptRows:
         self.column_order = _observed_columns(model)
         self.kept = 0
         self.attempts = 0
-        self._stratify = model.stratify
+        self._selection, self._stratify = model.selection, model.stratify
         self._steps, keys = _compile_steps(model, registry)
         self._lanes = KeyLanes(keys)
         self._config = config
 
     def __iter__(self) -> Iterator[SampleRow]:
         steps, seed = self._steps, self._config.seed
-        stratify, columns = self._stratify, self.column_order
+        selection, stratify, columns = self._selection, self._stratify, self.column_order
         needed = self._config.num_samples
         limit = needed * self._config.max_rejection_factor
         stream = RandomStream(seed)
@@ -222,8 +224,8 @@ class KeptRows:
         self.kept = self.attempts = 0
         try:
             for i in range(limit):
-                bindings, selected = _run_steps(steps, stream, *next(words))
-                if not selected:
+                bindings = _run_steps(steps, stream, *next(words))
+                if selection is not None and not bindings[selection]:
                     continue
                 stratum = check_stratum_label(bindings[stratify]) if stratify else None
                 self.kept += 1

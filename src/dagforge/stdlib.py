@@ -213,23 +213,19 @@ def _random_seq(rng: RandomStream, alphabet, length):
     if length > MAX_SEQ_LENGTH:
         raise DomainError(f"random_seq length {_brief(length)} is larger than the limit of {MAX_SEQ_LENGTH}")
     k = len(alphabet)
+    # when k divides 256, w % k == (w & 0xFF) % k: the low byte of a word is enough
+    table = None if 256 % k else _byte_table(alphabet)
     parts = []
     for start in range(0, length, _PEEK):
         words, low = rng.peek(min(_PEEK, length - start))
         rng.skip(len(low))
-        parts.append("".join([alphabet[w % k] for w in words]) if 256 % k else _low_byte_chars(low, alphabet))
+        if table is None:
+            parts.append("".join([alphabet[w % k] for w in words]))
+        elif type(table) is bytes:
+            parts.append(low.translate(table).decode("latin-1"))
+        else:
+            parts.append(low.decode("latin-1").translate(table))
     return "".join(parts)
-
-
-def _low_byte_chars(low: bytes, alphabet: str) -> str:
-    """``alphabet[w % k]`` for each word ``w`` with these low bytes, where ``k = len(alphabet)`` divides 256.
-
-    Since k divides 256, ``w % k == (w & 0xFF) % k``: the low byte of a word is enough.
-    """
-    table = _byte_table(alphabet)
-    if type(table) is bytes:
-        return low.translate(table).decode("latin-1")
-    return low.decode("latin-1").translate(table)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,13 +1,17 @@
+import ast
 import itertools
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_airr
-from dagforge import RandomStream, csv_cell, values_equal
+from dagforge import RandomStream, csv_cell, examplefns, values_equal
 from dagforge.errors import DomainError
 from dagforge.examplefns import (
     IMAGE_SIZE,
+    _SIGMOID_PRESETS,
     _flag01,
     _image,
     assign_protocol,
@@ -17,6 +21,20 @@ from dagforge.examplefns import (
     encode_kmers,
     sigmoid_binomial,
 )
+from dagforge.stdlib import (
+    _binomial,
+    _float,
+    _implant,
+    _kmer_counts,
+    _random_seq,
+    _sigmoid,
+    _tensor_fill_rect,
+    _tensor_zeros,
+)
+from dagforge.values import _brief
+
+# three times the profile's count: 300 by default, ten times as many under the ci profile
+EXAMPLES = 3 * settings.default.max_examples
 
 
 def stream(i=0):
@@ -132,7 +150,7 @@ def test_disease_motif_enrichment():
 _u64 = st.integers(0, 2**64 - 1)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(disease=st.sampled_from([0, 1, True, False]),
        age=st.one_of(st.sampled_from([0, 200, 400]), st.integers(-10**6, -1), st.integers(0, 400)),
        protocol=st.sampled_from("AB"), seed=_u64, index=_u64, key=_u64, before=st.integers(0, 3))
@@ -180,3 +198,129 @@ def test_encode_kmers_matches_library_vector():
     assert len(vec) == 16
     assert sum(vec) == 2 * 3  # three overlapping 2-mers per length-4 sequence
     assert vec[0] == 3  # "AA" appears three times in "AAAA"
+
+
+# --- each function against its composition of the private built-ins, draw for draw
+
+def composed_complement_binomial(rng, p):
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise DomainError(f"complement_binomial expects a probability, got {_brief(p)}")
+    return _binomial(rng, 1, 1.0 - _float(p, "complement_binomial probability"))
+
+
+def composed_sigmoid_binomial(rng, a, b, label):
+    bias, wa, wb = _SIGMOID_PRESETS[label]
+    return _binomial(rng, 1, _sigmoid(bias + wa * _flag01(a, "a") + wb * _flag01(b, "b")))
+
+
+def composed_create_airr(rng, disease, age, protocol):
+    # each sequence's characters from the low-byte table of random_seq, the motifs by implant
+    seqs = []
+    for _ in range(8):
+        s = _random_seq(rng, "ACGT", 16)
+        if disease and rng.next_float() < 0.8:
+            s = _implant(s, "GGGG", rng.next_word() % 13)
+        if rng.next_float() < _float(age, "age") / 200.0:
+            s = _implant(s, "AAAA", 12)
+        seqs.append(_implant(s, "TT", 0) if protocol == "B" else s)
+    return seqs
+
+
+def composed_image(h, v, r, c):
+    img = _tensor_zeros([IMAGE_SIZE, IMAGE_SIZE])
+    if h:
+        img = _tensor_fill_rect(img, 7, 1, 9, 15, 1.0)
+    if v:
+        img = _tensor_fill_rect(img, 1, 7, 15, 9, 1.0)
+    if r:
+        img = _tensor_fill_rect(img, 2, 2, 6, 6, 0.5)
+    if c:
+        img = _tensor_fill_rect(img, 10, 10, 14, 14, 0.75)
+    return img
+
+
+def _outcome(fn, rng, *args):
+    """``fn``'s value or error, the counter it leaves and the word after it."""
+    try:
+        value = fn(rng, *args)
+    except DomainError as err:
+        value = (type(err), str(err))
+    return value, type(value), rng.draw_counter, rng.next_word()
+
+
+def _twins(seed, index, key, before):
+    twins = RandomStream(seed, index, key), RandomStream(seed, index, key)
+    for rng in twins:
+        rng.skip(before)
+    return twins
+
+
+_PROBABILITIES = st.one_of(st.floats(0, 1), st.floats(), st.integers(-2, 2), st.booleans(),
+                           st.sampled_from([10**400, -10**400, 0.0, 1.0, -0.0, 5e-324, "p", None]))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(seed=_u64, index=_u64, key=_u64, before=st.integers(0, 3), p=_PROBABILITIES,
+       a=st.sampled_from([0, 1, True, False]), b=st.sampled_from([0, 1, True, False]),
+       label=st.sampled_from(sorted(_SIGMOID_PRESETS)), disease=st.sampled_from([0, 1, True, False]),
+       age=st.integers(-10, 410) | st.sampled_from([0, 200, 10**6]), protocol=st.sampled_from("AB"))
+def test_the_stochastic_functions_equal_their_private_compositions(
+        seed, index, key, before, p, a, b, label, disease, age, protocol):
+    for fn, composed, args in [
+        (complement_binomial, composed_complement_binomial, (p,)),
+        (sigmoid_binomial, composed_sigmoid_binomial, (a, b, label)),
+        (create_airr, composed_create_airr, (disease, age, protocol)),
+    ]:
+        public, private = _twins(seed, index, key, before)
+        assert _outcome(fn, public, *args) == _outcome(composed, private, *args), fn.__name__
+
+
+_BOUNDARY_CASES = [
+    (complement_binomial, composed_complement_binomial, (p,), 1.0 - p) for p in (0.5, 0.1, 0.75, 2**-40)
+] + [
+    (sigmoid_binomial, composed_sigmoid_binomial, (a, b, label), _sigmoid(bias + wa * a + wb * b))
+    for label, (bias, wa, wb) in sorted(_SIGMOID_PRESETS.items()) for a in (0, 1) for b in (0, 1)
+]
+
+
+@pytest.mark.parametrize("fn, composed, args, p", _BOUNDARY_CASES)
+def test_a_draw_at_the_probability_fails_as_in_the_private_composition(fn, composed, args, p):
+    # a float is k * 2**-53, so the draw just below p succeeds and the one at or above it fails
+    if fn is sigmoid_binomial:
+        assert examplefns._SIGMOID_P[args[2], args[0], args[1]] == p
+    for k, hit in [(math.ceil(p * 2**53) - 1, 1), (math.ceil(p * 2**53), 0)]:
+        results = []
+        for f in (fn, composed):
+            rng = RandomStream(0)
+            rng._word1 = k << 11
+            results.append((f(rng, *args), rng.draw_counter))
+        assert results == [(hit, 1)] * 2
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(airr=st.lists(st.text("ACGT", max_size=20), max_size=8)
+       | st.lists(st.text("ACGTN\x00", max_size=6) | st.integers(), max_size=3) | st.just("ACGT"))
+def test_encode_kmers_equals_the_private_kmer_counts(airr):
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DomainError as err:
+            return type(err), str(err)
+    assert outcome(encode_kmers, airr) == outcome(_kmer_counts, airr, 2, "ACGT")
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((0, 1), repeat=4)))
+def test_draw_image_equals_the_private_tensor_composition(flags):
+    img, composed = draw_image(*flags), composed_image(*flags)
+    assert (img.shape, img.data, csv_cell(img)) == (composed.shape, composed.data, csv_cell(composed))
+    assert list(map(type, img.shape)) == [int, int] and {type(x) for x in img.data} == {float}
+
+
+def test_the_example_functions_use_no_private_name_of_the_engine():
+    # a host writes its functions on the public API; values._brief only bounds error messages
+    tree = ast.parse(Path(examplefns.__file__).read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert [(module, name) for module, name in imported if name.startswith("_")] == [("values", "_brief")]
+    # nor reaches one through an attribute, such as a stream's words
+    assert not [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")]

@@ -37,7 +37,6 @@ from dagforge.stdlib import (
     _implant,
     _kmer_counts,
     _kmer_lanes,
-    _low_byte_chars,
     _len,
     _normal,
     _poisson,
@@ -275,6 +274,21 @@ def test_skip_rejects_a_negative_count():
     assert rng.draw_counter == 1
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3", None])
+def test_peek_skip_and_next_words_reject_a_count_that_is_not_an_int(n):
+    # a float left in the counter would break the next draw; a bool is not a count
+    rng = RandomStream(1, 2, 3)
+    rng.next_word()
+    with pytest.raises(ValueError, match=f"peek needs an int 0 <= n <= {_LANES}, got {n!r}"):
+        rng.peek(n)
+    with pytest.raises(ValueError, match=f"skip needs an int n >= 0, got {n!r}"):
+        rng.skip(n)
+    with pytest.raises(ValueError, match=f"next_words needs an int n >= 0, got {n!r}"):
+        rng.next_words(n)
+    assert rng.draw_counter == 1 and type(rng.draw_counter) is int
+    assert rng.next_word() == RandomStream(1, 2, 3).next_words(2)[1]
+
+
 # --- first words read directly ---------------------------------------------
 
 def _by_methods(fn, rng, *args):
@@ -430,11 +444,12 @@ def test_binomial_equals_scalar_definition(counter, p, n):
     ("A\u4e2d", str),
 ])
 def test_low_byte_chars_equals_word_definition_for_either_table(alphabet, table):
+    # random_seq reads a character from each word's low byte through the table
     assert type(_byte_table(alphabet)) is table
     k = len(alphabet)
-    assert _low_byte_chars(bytes(range(256)), alphabet) == "".join(alphabet[b % k] for b in range(256))
-    words = RandomStream(3, 5, 7).next_words(200)
-    assert _low_byte_chars(bytes(w & 0xFF for w in words), alphabet) == "".join(alphabet[w % k] for w in words)
+    words = RandomStream(3, 5, 7).next_words(4 * _LANES)
+    assert len({w & 0xFF for w in words}) == 256  # every low byte is looked up
+    assert _random_seq(RandomStream(3, 5, 7), alphabet, len(words)) == "".join(alphabet[w % k] for w in words)
 
 
 def test_next_words_rejects_negative_n():
