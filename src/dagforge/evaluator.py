@@ -9,8 +9,9 @@ Würthinger et al. ("One VM to rule them all", 2013):
   runs too, yields the expression's shape key and its operands.  The key
   holds the operators, the kind and argument count of each call and the
   *type* of each literal; the operands, in emission order, are the
-  reference names, literal values, spans, registry implementations and
-  error messages.  Each call site is looked up once, during the walk.
+  reference names, literal values, spans and registry implementations.
+  Each call site is looked up once, during the walk, and an expression the
+  walk finds a problem in is a ValidationError, so every program runs.
 * For the first expression of a shape, Python source is generated from the
   key alone and compiled into a factory, which a bounded memo keeps for the
   process; every expression of that shape gets ``factory(*operands)``.
@@ -20,7 +21,6 @@ Würthinger et al. ("One VM to rule them all", 2013):
 The generated code is straight-line, one statement per AST node, with the
 type checks written in.  Operands known to be numbers (numeric literals,
 arithmetic results) or booleans (comparison results) are not checked again.
-Unknown functions and wrong argument counts raise only when reached, and
 ``and``, ``or`` and ``if`` evaluate only the side they take.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from .errors import DomainError, EvalError
+from .errors import DomainError, EvalError, ValidationError
 from .expr import Expr, analyse
 from .registry import FunctionRegistry
 from .rng import RandomStream
@@ -57,12 +57,15 @@ def compile_node(e: Expr, registry: FunctionRegistry) -> tuple[Program, bool]:
     """Compile an expression into ``program(bindings, rng) -> value``, and
     whether the program may draw.
 
-    Calls are resolved against ``registry`` now.  An unknown function or a
-    wrong argument count compiles to code that raises the EvalError
-    evaluation would raise, and only when it is reached.  A program may draw
-    when it calls a stochastic or an unknown function.
+    Calls are resolved against ``registry`` now.  An unknown function, a
+    wrong argument count, or an operator or node that only a hand-built tree
+    holds is a ValidationError carrying the problems of
+    :func:`~dagforge.expr.analyse`.  A program may draw when it calls a
+    stochastic function.
     """
-    key, operands, draws = analyse(e, registry)[:3]
+    key, operands, draws, _, problems = analyse(e, registry)
+    if problems:
+        raise ValidationError(problems)
     return _factory(key)(*operands), draws
 
 
@@ -179,9 +182,6 @@ class _Generator:
     def _emit(self, token, out: list[str], depth: int) -> tuple[str, str | None]:
         if token in ("num", "bool", "literal"):
             return self.operand(), None if token == "literal" else token
-        if token == "!":
-            _put(out, depth, "raise EvalError({span}, {message})", span=self.operand(), message=self.operand())
-            return "None", None
         if token == "[":
             elements = [self.emit(out, depth)[0] for _ in range(self._next())]
             t = self.temp()

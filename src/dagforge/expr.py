@@ -507,10 +507,9 @@ def _build(steps: tuple, names: list[str]) -> Expr:
 # none is known); int and float share one, since code that is right for one
 # number is right for the other
 _LITERAL = {int: "num", float: "num", bool: "bool"}
-_BINARY = frozenset(_BIN_LEVEL)
+_PREFIX = {"-": "neg", "not": "not"}  # each prefix operator's key token
 # the node classes, most frequent first; dict keys keep the order
 _NODE_CLASSES = dict.fromkeys((Ref, Lit, Binary, Call, IfElse, Unary, ListLit))
-_LEAVE_FAILED = object()  # pushed under a failed node's children; popping it leaves the node
 
 
 def analyse(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool, list[str], list[str]]:
@@ -518,82 +517,65 @@ def analyse(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool, lis
 
     The shape key holds the operators, the kind and argument count of each
     call and the *type* of each literal; the operands, in emission order, are
-    the reference names, literal values, spans, registry implementations and
-    error messages.  ``draws`` tells whether the code may call a stochastic or
-    an unknown function, ``refs`` are the referenced names in first-mention
-    order and ``problems`` what is wrong with each call site that does not
-    resolve; each is looked up once.  A failed call, or a hand-built unknown
-    operator or node, emits code that raises when reached; nothing under it
-    emits, but its references and call problems are still collected.
+    the reference names, literal values, spans and registry implementations.
+    ``draws`` tells whether the code may call a stochastic function, ``refs``
+    are the referenced names in first-mention order and ``problems`` what
+    cannot run, in preorder: each call site that does not resolve (each is
+    looked up once), and each operator outside the grammar or unknown node,
+    which only a hand-built tree holds.  A tree with a problem has no
+    program, so its key and operands describe none; the walk goes on under
+    a failed call or operator for references and problems, and does not
+    enter an unknown node.
     """
     key, operands, problems, refs = [], [], [], {}
-    draws, failed = False, 0  # failed: how many failed nodes the walk is under
+    draws = False
     stack = [e]
     pop, push = stack.pop, stack.extend
     while stack:
         node = pop()
         cls = type(node)
         if cls not in _NODE_CLASSES:
-            if node is _LEAVE_FAILED:
-                failed -= 1
-                continue
             cls = next((c for c in _NODE_CLASSES if isinstance(node, c)), None)  # a subclass, in a hand-built AST
         if cls is Ref:
             refs[node.name] = None
-            if not failed:
-                key.append("r")
-                operands += (node.span, node.name)
-            continue
-        if cls is Lit:
-            if not failed:
-                key.append(_LITERAL.get(type(node.value), "literal"))
-                operands.append(node.value)
-            continue
-        if cls is Binary and node.op in _BINARY:
-            if not failed:
+            key.append("r")
+            operands += (node.span, node.name)
+        elif cls is Lit:
+            key.append(_LITERAL.get(type(node.value), "literal"))
+            operands.append(node.value)
+        elif cls is Binary:
+            if node.op in _BIN_LEVEL:
                 key.append(node.op)
                 operands.append(node.span)
+            else:
+                problems.append(f"unknown operator {node.op!r}")
             push((node.rhs, node.lhs))
-            continue
-        if cls is Call:
+        elif cls is Call:
             args = node.args
             entry, message = registry.resolve(node.name, len(args))
             if message is None:
-                if not failed:
-                    key += ("s" if entry.stochastic else "c", len(args))
-                    operands += (node.span, entry.impl)
-                    draws |= entry.stochastic
-                push(args[::-1])
-                continue
-            problems.append(message)
-            may_draw = entry is None or entry.stochastic
+                key += ("s" if entry.stochastic else "c", len(args))
+                operands += (node.span, entry.impl)
+                draws |= entry.stochastic
+            else:
+                problems.append(message)
+            push(args[::-1])
         elif cls is IfElse:
-            if not failed:
-                key.append("if")
-                operands.append(node.span)
+            key.append("if")
+            operands.append(node.span)
             push((node.otherwise, node.then, node.cond))
-            continue
         elif cls is Unary:
-            if not failed:
-                key.append("not" if node.op == "not" else "neg")
+            if node.op in _PREFIX:
+                key.append(_PREFIX[node.op])
                 operands.append(node.span)
+            else:
+                problems.append(f"unknown operator {node.op!r}")
             stack.append(node.operand)
-            continue
         elif cls is ListLit:
-            if not failed:
-                key += ("[", len(node.elements))
+            key += ("[", len(node.elements))
             push(node.elements[::-1])
-            continue
-        elif cls is Binary:  # only a hand-built AST gets here
-            message, may_draw = f"unknown operator {node.op!r}", False
         else:
-            message, may_draw = f"cannot evaluate node of type {type(node).__name__}", False
-        if not failed:
-            key.append("!")
-            operands += (node.span, message)
-            draws |= may_draw
-        failed += 1
-        push((_LEAVE_FAILED, *node.children()[::-1]))
+            problems.append(f"cannot evaluate node of type {type(node).__name__}")
     return tuple(key), operands, draws, list(refs), problems
 
 
@@ -613,7 +595,9 @@ def _print(e: Expr, minimum: int = 0, cls: type | None = None) -> str:
     if cls is None:
         cls = type(e)
     if cls is Binary:
-        level = _BIN_LEVEL[e.op]
+        level = _BIN_LEVEL.get(e.op)
+        if level is None:
+            raise TypeError(f"unknown operator {e.op!r}")
         # comparisons don't chain: a comparison's operands bind tighter on both sides
         text = f"{_print(e.lhs, level + (level == _CMP))} {e.op} {_print(e.rhs, level + 1)}"
         return f"({text})" if level < minimum else text
@@ -632,6 +616,8 @@ def _print(e: Expr, minimum: int = 0, cls: type | None = None) -> str:
         text = f"if {_print(e.cond)} then {_print(e.then)} else {_print(e.otherwise)}"
         return f"({text})" if minimum else text
     if cls is Unary:
+        if e.op not in _PREFIX:
+            raise TypeError(f"unknown operator {e.op!r}")
         text = f"{'not ' if e.op == 'not' else e.op}{_print(e.operand, _ATOM)}"
         return f"({text})" if _UNARY < minimum else text
     if cls is ListLit:
@@ -647,6 +633,7 @@ def pretty_print(e: Expr) -> str:
 
     Negative numeric literals re-parse as a unary minus over the positive
     literal; parser-produced trees never contain negative literals, so the
-    round trip is exact for parsed source.
+    round trip is exact for parsed source.  An operator outside the grammar,
+    like an object that is not a node, is a TypeError.
     """
     return _print(e)

@@ -147,10 +147,8 @@ def _as_expr(value, path: str) -> Expr:
 # PyYAML was built with libyaml, its scanner loads documents several times
 # faster, but it also accepts tabs inside plain scalars and byte-order marks
 # that the pure-Python one rejects, and words some errors differently.  So
-# documents holding either character, and every document libyaml cannot
-# parse, go through the pure-Python loader.  A construction error is raised
-# after the last event, when libyaml has parsed the whole document, so it
-# stands as it is.
+# documents holding either character, and every document libyaml rejects,
+# go through the pure-Python loader.
 _PyStrictLoader = yaml.SafeLoader
 _StrictLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -159,8 +157,6 @@ def _load_yaml(text: str):
     if _StrictLoader is not _PyStrictLoader and "\t" not in text and "\ufeff" not in text:
         try:
             return walk(_StrictLoader(text))
-        except yaml.constructor.ConstructorError:
-            raise
         except yaml.YAMLError:
             pass  # reject it exactly as the pure-Python loader does
     return walk(_PyStrictLoader(text))
@@ -277,8 +273,9 @@ def _check_node(
     """Walk ``n.expr`` once with :func:`~dagforge.expr.analyse` and return
     its parents in first-mention order.
 
-    Unresolved references go to ``unresolved``; unknown functions and wrong
-    argument counts go to ``functions``.
+    Unresolved references go to ``unresolved``; unknown functions, wrong
+    argument counts and the operators and nodes that cannot run go to
+    ``functions``.
     """
     refs, problems = analyse(n.expr, registry)[3:]
     functions.extend(f"node {_cut(n.name)}: {problem}" for problem in problems)

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CoercionError, EvalError, NestingError, SelectionStarvation, StratumNameError
+from .errors import CoercionError, EvalError, NestingError, SelectionStarvation, StratumNameError, ValidationError
 from .evaluator import compile_node
 from .graph import CompiledModel
 from .registry import FunctionRegistry
@@ -107,7 +107,8 @@ def check_stratum_label(label: str | None) -> str:
 def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[list[tuple], list[int]]:
     """One step per node in topological order: (name, lane slot or None for a
     node that never draws, program that gives the node's value); and the
-    stream keys of the drawing nodes, slot by slot."""
+    stream keys of the drawing nodes, slot by slot.  A node that cannot run
+    against ``registry`` is a ValidationError that names it."""
     steps, keys = [], []
     for name in model.topo_order:
         decl = model.by_name[name]
@@ -115,6 +116,8 @@ def _compile_steps(model: CompiledModel, registry: FunctionRegistry) -> tuple[li
             program, draws = compile_node(decl.expr, registry)
         except RecursionError:  # the code generator recurses; only a hand-built tree is this deep
             raise NestingError(None, f"node {_cut(name)}: expression is nested too deeply") from None
+        except ValidationError as err:
+            raise ValidationError([f"node {_cut(name)}: {problem}" for problem in err.problems]) from None
         slot = None
         if draws:
             slot = len(keys)
@@ -196,6 +199,7 @@ class KeptRows:
     seed, never on the acceptance pattern; the keyed streams make every row
     independent of the order in which indices are evaluated.
 
+    A node that cannot run against ``registry`` is a ValidationError here.
     Iterating raises SelectionStarvation if fewer than ``num_samples`` rows
     are kept within the rejection limit, and StratumNameError at the first
     kept row whose stratum label cannot name a file.  An EvalError,

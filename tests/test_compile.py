@@ -26,7 +26,7 @@ from dagforge import (
     validate,
 )
 from dagforge import evaluator, modelspec
-from dagforge.errors import NestingError, SpecError
+from dagforge.errors import NestingError, SpecError, ValidationError
 from dagforge.evaluator import compile_node
 from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, analyse
 from dagforge.expr import _depth as expr_depth
@@ -35,6 +35,7 @@ from dagforge.values import MISSING, Tensor
 import reference_eval
 import reference_yaml
 from conftest import DATA, MODELS, model_yaml, preorder
+from test_loader import IMAGES_WITH_A_BAD_TAG
 from test_modelspec import _mutate
 
 UINT64 = st.integers(0, 2**64 - 1)
@@ -245,7 +246,13 @@ def _evaluation(run):
 @given(e=EXPRESSIONS.map(_respanned))
 def test_generated_code_agrees_with_the_reference_evaluator(e):
     registry = build_registry()
-    program = compile_node(e, registry)[0]
+    problems = analyse(e, registry)[4]
+    try:
+        program = compile_node(e, registry)[0]
+    except ValidationError as err:  # an unknown function or a wrong argument count anywhere in the tree
+        assert err.problems == problems != []
+        return
+    assert problems == []
     expected = _evaluation(lambda rng: reference_eval.evaluate(e, BINDINGS, rng, registry))
     assert _evaluation(lambda rng: program(BINDINGS, rng)) == expected
 
@@ -319,16 +326,34 @@ def test_the_walk_is_iterative_and_left_to_right(registry):
         simulate(model, RunConfig(num_samples=1), registry)
 
 
+# the operators of the grammar, and some that only a hand-built tree holds
+GRAMMAR_OPERATORS = {"or", "and", *COMPARISONS, "+", "-", "*", "/", "%"}
+ODD_OPERATORS = st.recursive(LEAVES, lambda children: st.one_of(
+    _branches(children),
+    st.builds(Binary, op=st.sampled_from(["^", "**", "=", "not", "xor"]), lhs=children, rhs=children),
+    st.builds(Unary, op=st.sampled_from(["~", "+", "!", "and"]), operand=children),
+), max_leaves=12)
+
+
+def _expected_problem(node, registry):
+    if isinstance(node, Call):
+        return registry.resolve(node.name, len(node.args))[1]
+    if isinstance(node, Binary) and node.op not in GRAMMAR_OPERATORS or \
+            isinstance(node, Unary) and node.op not in ("-", "not"):
+        return f"unknown operator {node.op!r}"
+    return None
+
+
 # 250 examples by default, ten times that under the ci profile
 @settings(max_examples=5 * settings.default.max_examples // 2, deadline=None)
-@given(e=EXPRESSIONS)
+@given(e=st.one_of(EXPRESSIONS, ODD_OPERATORS))
 def test_the_walk_collects_references_and_call_problems_in_preorder(e):
     registry = build_registry()
     nodes = list(preorder(e))
     refs, problems = analyse(e, registry)[3:]
     assert refs == list(dict.fromkeys(node.name for node in nodes if isinstance(node, Ref)))
-    resolved = [registry.resolve(node.name, len(node.args)) for node in nodes if isinstance(node, Call)]
-    assert problems == [problem for _, problem in resolved if problem is not None]
+    expected = [_expected_problem(node, registry) for node in nodes]
+    assert problems == [problem for problem in expected if problem is not None]
 
 
 # --- YAML loading ----------------------------------------------------------
@@ -380,6 +405,8 @@ def test_loader_bases_load_identical_documents(loader_base, registry):
     "graph:\n  nodes:\n    X: uni\tform(0, 1)\n",  # tab in a plain scalar: libyaml alone accepts it
     "graph:\n  nodes:\n    X: \"1\"\n\ufeffinstructions: {}\n",  # byte-order mark mid-document
     "graph:\n  nodes:\n    X: !f(1, 2)\n",  # tag libyaml rejects as a token
+    # tag libyaml accepts and cannot construct; the pure-Python scanner rejects it
+    pytest.param(IMAGES_WITH_A_BAD_TAG, id="images with a bad tag"),
 ])
 def test_loader_bases_agree_where_scanners_differ(loader_base, registry, text):
     got = _outcome(text, registry)

@@ -1,7 +1,7 @@
 import pytest
 
 from dagforge import RandomStream, build_registry, parse, values_equal
-from dagforge.errors import EvalError
+from dagforge.errors import EvalError, ValidationError
 from dagforge.evaluator import compile_node
 
 
@@ -44,11 +44,11 @@ def test_boolean_logic():
 
 
 def test_short_circuit_skips_unevaluated_side():
-    # rhs would raise (unknown function) if evaluated
-    assert ev("1 == 1 or nosuchfn(1)") is True
-    assert ev("1 == 2 and nosuchfn(1)") is False
-    with pytest.raises(EvalError, match="unknown function"):
-        ev("1 == 2 or nosuchfn(1)")
+    # rhs would raise (division by zero) if evaluated
+    assert ev("1 == 1 or 1 / 0 == 1") is True
+    assert ev("1 == 2 and 1 / 0 == 1") is False
+    with pytest.raises(EvalError, match="division by zero"):
+        ev("1 == 2 or 1 / 0 == 1")
 
 
 def test_comparisons():
@@ -76,16 +76,16 @@ def test_type_errors():
 
 
 def test_if_else_evaluates_only_taken_branch():
-    assert ev("if X > 0 then 1 else nosuchfn(1)", {"X": 1}) == 1
-    with pytest.raises(EvalError):
-        ev("if X > 0 then 1 else nosuchfn(1)", {"X": -1})
+    assert ev("if X > 0 then 1 else get([], 0)", {"X": 1}) == 1
+    with pytest.raises(EvalError, match="out of range"):
+        ev("if X > 0 then 1 else get([], 0)", {"X": -1})
 
 
 def test_call_errors():
-    with pytest.raises(EvalError, match="unknown function"):
-        ev("mystery(1)")
-    with pytest.raises(EvalError, match="argument"):
-        ev("uniform(1)")
+    # a call that does not resolve has no program, even where it would not be reached
+    with pytest.raises(ValidationError) as exc:
+        ev("if 1 == 1 then 1 else mystery(1) + uniform(1)")
+    assert exc.value.problems == ["unknown function 'mystery'", "uniform expects 2 argument(s), got 1"]
     with pytest.raises(EvalError, match="a <= b"):
         ev("uniform(2, 1)")  # DomainError surfaced as EvalError
 

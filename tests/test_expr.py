@@ -11,8 +11,8 @@ import corpus
 import reference_expr
 from conftest import MODELS, REPO, preorder
 from test_sampler import _wide_model_text
-from dagforge import expr, parse, pretty_print
-from dagforge.errors import LexError, NestingError, ParseError
+from dagforge import build_registry, expr, parse, pretty_print
+from dagforge.errors import LexError, NestingError, ParseError, ValidationError
 from dagforge.evaluator import compile_node
 from dagforge.expr import KEYWORDS, MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
 
@@ -301,6 +301,24 @@ def test_a_hand_built_subclass_prints_as_its_node_class():
         '-(2.5 * (x + "q\\""))'
     with pytest.raises(TypeError, match="not an expression node: 3"):
         pretty_print(Binary(op="+", lhs=Lit(value=1), rhs=3))
+
+
+class _Scaled(Binary):
+    pass
+
+
+@pytest.mark.parametrize("e, op", [
+    (Binary(op="^", lhs=Lit(value=1), rhs=Lit(value=2)), "^"),
+    (Unary(op="~", operand=Lit(value=1)), "~"),
+    (Call(name="abs", args=(Unary(op="+", operand=Ref(name="x")),)), "+"),
+    (_Scaled(op="**", lhs=Lit(value=1), rhs=Lit(value=2)), "**"),
+])
+def test_an_operator_outside_the_grammar_neither_prints_nor_compiles(e, op):
+    with pytest.raises(TypeError, match=f"^unknown operator {re.escape(repr(op))}$"):
+        pretty_print(e)
+    with pytest.raises(ValidationError) as exc:
+        compile_node(e, build_registry())
+    assert exc.value.problems == [f"unknown operator {op!r}"]
 
 
 DEPTH_LIMIT_SOURCES = [

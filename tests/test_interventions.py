@@ -18,8 +18,10 @@ from dagforge import (
     write_csv,
     write_manifest,
 )
-from dagforge.errors import EvalError, ValidationError
+from dagforge.errors import ValidationError
+from dagforge.expr import Binary, IfElse, Lit
 from dagforge.modelspec import NodeDecl, compile_nodes
+from dagforge.sampler import KeptRows
 
 from conftest import MODELS, model_yaml
 
@@ -91,7 +93,8 @@ def _outcome(compile_fn):
         return err.problems
 
 
-@settings(deadline=None, max_examples=200)
+# 200 examples by default, ten times that under the ci profile
+@settings(deadline=None, max_examples=2 * settings.default.max_examples)
 @given(intervened_documents())
 def test_apply_interventions_matches_compiling_the_substituted_nodes(document):
     nodes, interventions = document
@@ -111,19 +114,46 @@ def test_untouched_nodes_are_not_rechecked_against_the_intervening_registry(regi
     A model validated against a registry that has ``nosuch`` keeps that
     check when it is intervened on with a registry that lacks it: an
     unknown function in an untouched node is not a ValidationError here but
-    the node-named EvalError that ``simulate`` raises when it is reached.
-    The replacements themselves are still checked against the registry given.
+    the node-named one that ``simulate`` raises before the first row.  The
+    replacements themselves are still checked against the registry given.
     """
     validating = build_registry()
     register_example_functions(validating)
     validating.add_builtin("nosuch", 1, False, lambda x: x)
     model = validate(parse_model(model_yaml('    A: "nosuch(1)"\n    B: "uniform(0, 1)"\n')), validating)
     effective = apply_interventions(model, {"B": parse("normal(0, 1)")}, registry)
-    with pytest.raises(EvalError, match="unknown function 'nosuch'") as exc:
+    assert simulate(effective, RunConfig(num_samples=1), validating).rows[0].values["A"] == 1
+    with pytest.raises(ValidationError) as exc:
         simulate(effective, RunConfig(num_samples=1), registry)
-    assert exc.value.node == "A"
+    assert exc.value.problems == ["node A: unknown function 'nosuch'"]
     with pytest.raises(ValidationError, match="node B: unknown function 'other'"):
         apply_interventions(model, {"B": parse("other(1)")}, registry)
+
+
+def test_an_operator_outside_the_grammar_is_rejected_before_anything_is_written(registry, tmp_path):
+    # in a branch no sample takes; the manifest's model hash cannot print it
+    untaken = IfElse(cond=Lit(value=True), then=Lit(value=1), otherwise=Binary(op="^", lhs=Lit(value=1), rhs=Lit(value=0)))
+    spec = parse_model((MODELS / "images.yaml").read_text(), registry)
+    model = validate(spec, registry)
+    config = RunConfig(num_samples=5, seed=0)
+    out = tmp_path / "out"
+
+    def library_run(m):
+        ds = simulate(m, config, registry)
+        write_manifest(ds, config, write_csv(ds, m, spec.instructions, out), m, spec.instructions, out)
+
+    with pytest.raises(ValidationError) as exc:
+        library_run(apply_interventions(model, {"H": untaken}, registry))
+    assert exc.value.problems == ["node H: unknown operator '^'"]
+    # a model put together past the check fails as it is compiled, before the first row
+    unchecked = dataclasses.replace(model, nodes=tuple(
+        dataclasses.replace(n, expr=untaken) if n.name == "H" else n for n in model.nodes))
+    with pytest.raises(ValidationError) as exc:
+        library_run(unchecked)
+    assert exc.value.problems == ["node H: unknown operator '^'"]
+    with pytest.raises(ValidationError, match=r"^node H: unknown operator '\^'$"):
+        write_csv(KeptRows(unchecked, config, registry), unchecked, spec.instructions, out)
+    assert not out.exists()
 
 
 def test_run_config_has_no_interventions():

@@ -10,7 +10,7 @@ last tests.
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_yaml
 from conftest import DATA, MODELS
@@ -19,6 +19,11 @@ from dagforge.errors import SpecError, YamlSyntaxError
 from dagforge.yamlwalk import MAX_NESTING
 
 BASES = [p.read_text(encoding="utf-8") for p in sorted(MODELS.glob("*.yaml")) + sorted(DATA.glob("*.yaml"))]
+
+# the images model with one tag that libyaml scans and cannot construct, and
+# that PyYAML's pure-Python scanner rejects as a token
+IMAGES_WITH_A_BAD_TAG = (MODELS / "images.yaml").read_text(encoding="utf-8").replace(
+    "  simulation:", " !simulation:!", 1)
 
 # Lines to insert into a model document, each using a YAML feature the walk
 # must build as PyYAML's composer and constructor do, or reject on purpose.
@@ -73,6 +78,7 @@ def _agree(walk, reference):
 @settings(max_examples=4 * settings.default.max_examples, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
+@example(IMAGES_WITH_A_BAD_TAG)
 def test_walk_and_composer_agree_on_mutated_models(text):
     walk, reference, py_walk, py_reference = _both(text)
     _agree(walk, reference)
@@ -167,24 +173,21 @@ def test_documents_the_walk_rejects_on_purpose(text, message):
     assert str(exc.value) == f"document: {message}"
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
-def test_a_construction_error_is_not_parsed_twice(monkeypatch):
-    # libyaml has parsed the whole document before the walk raises a construction error
-    text = (MODELS / "images.yaml").read_text(encoding="utf-8").replace("graph:", "graph:\n  nodes: {}", 1)
-
-    class Refused(yaml.SafeLoader):
-        def __init__(self, stream):
-            raise AssertionError("the pure-Python loader ran")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(modelspec, "_PyStrictLoader", Refused)
-        with pytest.raises(SpecError) as routed:
-            parse_model(text)
-    monkeypatch.setattr(modelspec, "_StrictLoader", yaml.SafeLoader)
-    with pytest.raises(SpecError) as pure:
-        parse_model(text)
-    assert not isinstance(routed.value, YamlSyntaxError)
-    assert str(routed.value) == str(pure.value) == "document: duplicate key 'nodes' (line 3)"
+def test_a_document_libyaml_rejects_gets_the_pure_python_outcome(monkeypatch):
+    # libyaml's verdict stands only when it accepts the document
+    duplicate = (MODELS / "images.yaml").read_text(encoding="utf-8").replace("graph:", "graph:\n  nodes: {}", 1)
+    for text, expected, message in [
+        (IMAGES_WITH_A_BAD_TAG, YamlSyntaxError, r"expected '!', but found ':'"),
+        (duplicate, SpecError, r"^document: duplicate key 'nodes' \(line 3\)$"),
+    ]:
+        outcomes = []
+        for base in [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []):
+            monkeypatch.setattr(modelspec, "_StrictLoader", base)
+            with pytest.raises(expected, match=message) as exc:
+                parse_model(text)
+            outcomes.append((type(exc.value), str(exc.value)))
+        assert outcomes[0][0] is expected
+        assert outcomes == outcomes[:1] * len(outcomes)
 
 
 def test_an_undefined_alias_before_deep_nesting_exits_1(run_cli, tmp_path):

@@ -104,15 +104,21 @@ def test_only_pure_calls_mean_no_stream(registry):
         '    C: "[1, binomial(1, 0.5)]"\n'
         '    D: "if A then 1 else 2"\n'
     )
-    # validated against a registry that has not_registered, compiled against one that does not
+    # a pure host function draws nothing, as a pure built-in does
     validating = build_registry()
     register_example_functions(validating)
     register_host_function(validating, "not_registered", 1, False, lambda x: x)
     model = validate(parse_model(text), validating)
-    steps, _ = sampler._compile_steps(model, registry)
+    steps, _ = sampler._compile_steps(model, validating)
     keys = {step[0]: step[1] for step in steps}
-    assert keys["A"] is None and keys["D"] is None
-    assert keys["B"] is not None and keys["C"] is not None
+    assert keys["A"] is None and keys["B"] is None and keys["D"] is None
+    assert keys["C"] is not None
+    # run against a registry that lacks it, the node that calls it is rejected before the first row
+    for start in (sampler._compile_steps, lambda m, r: KeptRows(m, RunConfig(num_samples=1), r),
+                  lambda m, r: sample_one(m, 0, 0, r)):
+        with pytest.raises(ValidationError) as exc:
+            start(model, registry)
+        assert exc.value.problems == ["node B: unknown function 'not_registered'"]
 
 
 def test_selection_value_not_in_row(registry):
