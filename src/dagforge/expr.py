@@ -21,7 +21,8 @@ tuples at an int position.  It descends only for if-else, prefix operators
 and atoms: the five binary levels are one precedence-climbing loop (Pratt,
 "Top down operator precedence", 1973) over ``_BIN_LEVEL``, the table the
 printer also uses to decide where parentheses go.  It fills the slots of the
-nodes it builds directly, skipping the frozen ``__init__``.
+nodes it builds through their descriptors, as a node's ``__init__`` does,
+without calling it.
 
 A model repeats a few expression shapes over different names, so ``parse``
 scans and parses each shape once.  Its memo key is the source with every
@@ -45,11 +46,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import LexError, NestingError, ParseError
+from .frozen import Frozen
 from .values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,74 +160,135 @@ def _scan(src: str) -> list[tuple[str, str, tuple[int, int], object]]:
 
 # --- AST ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Expr:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Expr(Frozen):
+    """An expression node; ``span`` is its ``(start, end)`` in the source, if any."""
+
     # span excluded from equality so printed-then-reparsed trees compare equal
     span: tuple[int, int] | None = field(default=None, compare=False, kw_only=True)
+
+    def __init__(self, *, span=None):
+        _set_span(self, span)
 
     def children(self) -> tuple["Expr", ...]:
         """Direct subexpressions, left to right."""
         return ()
 
+    # copy and pickle restore the slots through here, not through __setattr__
+    def __getstate__(self):
+        return [getattr(self, f.name) for f in fields(self)]
 
-@dataclass(frozen=True, slots=True)
+    def __setstate__(self, state):
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
+
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Lit(Expr):
+    """A literal: a bool, int, float or str."""
+
     value: Value = None
 
+    def __init__(self, value=None, *, span=None):
+        _set_value(self, value)
+        _set_span(self, span)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Ref(Expr):
+    """A reference to the node called ``name``."""
+
     name: str = ""
 
+    def __init__(self, name="", *, span=None):
+        _set_ref(self, name)
+        _set_span(self, span)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Call(Expr):
+    """A call of the registered function ``name``."""
+
     name: str = ""
     args: tuple[Expr, ...] = ()
+
+    def __init__(self, name="", args=(), *, span=None):
+        _set_callee(self, name)
+        _set_args(self, args)
+        _set_span(self, span)
 
     def children(self) -> tuple[Expr, ...]:
         return self.args
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Unary(Expr):
+    """A prefix operator, ``-`` or ``not``, over its operand."""
+
     op: str = "-"
     operand: Expr | None = None
+
+    def __init__(self, op="-", operand=None, *, span=None):
+        _set_prefix(self, op)
+        _set_operand(self, operand)
+        _set_span(self, span)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Binary(Expr):
+    """A binary operator over its two operands."""
+
     op: str = "+"
     lhs: Expr | None = None
     rhs: Expr | None = None
+
+    def __init__(self, op="+", lhs=None, rhs=None, *, span=None):
+        _set_op(self, op)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_span(self, span)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class IfElse(Expr):
+    """``if cond then then else otherwise``."""
+
     cond: Expr | None = None
     then: Expr | None = None
     otherwise: Expr | None = None
+
+    def __init__(self, cond=None, then=None, otherwise=None, *, span=None):
+        _set_cond(self, cond)
+        _set_then(self, then)
+        _set_otherwise(self, otherwise)
+        _set_span(self, span)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.cond, self.then, self.otherwise)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class ListLit(Expr):
+    """A list display: ``[elements]``."""
+
     elements: tuple[Expr, ...] = ()
+
+    def __init__(self, elements=(), *, span=None):
+        _set_elements(self, elements)
+        _set_span(self, span)
 
     def children(self) -> tuple[Expr, ...]:
         return self.elements
 
 
-# The parser sets a new node's slots through their descriptors: the frozen
-# __init__ goes through object.__setattr__, at twice the cost.
+# The constructors and the parser set a node's slots through their
+# descriptors: object.__setattr__ costs twice as much.
 _new = object.__new__
 _set_span = Expr.span.__set__
 _set_value, _set_ref = Lit.value.__set__, Ref.name.__set__
@@ -503,10 +566,10 @@ def _build(steps: tuple, names: list[str]) -> Expr:
 
 # --- the walk ---------------------------------------------------------
 
-# a literal's key token, which is the static kind of its value ("literal" when
-# none is known); int and float share one, since code that is right for one
-# number is right for the other
-_LITERAL = {int: "num", float: "num", bool: "bool"}
+# a literal's key token, which is the static kind of its value ("literal" for a
+# str); int and float share one, since code that is right for one number is
+# right for the other.  The keys are the value types a parse gives.
+_LITERAL = {int: "num", float: "num", bool: "bool", str: "literal"}
 _PREFIX = {"-": "neg", "not": "not"}  # each prefix operator's key token
 # the node classes, most frequent first; dict keys keep the order
 _NODE_CLASSES = dict.fromkeys((Ref, Lit, Binary, Call, IfElse, Unary, ListLit))
@@ -521,11 +584,14 @@ def analyse(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool, lis
     ``draws`` tells whether the code may call a stochastic function, ``refs``
     are the referenced names in first-mention order and ``problems`` what
     cannot run, in preorder: each call site that does not resolve (each is
-    looked up once), and each operator outside the grammar or unknown node,
-    which only a hand-built tree holds.  A tree with a problem has no
-    program, so its key and operands describe none; the walk goes on under
-    a failed call or operator for references and problems, and does not
-    enter an unknown node.
+    looked up once), and what only a hand-built tree holds: each operator
+    outside the grammar, unknown node, and field of a type a parse does not
+    give (a ``Ref`` or ``Call`` name or an operator that is not a str, a
+    literal that is not a bool, int, float or str, call arguments or list
+    elements that are not a tuple).  A tree with a problem has no program,
+    so its key and operands describe none; the walk goes on under a failed
+    call or operator for references and problems, and does not enter an
+    unknown node or a field that is not a tuple.
     """
     key, operands, problems, refs = [], [], [], {}
     draws = False
@@ -537,46 +603,81 @@ def analyse(e: Expr, registry: FunctionRegistry) -> tuple[tuple, list, bool, lis
         if cls not in _NODE_CLASSES:
             cls = next((c for c in _NODE_CLASSES if isinstance(node, c)), None)  # a subclass, in a hand-built AST
         if cls is Ref:
-            refs[node.name] = None
-            key.append("r")
-            operands += (node.span, node.name)
+            name = node.name
+            if type(name) is str:
+                refs[name] = None
+                key.append("r")
+                operands += (node.span, name)
+            else:
+                problems.append(_bad_field(node, "name"))
         elif cls is Lit:
-            key.append(_LITERAL.get(type(node.value), "literal"))
-            operands.append(node.value)
+            token = _LITERAL.get(type(node.value))
+            if token is not None:
+                key.append(token)
+                operands.append(node.value)
+            else:
+                problems.append(_bad_field(node, "value"))
         elif cls is Binary:
-            if node.op in _BIN_LEVEL:
-                key.append(node.op)
+            op = node.op
+            if type(op) is str and op in _BIN_LEVEL:
+                key.append(op)
                 operands.append(node.span)
             else:
-                problems.append(f"unknown operator {node.op!r}")
+                problems.append(_op_problem(node))
             push((node.rhs, node.lhs))
         elif cls is Call:
-            args = node.args
-            entry, message = registry.resolve(node.name, len(args))
-            if message is None:
-                key += ("s" if entry.stochastic else "c", len(args))
-                operands += (node.span, entry.impl)
-                draws |= entry.stochastic
+            name, args = node.name, node.args
+            if type(name) is not str:
+                problems.append(_bad_field(node, "name"))
+            elif type(args) is tuple:
+                entry, message = registry.resolve(name, len(args))
+                if message is None:
+                    key += ("s" if entry.stochastic else "c", len(args))
+                    operands += (node.span, entry.impl)
+                    draws |= entry.stochastic
+                else:
+                    problems.append(message)
+            if type(args) is tuple:
+                push(args[::-1])
             else:
-                problems.append(message)
-            push(args[::-1])
+                problems.append(_bad_field(node, "args"))
         elif cls is IfElse:
             key.append("if")
             operands.append(node.span)
             push((node.otherwise, node.then, node.cond))
         elif cls is Unary:
-            if node.op in _PREFIX:
-                key.append(_PREFIX[node.op])
+            op = node.op
+            if type(op) is str and op in _PREFIX:
+                key.append(_PREFIX[op])
                 operands.append(node.span)
             else:
-                problems.append(f"unknown operator {node.op!r}")
+                problems.append(_op_problem(node))
             stack.append(node.operand)
         elif cls is ListLit:
-            key += ("[", len(node.elements))
-            push(node.elements[::-1])
+            elements = node.elements
+            if type(elements) is tuple:
+                key += ("[", len(elements))
+                push(elements[::-1])
+            else:
+                problems.append(_bad_field(node, "elements"))
         else:
             problems.append(f"cannot evaluate node of type {type(node).__name__}")
     return tuple(key), operands, draws, list(refs), problems
+
+
+# what each field a parse fills must be, where a hand-built tree may hold something else
+_FIELD_TYPES = {"name": "a str", "op": "a str", "value": "a bool, int, float or str",
+                "args": "a tuple", "elements": "a tuple"}
+
+
+def _bad_field(node: Expr, name: str) -> str:
+    """The problem of ``node``, whose field ``name`` holds a type a parse does not give."""
+    return f"{type(node).__name__}.{name} must be {_FIELD_TYPES[name]}, got {type(getattr(node, name)).__name__}"
+
+
+def _op_problem(node: Expr) -> str:
+    """The problem of ``node``, whose operator is outside the grammar."""
+    return f"unknown operator {node.op!r}" if type(node.op) is str else _bad_field(node, "op")
 
 
 # --- printing ----------------------------------------------------------
@@ -595,9 +696,9 @@ def _print(e: Expr, minimum: int = 0, cls: type | None = None) -> str:
     if cls is None:
         cls = type(e)
     if cls is Binary:
-        level = _BIN_LEVEL.get(e.op)
+        level = _BIN_LEVEL.get(e.op) if type(e.op) is str else None
         if level is None:
-            raise TypeError(f"unknown operator {e.op!r}")
+            raise TypeError(_op_problem(e))
         # comparisons don't chain: a comparison's operands bind tighter on both sides
         text = f"{_print(e.lhs, level + (level == _CMP))} {e.op} {_print(e.rhs, level + 1)}"
         return f"({text})" if level < minimum else text
@@ -605,22 +706,32 @@ def _print(e: Expr, minimum: int = 0, cls: type | None = None) -> str:
         v = e.value
         if type(v) is int or type(v) is float:
             return repr(v)
-        if isinstance(v, str):
+        if type(v) is str:
             return f'"{_escape(v)}"'
-        return repr(v) if isinstance(v, float) else str(v)
+        if type(v) is bool:
+            return str(v)
+        raise TypeError(_bad_field(e, "value"))
     if cls is Ref:
+        if type(e.name) is not str:
+            raise TypeError(_bad_field(e, "name"))
         return e.name
     if cls is Call:
+        if type(e.name) is not str:
+            raise TypeError(_bad_field(e, "name"))
+        if type(e.args) is not tuple:
+            raise TypeError(_bad_field(e, "args"))
         return f"{e.name}({', '.join([_print(a) for a in e.args])})"
     if cls is IfElse:
         text = f"if {_print(e.cond)} then {_print(e.then)} else {_print(e.otherwise)}"
         return f"({text})" if minimum else text
     if cls is Unary:
-        if e.op not in _PREFIX:
-            raise TypeError(f"unknown operator {e.op!r}")
+        if type(e.op) is not str or e.op not in _PREFIX:
+            raise TypeError(_op_problem(e))
         text = f"{'not ' if e.op == 'not' else e.op}{_print(e.operand, _ATOM)}"
         return f"({text})" if _UNARY < minimum else text
     if cls is ListLit:
+        if type(e.elements) is not tuple:
+            raise TypeError(_bad_field(e, "elements"))
         return f"[{', '.join([_print(el) for el in e.elements])}]"
     for base in _NODE_CLASSES:
         if isinstance(e, base):
@@ -634,6 +745,7 @@ def pretty_print(e: Expr) -> str:
     Negative numeric literals re-parse as a unary minus over the positive
     literal; parser-produced trees never contain negative literals, so the
     round trip is exact for parsed source.  An operator outside the grammar,
-    like an object that is not a node, is a TypeError.
+    a field of a type a parse does not give, and an object that is not a
+    node are each a TypeError.
     """
     return _print(e)

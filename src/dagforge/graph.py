@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import CycleError
+from .frozen import Frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modelspec import NodeDecl
@@ -14,8 +15,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["CompiledModel", "detect_cycle", "topo_sort"]
 
 
-@dataclass(frozen=True)
-class CompiledModel:
+@dataclass(init=False, repr=False, eq=False)
+class CompiledModel(Frozen):
     """Validated model: declaration-ordered nodes plus derived graph structure.
 
     ``parents`` maps each node to its parent names in first-mention order;
@@ -30,8 +31,13 @@ class CompiledModel:
     stratify: str | None
     by_name: dict[str, "NodeDecl"] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "by_name", {n.name: n for n in self.nodes})
+    def __init__(self, nodes, parents, topo_order, selection, stratify):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "topo_order", topo_order)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "stratify", stratify)
+        object.__setattr__(self, "by_name", {n.name: n for n in nodes})
 
 
 def detect_cycle(edges: dict[str, list[str]]) -> list[str] | None:

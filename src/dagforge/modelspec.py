@@ -34,6 +34,7 @@ import yaml
 
 from .errors import CycleError, LexError, NestingError, ParseError, SpecError, ValidationError, YamlSyntaxError
 from .expr import Expr, _name_problem, analyse, parse
+from .frozen import Frozen
 from .graph import CompiledModel, topo_sort
 from .registry import FunctionRegistry
 from .values import _brief, _cut
@@ -52,8 +53,11 @@ class SpecWarning(UserWarning):
     """Non-fatal oddity in a model document (e.g. an ignored key)."""
 
 
-@dataclass(frozen=True)
-class NodeDecl:
+@dataclass(init=False, repr=False, eq=False)
+class NodeDecl(Frozen):
+    """One node of a model: its name, its expression and its ``kind``,
+    ``observed``, ``size`` and ``underlying`` keys (SCHEMA.md)."""
+
     name: str
     expr: Expr
     kind: str = "standard"
@@ -61,9 +65,17 @@ class NodeDecl:
     size: int | None = None
     underlying: str | None = None
 
+    def __init__(self, name, expr, kind="standard", observed=True, size=None, underlying=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "underlying", underlying)
 
-@dataclass(frozen=True)
-class SimInstructions:
+
+@dataclass(init=False, repr=False, eq=False)
+class SimInstructions(Frozen):
     """A document's ``instructions.simulation`` block; a field that breaks
     the schema raises SpecError, whether it comes from a document or not."""
 
@@ -72,9 +84,8 @@ class SimInstructions:
     seed: int | None = None  # None = not set in the document
     output_dir: str | None = None
 
-    def __post_init__(self):
+    def __init__(self, csv_name, num_samples, seed=None, output_dir=None):
         where = "instructions.simulation"
-        csv_name, num_samples, seed, output_dir = self.csv_name, self.num_samples, self.seed, self.output_dir
         if not isinstance(csv_name, str) or not csv_name:
             raise SpecError(f"{where}.csv_name", f"expected a non-empty string, got {_brief(csv_name)}")
         # the stem of every output file, which the manifest lists on one line separated by commas
@@ -95,12 +106,22 @@ class SimInstructions:
 
         if output_dir is not None and not isinstance(output_dir, str):
             raise SpecError(f"{where}.output_dir", f"expected a path string, got {_brief(output_dir)}")
+        object.__setattr__(self, "csv_name", csv_name)
+        object.__setattr__(self, "num_samples", num_samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "output_dir", output_dir)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+@dataclass(init=False, repr=False, eq=False)
+class ModelSpec(Frozen):
+    """A parsed model document: its nodes and its simulation instructions."""
+
     nodes: tuple[NodeDecl, ...]  # declaration order
     instructions: SimInstructions
+
+    def __init__(self, nodes, instructions):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "instructions", instructions)
 
 
 def _require_map(obj, path: str, allowed: tuple[str, ...] | None = None) -> dict:

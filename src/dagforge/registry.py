@@ -13,17 +13,22 @@ from typing import Callable
 
 from .errors import RegistryError
 from .expr import _name_problem
+from .frozen import Frozen
 from .values import _brief, _cut, as_value
 
 __all__ = ["Arity", "FunctionEntry", "FunctionRegistry", "register_host_function"]
 
 
-@dataclass(frozen=True)
-class Arity:
+@dataclass(init=False, repr=False, eq=False)
+class Arity(Frozen):
     """Accepted argument count: fixed when ``low == high``, open-ended when high is None."""
 
     low: int
     high: int | None
+
+    def __init__(self, low, high):
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
 
     @classmethod
     def of(cls, spec) -> "Arity":
@@ -43,12 +48,20 @@ class Arity:
         return f"{self.low}+" if self.high is None else f"{self.low}..{self.high}"
 
 
-@dataclass(frozen=True)
-class FunctionEntry:
+@dataclass(init=False, repr=False, eq=False)
+class FunctionEntry(Frozen):
+    """A registered function: its arity, whether it draws, its callable, and whether it is built in."""
+
     arity: Arity
     stochastic: bool
     impl: Callable
     builtin: bool = False
+
+    def __init__(self, arity, stochastic, impl, builtin=False):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "stochastic", stochastic)
+        object.__setattr__(self, "impl", impl)
+        object.__setattr__(self, "builtin", builtin)
 
 
 class FunctionRegistry:

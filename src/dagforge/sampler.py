@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CoercionError, EvalError, NestingError, SelectionStarvation, StratumNameError, ValidationError
 from .evaluator import compile_node
+from .frozen import Frozen
 from .graph import CompiledModel
 from .registry import FunctionRegistry
 from .rng import _MASK as _UINT64_MAX, KeyLanes, RandomStream, node_stream_key
@@ -39,26 +40,33 @@ __all__ = ["RunConfig", "SampleRow", "Dataset", "KeptRows", "sample_one", "simul
 _SAFE_STRATUM = re.compile(r"[A-Za-z0-9_-]+\Z")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(init=False, repr=False, eq=False)
+class RunConfig(Frozen):
+    """How many rows to keep, the run's seed, and the cap on sample indices
+    tried, as a multiple of ``num_samples``; each must be an exact int."""
+
     num_samples: int
     seed: int = 0
     max_rejection_factor: int = 1000
 
-    def __post_init__(self):
-        for name in ("num_samples", "seed", "max_rejection_factor"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {type(getattr(self, name)).__name__}")
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
-        if not 0 <= self.seed <= _UINT64_MAX:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.max_rejection_factor < 1:
-            raise ValueError(f"max_rejection_factor must be >= 1, got {self.max_rejection_factor}")
+    def __init__(self, num_samples, seed=0, max_rejection_factor=1000):
+        for name, value in (("num_samples", num_samples), ("seed", seed),
+                            ("max_rejection_factor", max_rejection_factor)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        if not 0 <= seed <= _UINT64_MAX:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        if max_rejection_factor < 1:
+            raise ValueError(f"max_rejection_factor must be >= 1, got {max_rejection_factor}")
+        object.__setattr__(self, "num_samples", num_samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_rejection_factor", max_rejection_factor)
 
 
-@dataclass(frozen=True)
-class SampleRow:
+@dataclass(init=False, repr=False, eq=False)
+class SampleRow(Frozen):
     """One kept sample.
 
     ``values`` holds the observed columns only, keyed in ``Dataset.column_order``;
@@ -69,12 +77,23 @@ class SampleRow:
     values: dict[str, Value]
     stratum: str | None = None
 
+    def __init__(self, values, stratum=None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "stratum", stratum)
 
-@dataclass(frozen=True)
-class Dataset:
+
+@dataclass(init=False, repr=False, eq=False)
+class Dataset(Frozen):
+    """The kept rows of a run, its column order, and how many sample indices it took to keep them."""
+
     rows: list[SampleRow]
     column_order: list[str]  # topological order restricted to observed nodes
     attempts: int
+
+    def __init__(self, rows, column_order, attempts):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "column_order", column_order)
+        object.__setattr__(self, "attempts", attempts)
 
 
 def _as_flag(v: Value, node: str, what: str) -> bool:

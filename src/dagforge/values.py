@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, _cut
+from .frozen import Frozen
 
 __all__ = ["Tensor", "MISSING", "Value", "type_name", "values_equal", "csv_cell", "parse_cell", "as_value"]
 
@@ -35,8 +36,8 @@ class _Missing:
 MISSING = _Missing()
 
 
-@dataclass(frozen=True)
-class Tensor:
+@dataclass(init=False, repr=False, eq=False)
+class Tensor(Frozen):
     """Row-major tensor of 64-bit reals.
 
     Invariant: ``len(data) == product(shape)`` and every dim is positive.
@@ -51,15 +52,15 @@ class Tensor:
     shape: tuple[int, ...]
     data: tuple[float, ...]
 
-    def __post_init__(self):
-        shape = tuple(_dim(d) for d in self.shape)
-        if not shape or any(d < 1 for d in shape):
-            raise DomainError(f"tensor shape must be positive integers, got {_brief(list(self.shape))}")
-        n = math.prod(shape)
-        data = tuple(_element(x) for x in self.data)
+    def __init__(self, shape, data):
+        dims = tuple(_dim(d) for d in shape)
+        if not dims or any(d < 1 for d in dims):
+            raise DomainError(f"tensor shape must be positive integers, got {_brief(list(shape))}")
+        n = math.prod(dims)
+        data = tuple(_element(x) for x in data)
         if len(data) != n:
             raise DomainError(f"tensor data length {len(data)} != product of shape {n}")
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", dims)
         object.__setattr__(self, "data", data)
 
     @classmethod

@@ -88,3 +88,26 @@ except AttributeError as err:
     print(err)
 """)
     assert out == "True\nTrue True\nmodule 'dagforge' has no attribute 'nope'\n"
+
+
+def test_no_method_is_generated_at_start_up():
+    """Every method of a dagforge class comes from its source file: none is
+    compiled from generated text, as ``@dataclass`` does for the methods it
+    writes, when a module is imported."""
+    generated = _fresh(f"""
+import importlib, inspect
+found = []
+for name in {MODULES!r}:
+    module = importlib.import_module(name)
+    for cls in vars(module).values():
+        if not isinstance(cls, type) or cls.__module__ != name:
+            continue
+        for attr, value in vars(cls).items():
+            # class and static methods, properties and cached properties hold their function
+            fn = next((getattr(value, a) for a in ("__func__", "fget", "func") if hasattr(value, a)), value)
+            fn = inspect.unwrap(fn) if callable(fn) else fn
+            if getattr(getattr(fn, "__code__", None), "co_filename", None) == "<string>":
+                found.append(f"{{name}}.{{cls.__qualname__}}.{{attr}}")
+print(len(found), sorted(found))
+""")
+    assert generated == "0 []\n"

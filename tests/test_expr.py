@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import reference_expr
-from conftest import MODELS, REPO, preorder
+from conftest import MODELS, REPO, model_yaml, preorder
 from test_sampler import _wide_model_text
-from dagforge import build_registry, expr, parse, pretty_print
+from dagforge import apply_interventions, build_registry, expr, parse, parse_model, pretty_print, validate
 from dagforge.errors import LexError, NestingError, ParseError, ValidationError
 from dagforge.evaluator import compile_node
-from dagforge.expr import KEYWORDS, MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary
+from dagforge.expr import KEYWORDS, MAX_DEPTH, Binary, Call, IfElse, Lit, ListLit, Ref, Unary, analyse
 
 sys.path.insert(0, str(REPO / "benchmarks"))
 import workloads  # noqa: E402  the generator of the benchmark's wide_deep model, read only
@@ -319,6 +319,60 @@ def test_an_operator_outside_the_grammar_neither_prints_nor_compiles(e, op):
     with pytest.raises(ValidationError) as exc:
         compile_node(e, build_registry())
     assert exc.value.problems == [f"unknown operator {op!r}"]
+
+
+def _rejected_as_wrongly_typed(e, problem):
+    """``e`` neither prints nor compiles nor replaces a node's expression, for ``problem``."""
+    with pytest.raises(TypeError, match=f"^{re.escape(problem)}$"):
+        pretty_print(e)
+    with pytest.raises(ValidationError) as exc:
+        compile_node(e, build_registry())
+    assert exc.value.problems == [problem]
+    registry = build_registry()
+    model = validate(parse_model(model_yaml("    A: 1\n    B: A + 1\n"), registry), registry)
+    with pytest.raises(ValidationError) as exc:
+        apply_interventions(model, {"B": e}, registry)
+    assert exc.value.problems == [f"node B: {problem}"]
+
+
+def test_a_call_name_that_is_not_a_str_is_rejected():
+    # printed as ``5()`` before
+    _rejected_as_wrongly_typed(Call(name=5), "Call.name must be a str, got int")
+
+
+def test_a_literal_of_a_type_a_parse_never_gives_is_rejected():
+    # compiled before, to a program that gave the object itself
+    _rejected_as_wrongly_typed(Lit(value=object()), "Lit.value must be a bool, int, float or str, got object")
+
+
+def test_an_operator_that_is_not_a_str_is_rejected():
+    # a raw ``unhashable type: 'list'`` from both the walk and the printer before
+    _rejected_as_wrongly_typed(Binary(op=["x"], lhs=Lit(value=1), rhs=Lit(value=2)), "Binary.op must be a str, got list")
+
+
+def test_a_reference_name_that_is_not_a_str_is_rejected():
+    # printed as ``7`` before, which parses as a literal
+    _rejected_as_wrongly_typed(Ref(name=7), "Ref.name must be a str, got int")
+
+
+@pytest.mark.parametrize("e, problem", [
+    (Unary(op=("-",), operand=Lit(value=1)), "Unary.op must be a str, got tuple"),
+    (Call(name="abs", args=[Lit(value=1)]), "Call.args must be a tuple, got list"),
+    (ListLit(elements=[Lit(value=1)]), "ListLit.elements must be a tuple, got list"),
+    (_Scaled(op=None, lhs=Lit(value=1), rhs=Lit(value=2)), "_Scaled.op must be a str, got NoneType"),
+    (Lit(value=1.5j), "Lit.value must be a bool, int, float or str, got complex"),
+])
+def test_other_fields_of_a_type_a_parse_never_gives_are_rejected(e, problem):
+    _rejected_as_wrongly_typed(e, problem)
+
+
+def test_every_wrongly_typed_field_is_a_problem_in_preorder():
+    e = Call(name=5, args=[Ref(name="x")])
+    assert analyse(e, build_registry())[4] == ["Call.name must be a str, got int", "Call.args must be a tuple, got list"]
+    e = ListLit(elements=(Ref(name=7), Call(name=None, args=(Lit(value=[]),))))
+    assert analyse(e, build_registry())[3:] == ([], [
+        "Ref.name must be a str, got int", "Call.name must be a str, got NoneType",
+        "Lit.value must be a bool, int, float or str, got list"])
 
 
 DEPTH_LIMIT_SOURCES = [
