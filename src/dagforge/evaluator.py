@@ -17,6 +17,10 @@ Würthinger et al. ("One VM to rule them all", 2013):
   process; every expression of that shape gets ``factory(*operands)``.
   Model text never becomes source: names and values reach a program only
   as factory arguments, so no name or string literal can change what runs.
+* Operands reach a program as its parameter defaults,
+  ``def program(b, r, o0=o0, ...)``, as they reach each helper function it
+  calls: one tuple per function, where closure cells would cost an object
+  per operand.
 
 The generated code is straight-line, one statement per AST node, with the
 type checks written in.  Operands known to be numbers (numeric literals,
@@ -142,38 +146,43 @@ class _Generator:
         self._next = iter(key).__next__
         self._operands = 0
         self._temps = 0
-        self.functions: list[list[str]] = []
+        self._functions = 0
+        self._reads: list[str] = []  # the operands and helpers the function being generated reads
+        self.functions: list[str] = []  # each function's source, after the helpers it calls
 
     def operand(self) -> str:
         self._operands += 1
-        return f"o{self._operands - 1}"
+        self._reads.append(f"o{self._operands - 1}")
+        return self._reads[-1]
 
     def temp(self) -> str:
         self._temps += 1
         return f"t{self._temps - 1}"
 
-    def function(self, name: str, first_token) -> str | None:
-        """Generate ``def name(b, r)`` for the subexpression that starts with ``first_token``."""
-        body = [f"    def {name}(b, r):"]
-        self.functions.append(body)
+    def function(self, first_token) -> tuple[str, str | None]:
+        """Generate ``def name(b, r, o0=o0, ...)`` for the subexpression that
+        starts with ``first_token``: the operands and helpers it reads are the
+        defaults of its parameters.  Returns the name and the result's kind."""
+        name = f"f{self._functions}" if self._functions else "program"
+        self._functions += 1
+        outer, self._reads = self._reads, []
+        body: list[str] = []
         result, kind = self._emit(first_token, body, 2)
-        body.append(f"        return {result}")
-        return kind
+        defaults = "".join(f", {p}={p}" for p in self._reads)
+        self.functions.append("\n".join([f"    def {name}(b, r{defaults}):", *body, f"        return {result}"]))
+        self._reads = outer
+        return name, kind
 
     def source(self) -> str:
-        self.function("program", self._next())
+        self.function(self._next())
         params = ", ".join(f"o{i}" for i in range(self._operands))
-        lines = [f"def factory({params}):"]
-        for body in self.functions:
-            lines += body
-        lines.append("    return program")
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"def factory({params}):", *self.functions, "    return program"]) + "\n"
 
     def emit(self, out: list[str], depth: int) -> tuple[str, str | None]:
         token = self._next()
         if token in ("if", "and", "or") and depth > _MAX_INDENT:
-            name = f"f{len(self.functions)}"
-            kind = self.function(name, token)
+            name, kind = self.function(token)
+            self._reads.append(name)
             t = self.temp()
             _put(out, depth, "{t} = {name}(b, r)", t=t, name=name)
             return t, kind

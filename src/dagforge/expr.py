@@ -34,8 +34,10 @@ and the parser never reads an identifier's text, so two sources with one
 key have the same tokens but for names, and the same tree but for names and
 spans.  A hit builds fresh nodes from the recipe of the shape's first
 source: names in source order, each span endpoint shifted by the lengths of
-the names before it.  A miss scans and parses as above, and only a source
-they accept, whose Ref and Call names are its masked runs in order, leaves a
+the names before it.  Equal spans of built nodes are one tuple, from a table
+that keeps at most ``_SPANS_SIZE`` and drops the oldest first (spans take no
+part in ``==``).  A miss scans and parses as above, and only a source they
+accept, whose Ref and Call names are its masked runs in order, leaves a
 recipe, so every error, message and span comes from them.  A source holding
 ``"`` (a string literal may hold any text) or a NUL, or longer than
 ``_MEMO_SOURCE`` characters, skips the memo, which keeps at most
@@ -474,6 +476,8 @@ _NAME_RUN = re.compile(r"(?<![A-Za-z0-9_.])(?!(?:%s)(?![A-Za-z0-9_]))(%s)"
 _MEMO_SIZE = 256  # recipes, the oldest dropped first
 _MEMO_SOURCE = 256  # the longest source the memo takes, in characters
 _memo: dict[str, tuple] = {}
+_SPANS_SIZE = 1024  # spans shared by built nodes, the oldest dropped first
+_spans: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _recipe(e: Expr, parts: list[str]) -> tuple | None:
@@ -527,10 +531,11 @@ def _recipe(e: Expr, parts: list[str]) -> tuple | None:
 
 
 def _build(steps: tuple, names: list[str]) -> Expr:
-    """A fresh tree from a shape's steps and another source's names."""
+    """A fresh tree from a shape's steps and another source's names; equal
+    spans are one tuple."""
     c = list(accumulate(map(len, names), initial=0))
     stack = []
-    push, pop = stack.append, stack.pop
+    push, pop, shared = stack.append, stack.pop, _spans.get
     for cls, arg, start, i, end, j in steps:
         e = _new(cls)
         if cls is Ref:
@@ -559,7 +564,13 @@ def _build(steps: tuple, names: list[str]) -> Expr:
             cut = len(stack) - arg
             _set_elements(e, tuple(stack[cut:]))
             del stack[cut:]
-        _set_span(e, (start + c[i], end + c[j]))
+        span = (start + c[i], end + c[j])
+        known = shared(span)
+        if known is None:
+            if len(_spans) >= _SPANS_SIZE:
+                _spans.pop(next(iter(_spans)), None)  # the oldest span
+            _spans[span] = known = span
+        _set_span(e, known)
         push(e)
     return stack[0]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import datetime
 import functools
-import hashlib
 import os
 import re
 from pathlib import Path
@@ -21,6 +20,16 @@ from .graph import CompiledModel
 from .modelspec import SimInstructions
 from .sampler import Dataset, KeptRows, RunConfig, check_stratum_label
 from .values import Tensor, Value, _cut, csv_cell
+
+# CPython's own SHA-256, as hashlib's fallback: hashlib itself loads OpenSSL's
+# libcrypto, ~3.7 MB of a run's peak RSS, for the same digest
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build without it
+        from hashlib import sha256
 
 __all__ = ["write_csv", "write_manifest", "model_hash", "ENGINE_VERSION"]
 
@@ -187,6 +196,8 @@ def model_hash(model: CompiledModel, instructions: SimInstructions) -> str:
 
     Formatting-only changes to the source document hash identically; any
     semantic change (expressions, kinds, flags, instructions) does not.
+    The digest is computed without OpenSSL where CPython ships its own
+    SHA-256, and its bytes are those of ``hashlib.sha256``.
     """
     lines = []
     for n in model.nodes:
@@ -195,7 +206,7 @@ def model_hash(model: CompiledModel, instructions: SimInstructions) -> str:
             f"|{n.underlying or '-'}|{pretty_print(n.expr)}"
         )
     lines.append(f"instr|{instructions.csv_name}|{instructions.num_samples}|{instructions.seed}")
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def write_manifest(

@@ -1,12 +1,14 @@
 """Invariants of compile-once evaluation: streams keyed modulo 2**64, one registry
 lookup per call site, loader agreement, observed-only rows."""
 
+import ast
 import csv
 import dataclasses
 import io
 import itertools
 import math
 import random
+import re
 
 import pytest
 import yaml
@@ -305,6 +307,66 @@ def test_generated_source_holds_no_name_or_literal(registry):
             source = evaluator._source(analyse(decl.expr, registry)[0])
             assert evaluator._source(analyse(_rebuilt(decl.expr, _renamed), registry)[0]) == source
             assert "__import__" not in source and "SystemExit" not in source
+
+
+def _generated_functions(program):
+    """``program`` and the helpers it calls, through their parameter defaults."""
+    functions, stack = [], [program]
+    while stack:
+        f = stack.pop()
+        functions.append(f)
+        stack += (d for d in f.__defaults__ or () if getattr(d, "__code__", None)
+                  and d.__code__.co_filename == "<dagforge shape>")
+    return functions
+
+
+def test_a_program_holds_its_operands_as_defaults_not_closure_cells(registry):
+    for path in (MODELS / "images.yaml", MODELS / "bioseq.yaml", DATA / "strata.yaml"):
+        model = validate(parse_model(path.read_text(encoding="utf-8"), registry), registry)
+        for decl in model.nodes:
+            program = compile_node(decl.expr, registry)[0]
+            assert program.__closure__ is None and program.__code__.co_freevars == ()
+            operands = analyse(decl.expr, registry)[1]
+            assert len(program.__defaults__) == len(operands)
+            assert all(d is o for d, o in zip(program.__defaults__, operands))
+
+
+# chains of if-else and of and-or this long nest past the indent limit, into helpers
+PAST_THE_INDENT_LIMIT = {
+    "then-chain": "if T then {} else X",
+    "else-chain": "if F then X else {}",
+    "and-or-chain": "T and (F or ({}))",
+}
+
+
+@pytest.mark.parametrize("template", PAST_THE_INDENT_LIMIT.values(), ids=list(PAST_THE_INDENT_LIMIT))
+@pytest.mark.parametrize("bindings", [{"T": True, "F": False, "X": -3},
+                                      {"T": True, "F": 0, "X": -3},
+                                      {"T": 1, "F": False, "X": -3}])
+def test_helpers_past_the_indent_limit_read_only_their_own_defaults(registry, template, bindings):
+    source = "T"
+    for _ in range(2 * evaluator._MAX_INDENT + 5):
+        source = template.format(source)
+    e = _respanned(parse(source))
+    key, operands = analyse(e, registry)[:2]
+    factory = ast.parse(evaluator._source(key)).body[0]
+    defs = factory.body[:-1]
+    assert len(defs) > 2  # the program and its helpers
+    own = []
+    for f in defs:
+        params = [a.arg for a in f.args.args]
+        assert params[:2] == ["b", "r"]
+        assert params[2:] == [d.id for d in f.args.defaults]  # each one o3=o3, f1=f1, ...
+        reads = {n.id for statement in f.body for n in ast.walk(statement)
+                 if isinstance(n, ast.Name) and re.fullmatch(r"[of]\d+", n.id)}
+        assert set(params[2:]) == reads
+        own += [p for p in params[2:] if p.startswith("o")]
+    assert sorted(own, key=lambda p: int(p[1:])) == [f"o{i}" for i in range(len(operands))]
+    program = compile_node(e, registry)[0]
+    assert len(_generated_functions(program)) == len(defs)
+    assert all(f.__closure__ is None for f in _generated_functions(program))
+    expected = _evaluation(lambda rng: reference_eval.evaluate(e, bindings, rng, registry))
+    assert _evaluation(lambda rng: program(bindings, rng)) == expected
 
 
 def test_the_walk_is_iterative_and_left_to_right(registry):

@@ -551,6 +551,34 @@ def test_the_memo_keeps_at_most_its_size_of_shapes(monkeypatch):
     assert len(expr._memo) == expr._MEMO_SIZE
 
 
+def test_built_trees_whose_names_have_equal_lengths_share_span_objects(monkeypatch):
+    monkeypatch.setattr(expr, "_memo", {})
+    monkeypatch.setattr(expr, "_spans", {})
+    parse("first + f(second, [2, -x]) * 3")  # scanned and parsed: the shape's recipe
+    a, b = parse("alpha + g(gamma, [2, -y]) * 3"), parse("omega + h(delta, [2, -z]) * 3")
+    pairs = list(zip(preorder(a), preorder(b)))
+    assert len(pairs) == 10
+    assert all(x.span is y.span for x, y in pairs)
+    assert len(expr._spans) == len({x.span for x, _ in pairs})
+    # a name of another length shifts the spans that end after it; equal ones are shared
+    c = parse("al + g(gamma, [2, -y]) * 3")
+    assert [n.span for n in preorder(c)] == [(s - 3 * (s > 0), e - 3) for s, e in (x.span for x, _ in pairs)]
+    assert all(expr._spans[n.span] is n.span for n in preorder(c))
+
+
+def test_the_span_table_keeps_at_most_its_size_of_spans(monkeypatch):
+    monkeypatch.setattr(expr, "_spans", {})
+    # the right operand's span (i + 3, i + 3 + j) differs for each pair
+    trees = [parse(f"{'a' * i} + {'b' * j}") for i in range(1, 41) for j in range(1, 41)]
+    assert len({t.rhs.span for t in trees}) > expr._SPANS_SIZE
+    assert len(expr._spans) == expr._SPANS_SIZE
+    # the oldest went first: the last tree's spans are kept, the second tree's are not
+    assert all(expr._spans[n.span] is n.span for n in preorder(trees[-1]))
+    assert trees[1].rhs.span not in expr._spans
+    assert [_outcome(parse, src) for src in ("a + bb", "a" * 40 + " + " + "b" * 40)] == \
+        [_outcome(reference_expr.parse, src) for src in ("a + bb", "a" * 40 + " + " + "b" * 40)]
+
+
 # a source with every kind of node
 _ALL_NODES = 'if f(-x, [1.5, "s"]) < 2 then (a + b) * c else not d'
 
