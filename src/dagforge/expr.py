@@ -20,9 +20,9 @@ a finite float is a LexError.  ``_Parser`` reads the tokens as four parallel
 tuples at an int position.  It descends only for if-else, prefix operators
 and atoms: the five binary levels are one precedence-climbing loop (Pratt,
 "Top down operator precedence", 1973) over ``_BIN_LEVEL``, the table the
-printer also uses to decide where parentheses go.  It fills the slots of the
-nodes it builds through their descriptors, as a node's ``__init__`` does,
-without calling it.
+printer also uses to decide where parentheses go.  It builds no node: it
+lists each node's class, argument and span in postorder, and each Ref's and
+Call's name in source order, and ``_build`` makes the tree from these steps.
 
 A model repeats a few expression shapes over different names, so ``parse``
 scans and parses each shape once.  Its memo key is the source with every
@@ -30,15 +30,17 @@ name run replaced by a NUL: a maximal ``[A-Za-z_][A-Za-z0-9_]*`` that does
 not follow a letter, digit, ``_`` or ``.`` (so ``1e5``, ``2x`` and ``1.e5``
 keep their text) and is not a keyword (so ``iffy`` is masked and ``if`` is
 not).  Such a run starts a token and is one identifier token to ``_scan``,
-and the parser never reads an identifier's text, so two sources with one
-key have the same tokens but for names, and the same tree but for names and
-spans.  A hit builds fresh nodes from the recipe of the shape's first
-source: names in source order, each span endpoint shifted by the lengths of
-the names before it.  Equal spans of built nodes are one tuple, from a table
-that keeps at most ``_SPANS_SIZE`` and drops the oldest first (spans take no
-part in ``==``).  A miss scans and parses as above, and only a source they
-accept, whose Ref and Call names are its masked runs in order, leaves a
-recipe, so every error, message and span comes from them.  A source holding
+and no step of the parser turns on an identifier's text, so two sources with
+one key have the same tokens but for names, and the same tree but for names
+and spans.  ``_build`` makes every tree ``parse`` returns: on a miss from
+the parser's steps, and on a hit from the recipe of the shape's first
+source, whose steps take names by their place and shift each span endpoint
+by the lengths of the names before it.  Equal spans of built nodes are one
+tuple, from a table that keeps at most ``_SPANS_SIZE`` and drops the oldest
+first (spans take no part in ``==``).  A miss scans and parses as above, and
+leaves a recipe only when they accept the source and the parser's names are
+its masked runs in order, so every error, message and span comes from them.
+A source holding
 ``"`` (a string literal may hold any text) or a NUL, or longer than
 ``_MEMO_SOURCE`` characters, skips the memo, which keeps at most
 ``_MEMO_SIZE`` recipes and drops the oldest first.
@@ -170,7 +172,7 @@ class Expr(Frozen):
     span: tuple[int, int] | None = field(default=None, compare=False, kw_only=True)
 
     def __init__(self, *, span=None):
-        _set_span(self, span)
+        object.__setattr__(self, "span", span)
 
     def children(self) -> tuple["Expr", ...]:
         """Direct subexpressions, left to right."""
@@ -192,8 +194,8 @@ class Lit(Expr):
     value: Value = None
 
     def __init__(self, value=None, *, span=None):
-        _set_value(self, value)
-        _set_span(self, span)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "span", span)
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
@@ -203,8 +205,8 @@ class Ref(Expr):
     name: str = ""
 
     def __init__(self, name="", *, span=None):
-        _set_ref(self, name)
-        _set_span(self, span)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "span", span)
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
@@ -215,9 +217,9 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
 
     def __init__(self, name="", args=(), *, span=None):
-        _set_callee(self, name)
-        _set_args(self, args)
-        _set_span(self, span)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "span", span)
 
     def children(self) -> tuple[Expr, ...]:
         return self.args
@@ -231,9 +233,9 @@ class Unary(Expr):
     operand: Expr | None = None
 
     def __init__(self, op="-", operand=None, *, span=None):
-        _set_prefix(self, op)
-        _set_operand(self, operand)
-        _set_span(self, span)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "span", span)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
@@ -248,10 +250,10 @@ class Binary(Expr):
     rhs: Expr | None = None
 
     def __init__(self, op="+", lhs=None, rhs=None, *, span=None):
-        _set_op(self, op)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_span(self, span)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "span", span)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.lhs, self.rhs)
@@ -266,10 +268,10 @@ class IfElse(Expr):
     otherwise: Expr | None = None
 
     def __init__(self, cond=None, then=None, otherwise=None, *, span=None):
-        _set_cond(self, cond)
-        _set_then(self, then)
-        _set_otherwise(self, otherwise)
-        _set_span(self, span)
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "then", then)
+        object.__setattr__(self, "otherwise", otherwise)
+        object.__setattr__(self, "span", span)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.cond, self.then, self.otherwise)
@@ -282,17 +284,19 @@ class ListLit(Expr):
     elements: tuple[Expr, ...] = ()
 
     def __init__(self, elements=(), *, span=None):
-        _set_elements(self, elements)
-        _set_span(self, span)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "span", span)
 
     def children(self) -> tuple[Expr, ...]:
         return self.elements
 
 
-# The constructors and the parser set a node's slots through their
-# descriptors: object.__setattr__ costs twice as much.
+# _build sets a node's slots through their descriptors, which costs half of
+# what object.__setattr__ does; the constructors call object.__setattr__, as
+# every record does.  Each class's span goes through its own descriptor:
+# Python 3.10 gives each subclass a span slot of its own over Expr's.
 _new = object.__new__
-_set_span = Expr.span.__set__
+_set_span = {cls: cls.span.__set__ for cls in (Lit, Ref, Call, Unary, Binary, IfElse, ListLit)}
 _set_value, _set_ref = Lit.value.__set__, Ref.name.__set__
 _set_callee, _set_args = Call.name.__set__, Call.args.__set__
 _set_prefix, _set_operand = Unary.op.__set__, Unary.operand.__set__
@@ -302,12 +306,16 @@ _set_elements = ListLit.elements.__set__
 
 
 class _Parser:
+    # It builds no node: each method returns the (start, end) of what it
+    # parsed, having appended to ``steps`` each node's step for _build, in
+    # postorder, and to ``names`` each Ref's and Call's name, in source order.
     # A token's text fixes its kind, except that literals and identifiers
     # must be told apart by kind, which only atom does.
 
     def __init__(self, kinds, texts, spans, values):
         self.kinds, self.texts, self.spans, self.values = kinds, texts, spans, values
         self.pos = 0
+        self.steps, self.names = [], []
 
     def fail(self, expected: tuple[str, ...]):
         pos = self.pos
@@ -322,24 +330,20 @@ class _Parser:
         self.pos = pos + 1
         return self.spans[pos][1]
 
-    def expr(self) -> Expr:
-        start = self.pos
-        if self.texts[start] != "if":
+    def expr(self) -> tuple[int, int]:
+        pos = self.pos
+        if self.texts[pos] != "if":
             return self.binary(1)
-        self.pos = start + 1
-        cond = self.expr()
+        self.pos = pos + 1
+        self.expr()
         self.expect("then")
-        then = self.expr()
+        self.expr()
         self.expect("else")
-        otherwise = self.expr()
-        e = _new(IfElse)
-        _set_cond(e, cond)
-        _set_then(e, then)
-        _set_otherwise(e, otherwise)
-        _set_span(e, (self.spans[start][0], otherwise.span[1]))
-        return e
+        start, end = self.spans[pos][0], self.expr()[1]
+        self.steps.append((IfElse, None, start, 0, end, 0))
+        return start, end
 
-    def binary(self, floor: int) -> Expr:
+    def binary(self, floor: int) -> tuple[int, int]:
         """Binary operators of level ``floor`` or tighter, left-associative.
 
         Each right operand takes only tighter operators.  After a comparison
@@ -347,75 +351,66 @@ class _Parser:
         """
         texts = self.texts
         # going straight to atom keeps a call or list level to four frames
-        lhs = self.unary() if texts[self.pos] in ("-", "not") else self.atom()
+        start, end = self.unary() if texts[self.pos] in ("-", "not") else self.atom()
         ceiling = _UNARY
         while floor <= (level := _BIN_LEVEL.get(op := texts[self.pos], 0)) < ceiling:
             self.pos += 1
-            rhs = self.binary(level + 1)
-            e = _new(Binary)
-            _set_op(e, op)
-            _set_lhs(e, lhs)
-            _set_rhs(e, rhs)
-            _set_span(e, (lhs.span[0], rhs.span[1]))
-            lhs = e
+            end = self.binary(level + 1)[1]
+            self.steps.append((Binary, op, start, 0, end, 0))
             ceiling = level if level == _CMP else level + 1
-        return lhs
+        return start, end
 
-    def unary(self) -> Expr:
-        start = self.pos
-        self.pos = start + 1
-        operand = self.atom()
-        e = _new(Unary)
-        _set_prefix(e, self.texts[start])
-        _set_operand(e, operand)
-        _set_span(e, (self.spans[start][0], operand.span[1]))
-        return e
+    def unary(self) -> tuple[int, int]:
+        pos = self.pos
+        self.pos = pos + 1
+        start, end = self.spans[pos][0], self.atom()[1]
+        self.steps.append((Unary, self.texts[pos], start, 0, end, 0))
+        return start, end
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[int, int]:
         pos = self.pos
         kind = self.kinds[pos]
+        start, end = self.spans[pos]
         if kind == "ident":
+            place = len(self.names)
+            self.names.append(self.texts[pos])
             if self.texts[pos + 1] != "(":  # an ident is never the last token
                 self.pos = pos + 1
-                e = _new(Ref)
-                _set_ref(e, self.texts[pos])
-                _set_span(e, self.spans[pos])
-                return e
+                self.steps.append((Ref, place, start, 0, end, 0))
+                return start, end
             self.pos = pos + 2
-            args, end = self._expr_list(")")
-            e = _new(Call)
-            _set_callee(e, self.texts[pos])
-            _set_args(e, args)
+            count, end = self._expr_list(")")
+            cls, arg = Call, (place, count)
         elif kind in ("int-lit", "float-lit", "str-lit"):
             self.pos = pos + 1
-            e = _new(Lit)
-            _set_value(e, self.values[pos])
-            _set_span(e, self.spans[pos])
-            return e
+            self.steps.append((Lit, self.values[pos], start, 0, end, 0))
+            return start, end
         elif (text := self.texts[pos]) == "[":
             self.pos = pos + 1
-            elements, end = self._expr_list("]")
-            e = _new(ListLit)
-            _set_elements(e, elements)
+            count, end = self._expr_list("]")
+            cls, arg = ListLit, count
         elif text == "(":
             self.pos = pos + 1
-            e = self.expr()
+            self.expr()
             end = self.expect(")")
-            # the inner node is new, so it is re-spanned in place to the parenthesized extent
+            # the inner node is re-spanned to the parenthesized extent
+            cls, arg = self.steps.pop()[:2]
         else:
             self.fail(("literal", "identifier", "(", "["))
-        _set_span(e, (self.spans[pos][0], end))
-        return e
+        self.steps.append((cls, arg, start, 0, end, 0))
+        return start, end
 
-    def _expr_list(self, closer: str) -> tuple[tuple[Expr, ...], int]:
-        """Comma-separated expressions through ``closer``, and the closer's end."""
-        items = []
+    def _expr_list(self, closer: str) -> tuple[int, int]:
+        """How many comma-separated expressions precede ``closer``, and the closer's end."""
+        count = 0
         if self.texts[self.pos] != closer:
-            items.append(self.expr())
+            self.expr()
+            count = 1
             while self.texts[self.pos] == ",":
                 self.pos += 1
-                items.append(self.expr())
-        return tuple(items), self.expect(closer)
+                self.expr()
+                count += 1
+        return count, self.expect(closer)
 
 
 def parse(src: str) -> Expr:
@@ -425,35 +420,30 @@ def parse(src: str) -> Expr:
     exhausts the parser's own stack first, such as ~330 parentheses.
     A source of a shape parsed before is built from the shape's recipe.
     """
-    if len(src) > _MEMO_SOURCE or '"' in src or "\0" in src:
-        return _parse(src)
-    parts = _NAME_RUN.split(src)  # text, name, text, ..., name, text
-    key = "\0".join(parts[::2])
-    recipe = _memo.get(key)
-    if recipe is not None:
-        return _build(recipe, parts[1::2])
-    e = _parse(src)
-    recipe = _recipe(e, parts)
-    if recipe is not None:
-        if len(_memo) >= _MEMO_SIZE:
-            _memo.pop(next(iter(_memo)), None)  # the oldest shape
-        _memo[key] = recipe
-    return e
-
-
-def _parse(src: str) -> Expr:
+    memo = len(src) <= _MEMO_SOURCE and '"' not in src and "\0" not in src
+    if memo:
+        parts = _NAME_RUN.split(src)  # text, name, text, ..., name, text
+        key = "\0".join(parts[::2])
+        recipe = _memo.get(key)
+        if recipe is not None:
+            return _build(recipe, parts[1::2])
     tokens = _scan(src)
     # four parallel tuples: every token's kind, every token's text, ...
     p = _Parser(*zip(*tokens))
     try:
-        e = p.expr()
+        p.expr()
     except RecursionError:
         raise NestingError(None, "expression is nested too deeply") from None
     if p.kinds[p.pos] != "eof":
         p.fail(("end of input",))
+    e = _build(p.steps, p.names)
     # every tree node consumes a token of its own, so a short source is shallow
     if len(tokens) > MAX_DEPTH and _depth(e) > MAX_DEPTH:
         raise NestingError(None, f"expression is nested too deeply (more than {MAX_DEPTH} levels)")
+    if memo and p.names == parts[1::2]:
+        if len(_memo) >= _MEMO_SIZE:
+            _memo.pop(next(iter(_memo)), None)  # the oldest shape
+        _memo[key] = _recipe(p.steps, parts)
     return e
 
 
@@ -480,62 +470,32 @@ _SPANS_SIZE = 1024  # spans shared by built nodes, the oldest dropped first
 _spans: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _recipe(e: Expr, parts: list[str]) -> tuple | None:
-    """The steps that build ``e`` again for another source of its shape,
-    or None if its Ref and Call names are not the runs ``parts`` masks.
+def _recipe(steps: list, parts: list[str]) -> tuple:
+    """The parser's ``steps`` for the source split into ``parts``, as the
+    steps that build its tree for any source of its shape.
 
     A step is ``(class, argument, start, i, end, j)`` in postorder: the
     node's span is ``(start + c[i], end + c[j])``, where ``c[k]`` is the
-    length of the first ``k`` names of the source it is built for.
+    length of the first ``k`` names of the source it is built for.  The
+    parser's steps are the case ``i == j == 0``.
     """
-    names = parts[1::2]
-    # each Ref's and Call's place among the names, in source order
-    place, stack = {}, [e]
-    while stack:
-        node = stack.pop()
-        if type(node) is Ref or type(node) is Call:
-            if len(place) == len(names) or node.name != names[len(place)]:
-                return None
-            place[id(node)] = len(place)
-        stack.extend(reversed(node.children()))
-    if len(place) != len(names):
-        return None
     # a span endpoint lies between tokens, so never inside a name
     ends = list(accumulate(map(len, parts)))[1::2]
-    length = list(accumulate(map(len, names), initial=0))
+    length = list(accumulate(map(len, parts[1::2]), initial=0))
 
     def at(offset):
         k = sum(end <= offset for end in ends)
         return offset - length[k], k
 
-    steps, stack = [], [e]
-    while stack:  # root first, children right to left: postorder reversed
-        node = stack.pop()
-        cls = type(node)
-        if cls is Ref:
-            arg = place[id(node)]
-        elif cls is Call:
-            arg = place[id(node)], len(node.args)
-        elif cls is Lit:
-            arg = node.value
-        elif cls is Binary or cls is Unary:
-            arg = node.op
-        elif cls is ListLit:
-            arg = len(node.elements)
-        else:
-            arg = None
-        steps.append((cls, arg, *at(node.span[0]), *at(node.span[1])))
-        stack.extend(node.children())
-    steps.reverse()
-    return tuple(steps)
+    return tuple([(cls, arg, *at(start), *at(end)) for cls, arg, start, _, end, _ in steps])
 
 
-def _build(steps: tuple, names: list[str]) -> Expr:
-    """A fresh tree from a shape's steps and another source's names; equal
-    spans are one tuple."""
+def _build(steps, names: list[str]) -> Expr:
+    """A fresh tree from postorder steps and the names that their Refs and
+    Calls take by place; equal spans are one tuple."""
     c = list(accumulate(map(len, names), initial=0))
     stack = []
-    push, pop, shared = stack.append, stack.pop, _spans.get
+    push, pop, shared, set_span = stack.append, stack.pop, _spans.get, _set_span
     for cls, arg, start, i, end, j in steps:
         e = _new(cls)
         if cls is Ref:
@@ -570,7 +530,7 @@ def _build(steps: tuple, names: list[str]) -> Expr:
             if len(_spans) >= _SPANS_SIZE:
                 _spans.pop(next(iter(_spans)), None)  # the oldest span
             _spans[span] = known = span
-        _set_span(e, known)
+        set_span[cls](e, known)
         push(e)
     return stack[0]
 

@@ -554,16 +554,35 @@ def test_the_memo_keeps_at_most_its_size_of_shapes(monkeypatch):
 def test_built_trees_whose_names_have_equal_lengths_share_span_objects(monkeypatch):
     monkeypatch.setattr(expr, "_memo", {})
     monkeypatch.setattr(expr, "_spans", {})
-    parse("first + f(second, [2, -x]) * 3")  # scanned and parsed: the shape's recipe
+    first = parse("first + f(second, [2, -x]) * 3")  # scanned and parsed: the shape's recipe
     a, b = parse("alpha + g(gamma, [2, -y]) * 3"), parse("omega + h(delta, [2, -z]) * 3")
     pairs = list(zip(preorder(a), preorder(b)))
     assert len(pairs) == 10
     assert all(x.span is y.span for x, y in pairs)
-    assert len(expr._spans) == len({x.span for x, _ in pairs})
+    # the scanned tree is built as the others are, so the table holds its spans too
+    assert all(expr._spans[n.span] is n.span for n in preorder(first))
+    assert len(expr._spans) == len({n.span for n in preorder(first)} | {x.span for x, _ in pairs})
     # a name of another length shifts the spans that end after it; equal ones are shared
     c = parse("al + g(gamma, [2, -y]) * 3")
     assert [n.span for n in preorder(c)] == [(s - 3 * (s > 0), e - 3) for s, e in (x.span for x, _ in pairs)]
     assert all(expr._spans[n.span] is n.span for n in preorder(c))
+
+
+def test_parse_returns_only_trees_that_one_build_made(monkeypatch):
+    monkeypatch.setattr(expr, "_memo", {})
+    built, scanned = [], []
+    monkeypatch.setattr(expr, "_build", lambda *args, build=expr._build: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(expr, "_scan", lambda src, scan=expr._scan: scanned.append(src) or scan(src))
+    long = " + ".join(f"n{i}" for i in range(expr._MEMO_SOURCE // 4))
+    assert len(long) > expr._MEMO_SOURCE
+    # a miss, a hit on its shape, a source holding a quote and one too long for the memo
+    sources = ["a + f(b, [1, -c])", "xx + g(y, [1, -zz])", 'f(a, "a")', long]
+    for src in sources:
+        built.clear()
+        e = parse(src)
+        assert len(built) == 1 and built[0] is e
+        assert pretty_print(e) == pretty_print(reference_expr.parse(src))
+    assert scanned == [sources[0], sources[2], long]
 
 
 def test_the_span_table_keeps_at_most_its_size_of_spans(monkeypatch):
