@@ -23,6 +23,8 @@ and atoms: the five binary levels are one precedence-climbing loop (Pratt,
 printer also uses to decide where parentheses go.  It builds no node: it
 lists each node's class, argument and span in postorder, and each Ref's and
 Call's name in source order, and ``_build`` makes the tree from these steps.
+Each of its methods returns the height of the tree it parsed, so ``parse``
+bounds depth by MAX_DEPTH without walking the tree.
 
 A model repeats a few expression shapes over different names, so ``parse``
 scans and parses each shape once.  Its memo key is the source with every
@@ -32,18 +34,18 @@ keep their text) and is not a keyword (so ``iffy`` is masked and ``if`` is
 not).  Such a run starts a token and is one identifier token to ``_scan``,
 and no step of the parser turns on an identifier's text, so two sources with
 one key have the same tokens but for names, and the same tree but for names
-and spans.  ``_build`` makes every tree ``parse`` returns: on a miss from
-the parser's steps, and on a hit from the recipe of the shape's first
-source, whose steps take names by their place and shift each span endpoint
-by the lengths of the names before it.  Equal spans of built nodes are one
-tuple, from a table that keeps at most ``_SPANS_SIZE`` and drops the oldest
-first (spans take no part in ``==``).  A miss scans and parses as above, and
-leaves a recipe only when they accept the source and the parser's names are
-its masked runs in order, so every error, message and span comes from them.
-A source holding
-``"`` (a string literal may hold any text) or a NUL, or longer than
-``_MEMO_SOURCE`` characters, skips the memo, which keeps at most
-``_MEMO_SIZE`` recipes and drops the oldest first.
+and spans.  A step takes names by their place and holds each span endpoint
+less the lengths of the names before it, so the parser's steps are the
+shape's recipe: ``_build`` makes every tree ``parse`` returns, on a miss
+from the steps and the parser's names, and on a hit from the recipe and the
+new source's name runs.  Equal spans of built nodes are one tuple, from a
+table that keeps at most ``_SPANS_SIZE`` and drops the oldest first (spans
+take no part in ``==``).  A miss scans and parses as above, and keeps its
+steps as a recipe only when they accept the source and the parser's names
+are its masked runs in order, so every error, message and span comes from
+them.  A source holding ``"`` (a string literal may hold any text) or a NUL,
+or longer than ``_MEMO_SOURCE`` characters, skips the memo, which keeps at
+most ``_MEMO_SIZE`` recipes and drops the oldest first.
 """
 
 from __future__ import annotations
@@ -174,10 +176,6 @@ class Expr(Frozen):
     def __init__(self, *, span=None):
         object.__setattr__(self, "span", span)
 
-    def children(self) -> tuple["Expr", ...]:
-        """Direct subexpressions, left to right."""
-        return ()
-
     # copy and pickle restore the slots through here, not through __setattr__
     def __getstate__(self):
         return [getattr(self, f.name) for f in fields(self)]
@@ -221,9 +219,6 @@ class Call(Expr):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "span", span)
 
-    def children(self) -> tuple[Expr, ...]:
-        return self.args
-
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class Unary(Expr):
@@ -236,9 +231,6 @@ class Unary(Expr):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "span", span)
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.operand,)
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
@@ -255,9 +247,6 @@ class Binary(Expr):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "span", span)
 
-    def children(self) -> tuple[Expr, ...]:
-        return (self.lhs, self.rhs)
-
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class IfElse(Expr):
@@ -273,9 +262,6 @@ class IfElse(Expr):
         object.__setattr__(self, "otherwise", otherwise)
         object.__setattr__(self, "span", span)
 
-    def children(self) -> tuple[Expr, ...]:
-        return (self.cond, self.then, self.otherwise)
-
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class ListLit(Expr):
@@ -286,9 +272,6 @@ class ListLit(Expr):
     def __init__(self, elements=(), *, span=None):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "span", span)
-
-    def children(self) -> tuple[Expr, ...]:
-        return self.elements
 
 
 # _build sets a node's slots through their descriptors, which costs half of
@@ -306,44 +289,51 @@ _set_elements = ListLit.elements.__set__
 
 
 class _Parser:
-    # It builds no node: each method returns the (start, end) of what it
-    # parsed, having appended to ``steps`` each node's step for _build, in
-    # postorder, and to ``names`` each Ref's and Call's name, in source order.
-    # A token's text fixes its kind, except that literals and identifiers
-    # must be told apart by kind, which only atom does.
+    # It builds no node: it appends to ``steps`` each node's recipe step for
+    # _build, in postorder, and to ``names`` each Ref's and Call's name, in
+    # source order, and each method returns the height of the tree it parsed.
+    # A node spans the first to the last token its method reads.  A token's
+    # text fixes its kind, except that literals and identifiers must be told
+    # apart by kind, which only atom does.
 
     def __init__(self, kinds, texts, spans, values):
         self.kinds, self.texts, self.spans, self.values = kinds, texts, spans, values
         self.pos = 0
         self.steps, self.names = [], []
+        self.length = 0  # of the names read so far
 
     def fail(self, expected: tuple[str, ...]):
         pos = self.pos
         found = self.texts[pos] if self.kinds[pos] != "eof" else "end of input"
         raise ParseError(self.spans[pos], expected, found)
 
-    def expect(self, text: str) -> int:
-        """Consume ``text`` and return its end offset."""
+    def expect(self, text: str):
+        """Consume ``text``."""
         pos = self.pos
         if self.texts[pos] != text:
             self.fail((text,))
         self.pos = pos + 1
-        return self.spans[pos][1]
 
-    def expr(self) -> tuple[int, int]:
+    def add(self, cls, arg, start: int, count: int):
+        """Append the step of a node that starts at ``start`` less the length
+        of the ``count`` names before it, and ends at the last token read."""
+        self.steps.append((cls, arg, start, count, self.spans[self.pos - 1][1] - self.length, len(self.names)))
+
+    def expr(self) -> int:
         pos = self.pos
         if self.texts[pos] != "if":
             return self.binary(1)
+        start, count = self.spans[pos][0] - self.length, len(self.names)
         self.pos = pos + 1
-        self.expr()
+        height = self.expr()
         self.expect("then")
-        self.expr()
+        height = max(height, self.expr())
         self.expect("else")
-        start, end = self.spans[pos][0], self.expr()[1]
-        self.steps.append((IfElse, None, start, 0, end, 0))
-        return start, end
+        height = max(height, self.expr())
+        self.add(IfElse, None, start, count)
+        return height + 1
 
-    def binary(self, floor: int) -> tuple[int, int]:
+    def binary(self, floor: int) -> int:
         """Binary operators of level ``floor`` or tighter, left-associative.
 
         Each right operand takes only tighter operators.  After a comparison
@@ -351,66 +341,77 @@ class _Parser:
         """
         texts = self.texts
         # going straight to atom keeps a call or list level to four frames
-        start, end = self.unary() if texts[self.pos] in ("-", "not") else self.atom()
+        height = self.unary() if texts[self.pos] in ("-", "not") else self.atom()
         ceiling = _UNARY
         while floor <= (level := _BIN_LEVEL.get(op := texts[self.pos], 0)) < ceiling:
+            lhs = self.steps[-1]  # this node starts where its left operand does
             self.pos += 1
-            end = self.binary(level + 1)[1]
-            self.steps.append((Binary, op, start, 0, end, 0))
+            rhs = self.binary(level + 1)
+            height = (height if height > rhs else rhs) + 1
+            self.add(Binary, op, lhs[2], lhs[3])
             ceiling = level if level == _CMP else level + 1
-        return start, end
+        return height
 
-    def unary(self) -> tuple[int, int]:
+    def unary(self) -> int:
         pos = self.pos
+        start, count = self.spans[pos][0] - self.length, len(self.names)
         self.pos = pos + 1
-        start, end = self.spans[pos][0], self.atom()[1]
-        self.steps.append((Unary, self.texts[pos], start, 0, end, 0))
-        return start, end
+        height = self.atom()
+        self.add(Unary, self.texts[pos], start, count)
+        return height + 1
 
-    def atom(self) -> tuple[int, int]:
+    def atom(self) -> int:
         pos = self.pos
         kind = self.kinds[pos]
+        length, count = self.length, len(self.names)
         start, end = self.spans[pos]
+        start -= length
         if kind == "ident":
-            place = len(self.names)
-            self.names.append(self.texts[pos])
+            name = self.texts[pos]
+            self.names.append(name)
+            self.length = length = length + len(name)
             if self.texts[pos + 1] != "(":  # an ident is never the last token
                 self.pos = pos + 1
-                self.steps.append((Ref, place, start, 0, end, 0))
-                return start, end
+                # add's step for a node of one token, the commonest nodes
+                self.steps.append((Ref, count, start, count, end - length, count + 1))
+                return 1
             self.pos = pos + 2
-            count, end = self._expr_list(")")
-            cls, arg = Call, (place, count)
+            items, height = self._expr_list(")")
+            cls, arg = Call, (count, items)
         elif kind in ("int-lit", "float-lit", "str-lit"):
             self.pos = pos + 1
-            self.steps.append((Lit, self.values[pos], start, 0, end, 0))
-            return start, end
+            self.steps.append((Lit, self.values[pos], start, count, end - length, count))
+            return 1
         elif (text := self.texts[pos]) == "[":
             self.pos = pos + 1
-            count, end = self._expr_list("]")
-            cls, arg = ListLit, count
+            items, height = self._expr_list("]")
+            cls, arg = ListLit, items
         elif text == "(":
             self.pos = pos + 1
-            self.expr()
-            end = self.expect(")")
-            # the inner node is re-spanned to the parenthesized extent
+            height = self.expr()
+            self.expect(")")
+            # the inner node is re-spanned to the parenthesized extent, at its own height
             cls, arg = self.steps.pop()[:2]
+            self.add(cls, arg, start, count)
+            return height
         else:
             self.fail(("literal", "identifier", "(", "["))
-        self.steps.append((cls, arg, start, 0, end, 0))
-        return start, end
+        self.add(cls, arg, start, count)
+        return height + 1
 
     def _expr_list(self, closer: str) -> tuple[int, int]:
-        """How many comma-separated expressions precede ``closer``, and the closer's end."""
-        count = 0
+        """How many comma-separated expressions precede ``closer``, which it
+        consumes, and the greatest of their heights (0 for none)."""
+        count = height = 0
         if self.texts[self.pos] != closer:
-            self.expr()
+            height = self.expr()
             count = 1
             while self.texts[self.pos] == ",":
                 self.pos += 1
-                self.expr()
+                height = max(height, self.expr())
                 count += 1
-        return count, self.expect(closer)
+        self.expect(closer)
+        return count, height
 
 
 def parse(src: str) -> Expr:
@@ -427,34 +428,21 @@ def parse(src: str) -> Expr:
         recipe = _memo.get(key)
         if recipe is not None:
             return _build(recipe, parts[1::2])
-    tokens = _scan(src)
     # four parallel tuples: every token's kind, every token's text, ...
-    p = _Parser(*zip(*tokens))
+    p = _Parser(*zip(*_scan(src)))
     try:
-        p.expr()
+        height = p.expr()
     except RecursionError:
         raise NestingError(None, "expression is nested too deeply") from None
     if p.kinds[p.pos] != "eof":
         p.fail(("end of input",))
-    e = _build(p.steps, p.names)
-    # every tree node consumes a token of its own, so a short source is shallow
-    if len(tokens) > MAX_DEPTH and _depth(e) > MAX_DEPTH:
+    if height > MAX_DEPTH:
         raise NestingError(None, f"expression is nested too deeply (more than {MAX_DEPTH} levels)")
     if memo and p.names == parts[1::2]:
         if len(_memo) >= _MEMO_SIZE:
             _memo.pop(next(iter(_memo)), None)  # the oldest shape
-        _memo[key] = _recipe(p.steps, parts)
-    return e
-
-
-def _depth(e: Expr) -> int:
-    deepest = 0
-    stack = [(e, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in node.children())
-    return deepest
+        _memo[key] = tuple(p.steps)
+    return _build(p.steps, p.names)
 
 
 # --- the shape memo -----------------------------------------------------
@@ -470,29 +458,15 @@ _SPANS_SIZE = 1024  # spans shared by built nodes, the oldest dropped first
 _spans: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _recipe(steps: list, parts: list[str]) -> tuple:
-    """The parser's ``steps`` for the source split into ``parts``, as the
-    steps that build its tree for any source of its shape.
-
-    A step is ``(class, argument, start, i, end, j)`` in postorder: the
-    node's span is ``(start + c[i], end + c[j])``, where ``c[k]`` is the
-    length of the first ``k`` names of the source it is built for.  The
-    parser's steps are the case ``i == j == 0``.
-    """
-    # a span endpoint lies between tokens, so never inside a name
-    ends = list(accumulate(map(len, parts)))[1::2]
-    length = list(accumulate(map(len, parts[1::2]), initial=0))
-
-    def at(offset):
-        k = sum(end <= offset for end in ends)
-        return offset - length[k], k
-
-    return tuple([(cls, arg, *at(start), *at(end)) for cls, arg, start, _, end, _ in steps])
-
-
 def _build(steps, names: list[str]) -> Expr:
     """A fresh tree from postorder steps and the names that their Refs and
-    Calls take by place; equal spans are one tuple."""
+    Calls take by place; equal spans are one tuple.
+
+    A step is ``(class, argument, start, i, end, j)``: the node's span is
+    ``(start + c[i], end + c[j])``, where ``c[k]`` is the length of the
+    first ``k`` names.  The parser's steps are in this form, so they build
+    the tree of any source of their shape.
+    """
     c = list(accumulate(map(len, names), initial=0))
     stack = []
     push, pop, shared, set_span = stack.append, stack.pop, _spans.get, _set_span
@@ -711,12 +685,14 @@ def _print(e: Expr, minimum: int = 0, cls: type | None = None) -> str:
 
 
 def pretty_print(e: Expr) -> str:
-    """Render an expression to source that re-parses to a structurally equal tree.
+    """Render an expression as source; a tree a parse gives re-parses to an equal tree.
 
-    Negative numeric literals re-parse as a unary minus over the positive
-    literal; parser-produced trees never contain negative literals, so the
-    round trip is exact for parsed source.  An operator outside the grammar,
-    a field of a type a parse does not give, and an object that is not a
-    node are each a TypeError.
+    A hand-built literal may not: ``True``, ``False``, ``inf`` and ``nan``
+    print as names, which re-parse as references, an int outside 64 bits
+    prints as text the lexer rejects, and a negative number re-parses as a
+    unary minus over its magnitude.  ``output.model_hash`` hashes this text,
+    so it inherits the limit.  An operator outside the grammar, a field of a
+    type a parse does not give, and an object that is not a node are each a
+    TypeError.
     """
     return _print(e)

@@ -19,6 +19,10 @@ from .values import _brief, _cut, as_value
 __all__ = ["Arity", "FunctionEntry", "FunctionRegistry", "register_host_function"]
 
 
+def _is_count(n) -> bool:
+    return type(n) is int and n >= 0
+
+
 @dataclass(init=False, repr=False, eq=False)
 class Arity(Frozen):
     """Accepted argument count: fixed when ``low == high``, open-ended when high is None."""
@@ -31,13 +35,18 @@ class Arity(Frozen):
         object.__setattr__(self, "high", high)
 
     @classmethod
-    def of(cls, spec) -> "Arity":
+    def of(cls, spec) -> "Arity | None":
+        """``spec`` as an Arity: an Arity as it is, a count, or a ``(min,
+        max-or-None)`` pair of counts with min <= max; None for anything else."""
         if isinstance(spec, Arity):
             return spec
-        if isinstance(spec, int):
+        if _is_count(spec):
             return cls(spec, spec)
-        low, high = spec
-        return cls(low, high)
+        if isinstance(spec, (tuple, list)) and len(spec) == 2:
+            low, high = spec
+            if _is_count(low) and (high is None or _is_count(high) and low <= high):
+                return cls(low, high)
+        return None
 
     def accepts(self, n: int) -> bool:
         return n >= self.low and (self.high is None or n <= self.high)
@@ -77,7 +86,11 @@ class FunctionRegistry:
         if name in self._entries:
             kind = "built-in" if self._entries[name].builtin else "registered"
             raise RegistryError(f"function {name!r} is already {kind}")
-        self._entries[name] = FunctionEntry(Arity.of(arity), stochastic, impl, builtin)
+        spec = Arity.of(arity)
+        if spec is None:
+            raise RegistryError(f"function {name!r} arity {arity!r} is not a count "
+                                "or a (min, max-or-None) pair of counts with min <= max")
+        self._entries[name] = FunctionEntry(spec, stochastic, impl, builtin)
 
     def add_builtin(self, name: str, arity, stochastic: bool, impl: Callable):
         self._add(name, arity, stochastic, impl, builtin=True)

@@ -85,7 +85,6 @@ else:  # a big-endian host
         return memoryview(lanes[::-1]).cast("Q")[::-2]
 
 
-@lru_cache(maxsize=65536)
 def node_stream_key(name: str) -> int:
     """Stable 64-bit key for a node name.
 

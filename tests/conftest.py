@@ -10,6 +10,8 @@ from hypothesis import settings
 from dagforge import RandomStream, build_registry, register_example_functions
 from dagforge.cli import main as cli_main
 
+from reference_expr import children
+
 REPO = Path(__file__).resolve().parent.parent
 MODELS = REPO / "models"
 DATA = Path(__file__).resolve().parent / "data"
@@ -36,7 +38,7 @@ def preorder(e):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(node.children()))
+        stack.extend(reversed(children(node)))
 
 
 MINIMAL_INSTRUCTIONS = """

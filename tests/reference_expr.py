@@ -12,7 +12,7 @@ import re
 from typing import NamedTuple
 
 from dagforge.errors import LexError, NestingError, ParseError
-from dagforge.expr import KEYWORDS, MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary
+from dagforge.expr import KEYWORDS, MAX_DEPTH, Binary, Call, Expr, IfElse, ListLit, Lit, Ref, Unary
 
 INT64_MAX = 2**63 - 1
 
@@ -167,13 +167,25 @@ class Parser:
         return tuple(items), self.expect(closer).span[1]
 
 
+def children(node):
+    """The direct subexpressions of ``node``, left to right, read from its fields."""
+    found = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Expr):
+            found.append(value)
+        elif f.compare and isinstance(value, tuple):  # call arguments or list elements, not the span
+            found += value
+    return found
+
+
 def depth(e):
     deepest = 0
     stack = [(e, 1)]
     while stack:
         node, d = stack.pop()
         deepest = max(deepest, d)
-        stack.extend((child, d + 1) for child in node.children())
+        stack.extend((child, d + 1) for child in children(node))
     return deepest
 
 

@@ -31,10 +31,10 @@ from dagforge import evaluator, modelspec
 from dagforge.errors import NestingError, SpecError, ValidationError
 from dagforge.evaluator import compile_node
 from dagforge.expr import MAX_DEPTH, Binary, Call, IfElse, ListLit, Lit, Ref, Unary, analyse
-from dagforge.expr import _depth as expr_depth
 from dagforge.values import MISSING, Tensor
 
 import reference_eval
+import reference_expr
 import reference_yaml
 from conftest import DATA, MODELS, model_yaml, preorder
 from test_loader import IMAGES_WITH_A_BAD_TAG
@@ -139,9 +139,9 @@ DEEP = {
 def test_expressions_at_the_depth_limit_run(run_cli, tmp_path, name):
     template, inner, expected = DEEP[name]
     source = inner
-    for _ in range(MAX_DEPTH - expr_depth(parse(inner))):
+    for _ in range(MAX_DEPTH - reference_expr.depth(parse(inner))):
         source = template.format(source)
-    assert expr_depth(parse(source)) == MAX_DEPTH
+    assert reference_expr.depth(parse(source)) == MAX_DEPTH
     spec = tmp_path / "deep.yaml"
     spec.write_text(model_yaml(f'    T: "1 == 1"\n    F: "1 == 2"\n    X: "-3"\n    D: \'{source}\'\n'))
     code, _, err = run_cli("run", spec, "--out", tmp_path / "out")

@@ -450,6 +450,24 @@ def test_parse_agrees_with_the_reference_front_end(src, names):
         assert _outcome(parse, text) == _outcome(reference_expr.parse, text)
 
 
+@settings(deadline=None)
+@given(_sources())
+def test_the_parser_returns_the_height_and_its_steps_are_the_recipe(src):
+    try:
+        tree = reference_expr.parse(src)
+    except (LexError, ParseError, NestingError):
+        return
+    p = expr._Parser(*zip(*expr._scan(src)))
+    assert p.expr() == reference_expr.depth(tree)
+    parts = expr._NAME_RUN.split(src)
+    key = "\0".join(parts[::2])
+    expr._memo.pop(key, None)
+    parse(src)
+    if len(src) <= expr._MEMO_SOURCE and '"' not in src and "\0" not in src:
+        assert p.names == parts[1::2]
+        assert expr._memo[key] == tuple(p.steps)
+
+
 def _model_sources():
     """Every node source of the shipped models, the corpus models, the
     sampler tests' wide model and the benchmark's wide_deep seeds 1-3, and

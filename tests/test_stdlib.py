@@ -18,6 +18,7 @@ from dagforge.errors import DomainError, RegistryError
 from dagforge.evaluator import compile_node
 from dagforge.examplefns import create_airr, encode_kmers
 from dagforge.expr import KEYWORDS
+from dagforge.registry import Arity
 from dagforge.rng import _GOLDEN, _LANES, _MASK, _finalize
 from dagforge.stdlib import (
     MAX_BINOMIAL_TRIALS,
@@ -810,6 +811,27 @@ def test_registry_rejects_duplicates_and_bad_names():
         register_host_function(reg, "9bad", 1, False, lambda x: x)
     with pytest.raises(RegistryError):
         register_host_function(reg, "no-dash", 1, False, lambda x: x)
+
+
+@pytest.mark.parametrize("arity", [(1, "3"), True, -1, (2, 1), "2", 2.0, None, (1,), (1, 2, 3), (None, 2),
+                                   (-1, None), (1, 2.0)])
+@pytest.mark.parametrize("add", ["host", "builtin"])
+def test_registry_rejects_an_arity_no_call_can_meet(add, arity):
+    reg = build_registry()
+    with pytest.raises(RegistryError, match=r"^function 'f' arity .* is not a count or a \(min, max-or-None\) pair"):
+        if add == "host":
+            register_host_function(reg, "f", arity, False, lambda *args: 0)
+        else:
+            reg.add_builtin("f", arity, False, lambda *args: 0)
+    assert reg.lookup("f") is None
+
+
+@pytest.mark.parametrize("arity, described", [(0, "0"), (2, "2"), ((1, 1), "1"), ((0, 3), "0..3"),
+                                              ((2, None), "2+"), (Arity(1, 2), "1..2")])
+def test_registry_takes_a_count_a_pair_or_an_arity(arity, described):
+    reg = build_registry()
+    register_host_function(reg, "f", arity, False, lambda *args: 0)
+    assert reg.lookup("f").arity.describe() == described
 
 
 @pytest.mark.parametrize("name", sorted(KEYWORDS))
