@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import functools
+import operator
 import os
 import re
 from pathlib import Path
@@ -49,73 +50,84 @@ def write_csv(
 ) -> list[Path]:
     """Write the rows of ``ds`` under ``out_dir``; returns the created file paths.
 
-    ``ds`` is a Dataset, or a KeptRows that is evaluated as it is written,
-    one row at a time, so only the current row is held.  Without a stratify
-    node a single ``<csv_name>.csv`` is produced.  With one, rows are
-    partitioned into ``<csv_name>_<stratum>.csv`` files (in order of first
-    appearance of each label); the label column itself stays in every file
-    for auditability.
+    ``ds`` is a Dataset, or a KeptRows that is evaluated as it is written:
+    each kept row is rendered from its evaluation without becoming a
+    SampleRow, and only the current row is held.  Without a stratify node a
+    single ``<csv_name>.csv`` is produced.  With one, rows are partitioned
+    into ``<csv_name>_<stratum>.csv`` files (in order of first appearance of
+    each label); the label column itself stays in every file for
+    auditability.  Each file's lines go out in batches of about
+    ``_BATCH_CHARS`` characters, so a file holds at most one pending batch
+    (and one line past it) whatever the row count.
 
     Each file is written to a dot-prefixed temp file in ``out_dir`` and
     renamed into place only after the last row, so if anything fails the
     directory is left as it was.  Files that ``<csv_name>.manifest`` in
     ``out_dir`` lists from an earlier run and this call does not write are
     then removed, so a rerun into the same directory leaves no stale strata
-    behind; no other file is touched.
+    behind; no other file is touched.  A Dataset row without a value for a
+    column is a CoercionError that names the column.
     """
     out_dir = Path(out_dir)
     csv_name = instructions.csv_name
-    stratified = model.stratify is not None
-    rows = ds if isinstance(ds, KeptRows) else ds.rows
     columns = ds.column_order
-    header = ",".join(_field(c) for c in columns) + "\n"
+    if isinstance(ds, KeptRows):
+        rows = ds._bindings()  # labels already checked
+    elif model.stratify is not None:
+        rows = ((row.values, check_stratum_label(row.stratum)) for row in ds.rows)
+    else:
+        rows = ((row.values, None) for row in ds.rows)
+    # a row's observed values, in column order; itemgetter of one name gives no tuple
+    if len(columns) > 1:
+        pick = operator.itemgetter(*columns)
+    else:
+        pick = lambda values: [values[c] for c in columns]  # noqa: E731
+    header = ",".join(_field(c) for c in columns)
     # A tensor keeps its cell text, so a tensor that recurs across rows passes
     # the same string object, whose hash is cached: each distinct cell is
     # quoted once.  The cache holds the last 16 cells of this call only.
     tensor_field = functools.lru_cache(maxsize=16)(_field)
 
-    # The cell text of a number or a bool never holds a quote, comma or line
-    # break.  Exact floats and ints are written here with csv_cell's text.
+    # The cell text of a bool never holds a quote, comma or line break, nor
+    # does that of an exact int or float, which the row loop writes itself.
     def cell_field(v: Value) -> str:
-        kind = type(v)
-        if kind is float:
-            return repr(v)
-        if kind is int:
-            return str(v)
         text = csv_cell(v)
+        kind = type(v)
         if kind is bool:
             return text
         return tensor_field(text) if kind is Tensor else _field(text)
 
     made = _make_dirs(out_dir)
-    files: dict[str | None, tuple[Path, Path, TextIO]] = {}  # label -> (path, temp path, open temp file)
+    files: dict[str | None, _Batch] = {}
 
-    def open_stratum(label: str | None) -> TextIO:
+    def open_stratum(label: str | None) -> _Batch:
         path = out_dir / (f"{csv_name}.csv" if label is None else f"{csv_name}_{label}.csv")
-        tmp, fh = _open_temp(path)
-        files[label] = (path, tmp, fh)
-        fh.write(header)
-        return fh
+        files[label] = batch = _Batch(path, header)
+        return batch
 
     try:
-        if not stratified:
+        if model.stratify is None:
             open_stratum(None)  # written even when there are no rows
-        for row in rows:
-            label = check_stratum_label(row.stratum) if stratified else None
-            fh = files[label][2] if label in files else open_stratum(label)
-            values = row.values
+        for values, label in rows:
+            batch = files[label] if label in files else open_stratum(label)
             try:
-                line = ",".join([cell_field(values[c]) for c in columns])
-            except ValueError as err:  # an int past the interpreter's digit limit has no text
+                # str gives csv_cell's text for an exact int or float
+                line = ",".join([str(v) if type(v) is float or type(v) is int else cell_field(v)
+                                 for v in pick(values)])
+            except (KeyError, ValueError) as err:  # no value, or an int past the digit limit
                 raise _cell_error(values, columns) or err
-            fh.write(line + "\n")
-        for _, _, fh in files.values():
-            fh.close()
+            batch.lines.append(line)
+            batch.size += len(line) + 1
+            if batch.size >= _BATCH_CHARS:
+                batch.flush()
+        for batch in files.values():
+            batch.flush()
+            batch.fh.close()
     except BaseException:
-        for _, tmp, fh in files.values():
+        for batch in files.values():
             with contextlib.suppress(OSError):
-                fh.close()
-            tmp.unlink(missing_ok=True)
+                batch.fh.close()
+            batch.tmp.unlink(missing_ok=True)
         for d in made:
             with contextlib.suppress(OSError):
                 d.rmdir()
@@ -123,10 +135,10 @@ def write_csv(
 
     stale = set(_listed_files(out_dir / f"{csv_name}.manifest"))
     paths = []
-    for path, tmp, _ in files.values():
-        os.replace(tmp, path)
-        paths.append(path)
-        stale.discard(path.name)
+    for batch in files.values():
+        os.replace(batch.tmp, batch.path)
+        paths.append(batch.path)
+        stale.discard(batch.path.name)
     for name in stale:
         old = out_dir / name
         # only bare names of files: a listed path never reaches outside out_dir
@@ -135,9 +147,35 @@ def write_csv(
     return paths
 
 
+# Characters of pending lines after which a file's batch is written.  The
+# cap counts text, not rows, because one row can hold megabytes.
+_BATCH_CHARS = 1 << 16
+
+
+class _Batch:
+    """One output file: its path, its open temp file, and the lines not yet written to it."""
+
+    __slots__ = ("path", "tmp", "fh", "lines", "size")
+
+    def __init__(self, path: Path, header: str):
+        self.path = path
+        self.tmp, self.fh = _open_temp(path)
+        self.lines = [header]
+        self.size = len(header) + 1
+
+    def flush(self) -> None:
+        """Write the pending lines, each followed by a line break."""
+        self.lines.append("")
+        self.fh.write("\n".join(self.lines))
+        self.lines = []
+        self.size = 0
+
+
 def _cell_error(values: dict[str, Value], columns: list[str]) -> CoercionError | None:
-    """The error naming the first column of a row whose value has no cell text."""
+    """The error naming the first column of a row that has no value or whose value has no cell text."""
     for c in columns:
+        if c not in values:
+            return CoercionError(f"column {_cut(c)}: the row has no value for it")
         try:
             csv_cell(values[c])
         except ValueError as err:

@@ -213,7 +213,10 @@ class KeptRows:
 
     Sample indices are evaluated one at a time, as rows are taken, so
     iterating holds one row (and the stream words of one block of indices)
-    at a time, whatever ``num_samples`` is.
+    at a time, whatever ``num_samples`` is.  Iterating gives each kept row
+    as a :class:`SampleRow`; ``write_csv`` takes every node's value of a
+    kept row straight from the evaluation instead, so the ``run`` command
+    builds no SampleRow.
     Rejected indices stay consumed, so the kept rows depend only on the
     seed, never on the acceptance pattern; the keyed streams make every row
     independent of the order in which indices are evaluated.
@@ -237,8 +240,14 @@ class KeptRows:
         self._config = config
 
     def __iter__(self) -> Iterator[SampleRow]:
+        columns = self.column_order
+        for bindings, stratum in self._bindings():
+            yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
+
+    def _bindings(self) -> Iterator[tuple[dict[str, Value], str | None]]:
+        """Each kept row as every node's value and its checked stratum label (None unstratified)."""
         steps, seed = self._steps, self._config.seed
-        selection, stratify, columns = self._selection, self._stratify, self.column_order
+        selection, stratify = self._selection, self._stratify
         needed = self._config.num_samples
         limit = needed * self._config.max_rejection_factor
         stream = RandomStream(seed)
@@ -252,7 +261,7 @@ class KeptRows:
                     continue
                 stratum = check_stratum_label(bindings[stratify]) if stratify else None
                 self.kept += 1
-                yield SampleRow(values={c: bindings[c] for c in columns}, stratum=stratum)
+                yield bindings, stratum
                 if self.kept == needed:
                     self.attempts = i + 1
                     return

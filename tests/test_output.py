@@ -1,13 +1,18 @@
 import csv as csv_module
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dagforge import (
     MISSING,
     RunConfig,
     SimInstructions,
     Tensor,
+    build_registry,
     csv_cell,
     model_hash,
     parse_model,
@@ -17,9 +22,9 @@ from dagforge import (
     write_csv,
     write_manifest,
 )
-from dagforge.errors import SpecError, StratumNameError
-from dagforge.output import _field
-from dagforge.sampler import Dataset, SampleRow
+from dagforge.errors import CoercionError, SpecError, StratumNameError
+from dagforge.output import _BATCH_CHARS, _field
+from dagforge.sampler import Dataset, KeptRows, SampleRow
 
 from conftest import model_yaml
 
@@ -273,3 +278,139 @@ def test_instructions_have_one_rule_and_one_message_on_both_paths(field, value, 
         parse_model(f'graph:\n  nodes:\n    X: "1"\ninstructions:\n  simulation:\n{lines}')
     assert str(built.value) == str(parsed.value)
     assert str(built.value).startswith(f"instructions.simulation.{field}: ")
+
+
+class PairRows(KeptRows):
+    """A KeptRows that yields the given (bindings, stratum) pairs instead of evaluating a model."""
+
+    def __init__(self, pairs, column_order):
+        self.column_order = column_order
+        self.kept = self.attempts = len(pairs)
+        self._pairs = pairs
+
+    def _bindings(self):
+        yield from self._pairs
+
+
+class TooLong:
+    """Stands in for an int past the interpreter's digit limit, which Hypothesis cannot print."""
+
+    def __repr__(self):
+        return "TooLong()"
+
+
+TOO_LONG = 10**5000
+
+# every kind of cell, with text that needs quoting and lines long enough to
+# straddle the batch boundary
+CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.just(MISSING),
+    st.text(alphabet=st.sampled_from('ab,"\r\n\u00e9'), max_size=8),
+    st.builds(str.__mul__, st.sampled_from(["x", 'q",', "\n"]), st.integers(_BATCH_CHARS // 4, _BATCH_CHARS + 2)),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=4).map(lambda xs: Tensor((len(xs),), tuple(xs))),
+    st.builds(TooLong),
+)
+
+
+# write_csv reads only whether a model is stratified, and the csv_name
+WRITERS = {
+    stratified: compile_text(model_yaml(block), build_registry())
+    for stratified, block in [(False, '    X: "1"\n'),
+                              (True, '    G:\n      function: \'"a"\'\n      kind: stratify\n')]
+}
+
+
+def reference_files(rows, columns, stratified):
+    """The files write_csv should make, by name, or the first column whose value has no text."""
+    lines = {}
+    for values, label in rows:
+        cells = []
+        for c in columns:
+            try:
+                cells.append(_field(csv_cell(values[c])))
+            except ValueError:
+                return c
+        lines.setdefault(f"out_{label}.csv" if stratified else "out.csv", []).append(",".join(cells))
+    header = ",".join(_field(c) for c in columns)
+    files = {"out.csv": []} if not stratified else {}
+    files.update(lines)
+    return {name: "".join(f"{line}\n" for line in [header, *body]).encode() for name, body in files.items()}
+
+
+@settings(deadline=None)
+@given(columns=st.lists(st.sampled_from(["A", "B,c", 'q"', "D"]), unique=True, max_size=4),
+       cells=st.lists(st.lists(CELLS, min_size=4, max_size=4), max_size=12),
+       labels=st.lists(st.sampled_from(["a", "b", "c"]), min_size=12, max_size=12),
+       stratified=st.booleans())
+@example(columns=["A"], cells=[["x" * (_BATCH_CHARS - 3), 0, 0, 0], ["y", 0, 0, 0], ["z" * _BATCH_CHARS, 0, 0, 0]],
+         labels=["a"] * 12, stratified=False)
+def test_every_input_writes_the_reference_bytes(columns, cells, labels, stratified):
+    """A Dataset, the same rows as KeptRows pairs and a plain renderer give the same files."""
+    spec, model = WRITERS[stratified]
+    rows = []
+    for row, label in zip(cells, labels):
+        values = {c: TOO_LONG if isinstance(v, TooLong) else v for c, v in zip(columns, row)}
+        values["unobserved"] = "never written"
+        rows.append((values, label if stratified else None))
+    expected = reference_files(rows, columns, stratified)
+
+    inputs = [
+        Dataset([SampleRow(values, label) for values, label in rows], columns, len(rows)),
+        PairRows(rows, columns),
+    ]
+    messages = set()
+    for ds in inputs:
+        with tempfile.TemporaryDirectory() as out:
+            out = Path(out)
+            if isinstance(expected, str):
+                with pytest.raises(CoercionError) as err:
+                    write_csv(ds, model, spec.instructions, out)
+                assert str(err.value).startswith(f"column {expected}: cannot write the value: ")
+                assert list(out.iterdir()) == []
+                messages.add(str(err.value))
+                continue
+            paths = write_csv(ds, model, spec.instructions, out)
+            assert [p.name for p in paths] == list(expected)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+    assert len(messages) <= 1
+
+
+def test_a_file_holds_at_most_one_batch_whatever_the_row_count(registry, tmp_path):
+    # each row is one 100,000-character cell: a batch capped by a row count
+    # would hold many of them
+    cell = 100_000
+    spec, model = compile_text(model_yaml(f'    S: \'random_seq("ACGT", {cell})\'\n'), registry)
+
+    def peak(n):
+        rows = KeptRows(model, RunConfig(num_samples=n, seed=1), registry)
+        tracemalloc.start()
+        try:
+            write_csv(rows, model, spec.instructions, tmp_path / str(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-run caches
+    for n in (4, 40):
+        assert peak(n) < cell + 512 * 1024, n
+    assert (tmp_path / "40" / "out.csv").stat().st_size == len("S\n") + 40 * (cell + 1)
+
+
+def test_a_dataset_row_without_a_column_names_it(registry, tmp_path):
+    (tmp_path / "kept.txt").write_text("mine\n")
+    spec, model = compile_text(model_yaml('    A: "1"\n    B: "2"\n'), registry)
+    ds = Dataset([SampleRow({"A": 1, "B": 2}), SampleRow({"A": 1})], ["A", "B"], 2)
+    with pytest.raises(CoercionError, match="^column B: the row has no value for it$"):
+        write_csv(ds, model, spec.instructions, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+
+def test_a_model_without_observed_columns_writes_one_empty_line_per_row(run_cli, tmp_path):
+    # an empty header and three empty rows; an RFC 4180 reader reads each
+    # line as one empty field
+    spec = tmp_path / "model.yaml"
+    spec.write_text(model_yaml('    X:\n      function: "uniform(0, 1)"\n      observed: false\n', num_samples=3))
+    code, _, err = run_cli("run", spec, "--out", tmp_path / "out")
+    assert code == 0, err
+    assert (tmp_path / "out" / "out.csv").read_bytes() == b"\n\n\n\n"

@@ -1,8 +1,9 @@
 """Streaming output: bounded memory, lazy rows and all-or-nothing files.
 
-``dagforge run`` renders each kept row straight into a temp file in the
-output directory and renames the files into place after the last row, so a
-failed run leaves the directory exactly as it was.
+``dagforge run`` renders each kept row from its evaluation into a batch of
+about 64 KiB per file, writes each full batch to a temp file in the output
+directory and renames the files into place after the last row, so a failed
+run leaves the directory exactly as it was.
 """
 
 import itertools
@@ -12,10 +13,10 @@ import tracemalloc
 
 import pytest
 
-from dagforge import RunConfig, parse_model, register_host_function, validate
+from dagforge import RunConfig, parse_model, register_host_function, simulate, validate
 from dagforge import cli
 from dagforge.errors import DomainError
-from dagforge.sampler import KeptRows
+from dagforge.sampler import KeptRows, SampleRow
 
 from conftest import MODELS, model_yaml
 
@@ -158,6 +159,24 @@ def test_taking_rows_evaluates_only_those_rows(registry, n):
     taken = list(itertools.islice(rows, n))
     assert len(taken) == n
     assert len(calls) == n
+
+
+def test_run_builds_no_sample_row(run_cli, tmp_path, monkeypatch, registry):
+    built = []
+    init = SampleRow.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampleRow, "__init__", counted)
+    code, _, err = run_cli("run", MODELS / "images.yaml", "--num-samples", "20", "--out", tmp_path)
+    assert code == 0, err
+    assert built == []
+    # the count does see the rows the library collects
+    model = validate(parse_model((MODELS / "images.yaml").read_text(), registry), registry)
+    simulate(model, RunConfig(num_samples=20), registry)
+    assert len(built) == 20
 
 
 def test_cli_memory_does_not_grow_with_rows(run_cli, tmp_path):
